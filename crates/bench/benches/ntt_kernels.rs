@@ -1,7 +1,7 @@
 //! Criterion benches for the NTT kernels: classical vs
 //! constant-geometry across ring sizes (the software counterpart of
-//! the Fig. 2 discussion), plus the radix-2 vs cache-blocked radix-4
-//! generations behind the runtime kernel dispatch.
+//! the Fig. 2 discussion), plus the radix-4 vs IFMA generations
+//! behind the runtime kernel dispatch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ufc_math::cgntt::CgNtt;
@@ -28,15 +28,16 @@ fn bench_ntts(c: &mut Criterion) {
 }
 
 fn bench_radix_kernels(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ntt_radix");
+    let mut g = c.benchmark_group("ntt_kernels");
     g.sample_size(20);
-    // 2^12 runs the radix-4 entry in its degenerate (radix-2) regime;
-    // 2^13 and 2^14 run the genuinely blocked schedule.
+    // 2^12 runs both kernels' plain fused walk, below the IFMA
+    // crossover; 2^13 and 2^14 run the cache-blocked schedule. The
+    // 49-bit prime keeps IFMA in play.
     for log_n in [12u32, 13, 14] {
         let n = 1usize << log_n;
-        let ctx = NttContext::new(n, generate_ntt_prime(n, 60).unwrap());
+        let ctx = NttContext::new(n, generate_ntt_prime(n, 49).unwrap());
         let data = Poly::pseudorandom(n, ctx.modulus(), 0x5EED).into_coeffs();
-        for kernel in [NttKernel::Radix2, NttKernel::Radix4, NttKernel::Simd] {
+        for kernel in [NttKernel::Radix4, NttKernel::Ifma] {
             g.bench_with_input(
                 BenchmarkId::new(format!("forward/{kernel}"), log_n),
                 &data,

@@ -1,9 +1,8 @@
 //! Micro-benchmarks for the `ufc-math` data plane: Shoup/Harvey NTT
-//! kernels vs the pre-refactor reference kernels, the radix-2 /
-//! cache-blocked radix-4 / SIMD / IFMA kernel generations, per-op
-//! dispatched element-wise kernels, negacyclic multiplication, TFHE
-//! external products, limb-parallel RNS transforms and op-level
-//! work stealing.
+//! kernels vs the pre-refactor reference kernels, the radix-4 / IFMA
+//! kernel generations, per-op dispatched element-wise kernels,
+//! negacyclic multiplication, TFHE external products and
+//! limb-parallel RNS transforms.
 //!
 //! ```text
 //! bench_math [--quick] [--out <path>]
@@ -13,9 +12,9 @@
 //! family — including `ew_kernels` (scalar vs dispatched backend per
 //! element-wise op at a 59-bit and a 50-bit prime), `ew_dispatch`
 //! (the dispatch table itself: backend + static/measured provenance
-//! per op), `ntt_ifma` (SIMD vs IFMA generation at a 49-bit prime)
-//! and `op_scaling` (work-stealing over independent plane ops) — and
-//! a `headline` object recording the single-thread
+//! per op) and `ntt_kernels` (radix-4 vs IFMA at a 49-bit and a
+//! 60-bit prime, with the kernel `NttKernel::auto_for` picks per row)
+//! — and a `headline` object recording the single-thread
 //! negacyclic-multiply speedup at the largest ring dimension.
 //! `--quick` restricts sizes and repetitions for CI smoke runs.
 
@@ -66,11 +65,23 @@ fn usage_error(msg: &str) -> ! {
 
 /// Best-of-`reps` wall time of one call, in nanoseconds.
 fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
+    time_alternating_ns(reps, 1, |_| f())[0]
+}
+
+/// Best-of-`reps` wall time of each of `f(0)`, …, `f(count - 1)`, in
+/// nanoseconds. The candidates run in alternation within every rep,
+/// so a host-wide slowdown (a neighbour's burst, a frequency shift)
+/// hits all of them alike instead of skewing whichever one it lands
+/// on — the ratios the validator gates on stay meaningful on a noisy
+/// host.
+fn time_alternating_ns<F: FnMut(usize)>(reps: usize, count: usize, mut f: F) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; count];
     for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos() as f64);
+        for (i, b) in best.iter_mut().enumerate() {
+            let t = Instant::now();
+            f(i);
+            *b = b.min(t.elapsed().as_nanos() as f64);
+        }
     }
     best
 }
@@ -159,176 +170,82 @@ fn main() {
         );
     }
 
-    // ------------------------------- radix-2 vs radix-4 vs SIMD lanes
-    let avx2 = ufc_math::simd::avx2_available();
-    println!(
-        "\n## Negacyclic NTT kernel generations (radix-2 vs cache-blocked radix-4 vs SIMD, \
-         AVX2 {})\n",
-        if avx2 {
-            "active"
-        } else {
-            "absent: portable lanes"
-        }
-    );
-    println!(
-        "| N | fwd r2 (µs) | fwd r4 (µs) | fwd simd (µs) | fwd r4/simd speedup \
-         | inv r2 (µs) | inv r4 (µs) | inv simd (µs) | inv r4/simd speedup |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    let radix_table = json.table(
-        "ntt_radix",
-        &[
-            "n",
-            "forward_radix2_ns",
-            "forward_radix4_ns",
-            "forward_simd_ns",
-            "forward_speedup",
-            "forward_simd_speedup",
-            "inverse_radix2_ns",
-            "inverse_radix4_ns",
-            "inverse_simd_ns",
-            "inverse_speedup",
-            "inverse_simd_speedup",
-        ],
-    );
-    for &n in &sizes {
-        let q = generate_ntt_prime(n, 60).expect("60-bit NTT prime");
-        let ctx = NttContext::new(n, q);
-        let r = reps(n);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        let mut buf = data.clone();
-        let fwd2 = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Radix2, &mut buf);
-        });
-        let eval = buf.clone();
-        let fwd4 = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Radix4, &mut buf);
-        });
-        assert_eq!(buf, eval, "radix-4 forward diverged from radix-2");
-        let fwd_simd = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Simd, &mut buf);
-        });
-        assert_eq!(buf, eval, "simd forward diverged from radix-2");
-        let inv2 = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Radix2, &mut buf);
-        });
-        assert_eq!(buf, data, "radix-2 inverse failed to round-trip");
-        let inv4 = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Radix4, &mut buf);
-        });
-        assert_eq!(buf, data, "radix-4 inverse diverged from radix-2");
-        let inv_simd = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Simd, &mut buf);
-        });
-        assert_eq!(buf, data, "simd inverse diverged from radix-2");
-        radix_table.push(vec![
-            cell(n as u64),
-            cell(fwd2),
-            cell(fwd4),
-            cell(fwd_simd),
-            cell(fwd2 / fwd4),
-            cell(fwd4 / fwd_simd),
-            cell(inv2),
-            cell(inv4),
-            cell(inv_simd),
-            cell(inv2 / inv4),
-            cell(inv4 / inv_simd),
-        ]);
-        println!(
-            "| {n} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.1} | {:.1} | {:.1} | {:.2}x |",
-            fwd2 / 1e3,
-            fwd4 / 1e3,
-            fwd_simd / 1e3,
-            fwd4 / fwd_simd,
-            inv2 / 1e3,
-            inv4 / 1e3,
-            inv_simd / 1e3,
-            inv4 / inv_simd
-        );
-    }
-
-    // --------------------------------------- IFMA kernel generation
-    // The fifth generation only exists below 2^50, so it gets its own
-    // sweep at a 49-bit prime instead of a column in the 60-bit radix
-    // table. On hosts without AVX-512 IFMA the portable mirror lanes
-    // run — bit-identical, but the timing is then a fallback
-    // measurement, flagged by host.ifma in the report.
+    // ------------------------------------------ NTT kernel generations
+    // Radix-4 against IFMA at a 49-bit prime (inside the IFMA window)
+    // and a 60-bit prime (radix-4 only), with the kernel the dispatch
+    // rule picks for each row. On hosts without AVX-512 IFMA the
+    // portable mirror lanes run — bit-identical, but the timing is
+    // then a fallback measurement, flagged by host.ifma in the report.
     let ifma_hw = ufc_math::simd::ifma_available();
     println!(
-        "\n## IFMA kernel generation at a 49-bit prime (AVX-512 IFMA {})\n",
+        "\n## Negacyclic NTT kernel generations (radix-4 vs IFMA, AVX-512 IFMA {})\n",
         if ifma_hw {
             "active"
         } else {
             "absent: portable lanes"
         }
     );
-    println!(
-        "| N | fwd simd (µs) | fwd ifma (µs) | speedup | inv simd (µs) | inv ifma (µs) | speedup |"
-    );
+    println!("| N | q bits | fwd r4 (µs) | fwd ifma (µs) | inv r4 (µs) | inv ifma (µs) | auto |");
     println!("|---|---|---|---|---|---|---|");
-    let ifma_table = json.table(
-        "ntt_ifma",
+    let kernel_table = json.table(
+        "ntt_kernels",
         &[
             "n",
-            "forward_simd_ns",
+            "q_bits",
+            "forward_radix4_ns",
             "forward_ifma_ns",
-            "forward_speedup",
-            "inverse_simd_ns",
+            "inverse_radix4_ns",
             "inverse_ifma_ns",
-            "inverse_speedup",
+            "auto",
         ],
     );
     for &n in &sizes {
-        let q = generate_ntt_prime(n, 49).expect("49-bit NTT prime");
-        let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Ifma)
-            .expect("49-bit prime fits the IFMA window");
-        let r = reps(n);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        let mut buf = data.clone();
-        let fwd_simd = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Simd, &mut buf);
-        });
-        let eval = buf.clone();
-        let fwd_ifma = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Ifma, &mut buf);
-        });
-        assert_eq!(buf, eval, "ifma forward diverged from simd");
-        let inv_simd = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Simd, &mut buf);
-        });
-        assert_eq!(buf, data, "simd inverse failed to round-trip");
-        let inv_ifma = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Ifma, &mut buf);
-        });
-        assert_eq!(buf, data, "ifma inverse diverged from simd");
-        ifma_table.push(vec![
-            cell(n as u64),
-            cell(fwd_simd),
-            cell(fwd_ifma),
-            cell(fwd_simd / fwd_ifma),
-            cell(inv_simd),
-            cell(inv_ifma),
-            cell(inv_simd / inv_ifma),
-        ]);
-        println!(
-            "| {n} | {:.1} | {:.1} | {:.2}x | {:.1} | {:.1} | {:.2}x |",
-            fwd_simd / 1e3,
-            fwd_ifma / 1e3,
-            fwd_simd / fwd_ifma,
-            inv_simd / 1e3,
-            inv_ifma / 1e3,
-            inv_simd / inv_ifma
-        );
+        for bits in [49u32, 60] {
+            let q = generate_ntt_prime(n, bits).expect("NTT prime");
+            let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Radix4)
+                .expect("valid NTT parameters");
+            let r = reps(n);
+            let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+            // Radix-4 first: it is the bit-identity reference.
+            let kernels: Vec<NttKernel> = [NttKernel::Radix4, NttKernel::Ifma]
+                .into_iter()
+                .filter(|k| k.supports_modulus(q))
+                .collect();
+            let mut bufs = vec![data.clone(); kernels.len()];
+            let fwd = time_alternating_ns(r, kernels.len(), |i| {
+                bufs[i].copy_from_slice(&data);
+                ctx.forward_with(kernels[i], &mut bufs[i]);
+            });
+            let eval = bufs[0].clone();
+            for (k, out) in kernels.iter().zip(&bufs) {
+                assert_eq!(*out, eval, "{k} forward diverged from radix-4");
+            }
+            let inv = time_alternating_ns(r, kernels.len(), |i| {
+                bufs[i].copy_from_slice(&eval);
+                ctx.inverse_with(kernels[i], &mut bufs[i]);
+            });
+            for (k, out) in kernels.iter().zip(&bufs) {
+                assert_eq!(*out, data, "{k} inverse failed to round-trip");
+            }
+            let auto = NttKernel::auto_for(n, q).name();
+            kernel_table.push(vec![
+                cell(n as u64),
+                cell(u64::from(bits)),
+                cell(fwd[0]),
+                cell(fwd.get(1)),
+                cell(inv[0]),
+                cell(inv.get(1)),
+                cell(auto),
+            ]);
+            let us = |t: Option<&f64>| t.map_or("—".to_owned(), |t| format!("{:.1}", t / 1e3));
+            println!(
+                "| {n} | {bits} | {:.1} | {} | {:.1} | {} | {auto} |",
+                fwd[0] / 1e3,
+                us(fwd.get(1)),
+                inv[0] / 1e3,
+                us(inv.get(1))
+            );
+        }
     }
 
     // ------------------------------------------- element-wise kernels
@@ -356,27 +273,26 @@ fn main() {
             let s = rng.gen_range(1..q);
             let ss = shoup_precompute(s, q);
             let r = reps(n);
-            let mut buf = a.clone();
             println!("### {bits}-bit prime (q = {q})\n");
             println!("| kernel | scalar (µs) | dispatched (µs) | speedup | backend | source |");
             println!("|---|---|---|---|---|---|");
-            // (op, scalar loop, simd call) per kernel; each rep
-            // re-seeds the destination so both sides do identical
-            // memory traffic.
+            // (op, scalar loop, simd call) per kernel, timed in
+            // alternation; each rep re-seeds the destination so both
+            // sides do identical memory traffic.
             let mut rows: Vec<(EwOp, f64, f64)> = Vec::new();
+            let mut bufs = [a.clone(), a.clone()];
             macro_rules! ew {
                 ($op:expr, $scalar:expr, $simd:expr) => {{
-                    let scalar = time_ns(r, || {
-                        buf.copy_from_slice(&a);
-                        $scalar(&mut buf);
+                    let t = time_alternating_ns(r, 2, |i| {
+                        bufs[i].copy_from_slice(&a);
+                        if i == 0 {
+                            $scalar(&mut bufs[0]);
+                        } else {
+                            $simd(&mut bufs[1]);
+                        }
                     });
-                    let scalar_out = buf.clone();
-                    let simd_t = time_ns(r, || {
-                        buf.copy_from_slice(&a);
-                        $simd(&mut buf);
-                    });
-                    assert_eq!(buf, scalar_out, "{} kernels diverged", $op.name());
-                    rows.push(($op, scalar, simd_t));
+                    assert_eq!(bufs[0], bufs[1], "{} kernels diverged", $op.name());
+                    rows.push(($op, t[0], t[1]));
                 }};
             }
             ew!(
@@ -596,80 +512,6 @@ fn main() {
         println!("| {threads} | {:.1} |", t / 1e3);
     }
 
-    // --------------------------------------- op-level work stealing
-    // One tier above limb fan-out: a trace of *independent*
-    // element-wise plane ops (the shape of one evaluator level over
-    // disjoint ciphertexts), distributed over the self-scheduling
-    // par_ops queue. Workers pull the next op when they finish their
-    // current one, so skewed per-op costs cannot strand work behind a
-    // static partition. Results are asserted bit-identical between
-    // the 1-thread and N-thread runs — scheduling must never leak
-    // into values.
-    let op_count = if opts.quick { 8 } else { 24 };
-    let op_moduli = generate_ntt_primes(plane_n, 50, 2);
-    let build_ops = |count: usize| -> Vec<(RnsPlane, RnsPlane, RnsPlane)> {
-        (0..count)
-            .map(|i| {
-                let mk = |salt: u64| {
-                    let polys: Vec<Poly> = op_moduli
-                        .iter()
-                        .enumerate()
-                        .map(|(l, &q)| {
-                            Poly::pseudorandom(plane_n, q, salt + 131 * i as u64 + l as u64)
-                        })
-                        .collect();
-                    RnsPlane::from_polys(&polys, ufc_math::poly::Form::Eval)
-                };
-                (mk(1), mk(2), mk(3))
-            })
-            .collect()
-    };
-    println!("\n## Op-level work stealing ({op_count} independent plane ops, N = {plane_n})\n");
-    println!("| threads | wall (µs) | speedup |");
-    println!("|---|---|---|");
-    let op_scale_table = json.table("op_scaling", &["threads", "ops", "wall_ns", "speedup"]);
-    let op_threads = [1usize, par::effective_threads().max(2)];
-    let mut op_serial_result: Option<Vec<RnsPlane>> = None;
-    let mut op_serial_ns = 0.0f64;
-    for &threads in &op_threads {
-        let mut wall = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..(if opts.quick { 2 } else { 6 }) {
-            let mut ops = build_ops(op_count);
-            let prev = par::set_max_threads(threads);
-            let t = Instant::now();
-            par::par_ops_on(&mut ops, |i, (acc, a, b)| {
-                acc.hadamard_assign(a);
-                acc.mac_assign(a, b);
-                if i % 2 == 0 {
-                    acc.add_assign(b);
-                }
-            });
-            wall = wall.min(t.elapsed().as_nanos() as f64);
-            par::set_max_threads(prev);
-            result = Some(ops.into_iter().map(|(acc, _, _)| acc).collect::<Vec<_>>());
-        }
-        let result = result.expect("at least one timed rep");
-        match &op_serial_result {
-            None => {
-                op_serial_result = Some(result);
-                op_serial_ns = wall;
-            }
-            Some(first) => assert_eq!(
-                first, &result,
-                "op-level work stealing produced thread-count-dependent results"
-            ),
-        }
-        let speedup = op_serial_ns / wall;
-        op_scale_table.push(vec![
-            cell(threads as u64),
-            cell(op_count as u64),
-            cell(wall),
-            cell(speedup),
-        ]);
-        println!("| {threads} | {:.1} | {speedup:.2}x |", wall / 1e3);
-    }
-
     // ------------------------------------------- disabled-trace cost
     // Every NTT entry point now opens a `ufc_trace` span. With no
     // recorder live that site must be free (one relaxed atomic load):
@@ -695,14 +537,15 @@ fn main() {
         let r = reps(n).max(64);
         let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
         let mut buf = data.clone();
-        let instrumented = time_ns(r, || {
+        let t = time_alternating_ns(r, 2, |i| {
             buf.copy_from_slice(&data);
-            ctx.forward(&mut buf);
+            if i == 0 {
+                ctx.forward(&mut buf);
+            } else {
+                ctx.forward_with(ctx.kernel(), &mut buf);
+            }
         });
-        let raw = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(ctx.kernel(), &mut buf);
-        });
+        let (instrumented, raw) = (t[0], t[1]);
         // Best-of-reps jitter can make either side "win"; clamp at 0.
         let pct = ((instrumented - raw) / raw * 100.0).max(0.0);
         worst_overhead_pct = worst_overhead_pct.max(pct);
@@ -769,7 +612,6 @@ fn main() {
         available_parallelism: u64,
         avx2: bool,
         ifma: bool,
-        ntt_kernel: String,
         par_threads: u64,
         trace_overhead_pct: f64,
         mul_mod_ns: f64,
@@ -796,19 +638,8 @@ fn main() {
         quick: opts.quick,
         host: Host {
             available_parallelism: cores as u64,
-            avx2,
+            avx2: ufc_math::simd::avx2_available(),
             ifma: ifma_hw,
-            // The kernel generation the dispatcher actually picks at
-            // the largest benched size and its 60-bit prime (env
-            // override included).
-            ntt_kernel: {
-                let top = *sizes.last().expect("sizes nonempty");
-                let q = generate_ntt_prime(top, 60).expect("60-bit NTT prime");
-                NttKernel::select_for(top, q)
-                    .unwrap_or_else(|e| usage_error(&e.to_string()))
-                    .name()
-                    .to_owned()
-            },
             par_threads: ufc_math::par::effective_threads() as u64,
             trace_overhead_pct: worst_overhead_pct,
             mul_mod_ns,

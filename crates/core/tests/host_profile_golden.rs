@@ -5,7 +5,7 @@
 //! The host pipeline is fully seeded and single-path, so the *shape*
 //! of a recording — which spans fire and how often — is reproducible
 //! bit for bit even though the latencies are not. The NTT kernel is
-//! forced to `radix2` so the kernel tags don't vary with the host CPU,
+//! forced to `radix4` so the kernel tags don't vary with the host CPU,
 //! and the test scale sits below the `par_limbs` threading threshold
 //! so no `math/par_worker` spans appear. If you intentionally change
 //! the instrumentation or the workload, update the table below.
@@ -13,7 +13,7 @@
 use std::process::Command;
 
 /// `(span key, count)` pinned for the default `HostRunConfig` (seed 7,
-/// six candidates, six gates) under `UFC_NTT_KERNEL=radix2`.
+/// six candidates, six gates) under `UFC_NTT_KERNEL=radix4`.
 const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/add", 1),
     ("ckks/decrypt", 1),
@@ -23,9 +23,9 @@ const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/mul_plain", 1),
     ("ckks/rescale", 1),
     ("ckks/rotate", 1),
-    ("math/negacyclic_mul[radix2]", 384),
-    ("math/ntt_forward[radix2]", 6306),
-    ("math/ntt_inverse[radix2]", 1974),
+    ("math/negacyclic_mul[radix4]", 384),
+    ("math/ntt_forward[radix4]", 6306),
+    ("math/ntt_inverse[radix4]", 1974),
     ("math/par_limb", 131),
     ("switch/extract_batch[b8]", 1),
     ("tfhe/blind_rotate", 12),
@@ -55,7 +55,7 @@ fn host_top_spans_table_matches_golden() {
         .arg(fixture)
         .args(["--top", "64"])
         .arg("--host")
-        .env("UFC_NTT_KERNEL", "radix2")
+        .env("UFC_NTT_KERNEL", "radix4")
         .output()
         .expect("run ufc-profile --host");
     assert!(

@@ -9,13 +9,13 @@
 //!   reductions,
 //! * NTT-friendly prime generation and primitive-root search
 //!   ([`prime`]),
-//! * the classical iterative number-theoretic transform with five
-//!   coexisting kernel generations — seed reference, Shoup/Harvey
-//!   radix-2, cache-blocked radix-4, 4-wide SIMD lanes ([`simd`],
-//!   AVX2 with a bit-identical portable fallback), and an AVX-512
-//!   IFMA generation (52-bit `vpmadd52` Barrett, moduli below 2⁵⁰) —
-//!   behind a per-dimension runtime dispatch ([`ntt`],
-//!   [`ntt::NttKernel`], `UFC_NTT_KERNEL`), and the
+//! * the classical iterative number-theoretic transform with three
+//!   kernel generations — the seed reference oracle, Shoup/Harvey
+//!   radix-4 (cache-blocked on large rings), and an AVX-512 IFMA
+//!   generation ([`simd`], 52-bit `vpmadd52` lanes for moduli below
+//!   2⁵⁰, with a bit-identical portable mirror) — behind one
+//!   size-and-width dispatch rule ([`ntt`], [`ntt::NttKernel`],
+//!   `UFC_NTT_KERNEL`), and the
 //!   **constant-geometry (Pease) NTT**
 //!   that UFC's interconnect co-design is built around ([`cgntt`]),
 //!   plus the double-precision FFT datapath of the Strix baseline

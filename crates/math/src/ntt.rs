@@ -21,29 +21,22 @@
 //!
 //! # Kernel generations and dispatch
 //!
-//! Five kernel generations coexist, all bit-identical on reduced
+//! Three kernel generations coexist, all bit-identical on reduced
 //! inputs (pinned by `crates/math/tests/kernel_conformance.rs`):
 //!
 //! * [`NttKernel::Reference`] — the seed kernel: fully reduced
-//!   butterflies, one 128-bit `%` per multiply.
-//! * [`NttKernel::Radix2`] — Shoup/Harvey lazy butterflies with
-//!   stage-major twiddles and consecutive stages fused in pairs.
-//! * [`NttKernel::Radix4`] — the same radix-4 butterfly groups (two
-//!   fused radix-2 layers sharing loads/stores, with a radix-2 tail
-//!   stage when the remaining stage count is odd), scheduled
+//!   butterflies, one 128-bit `%` per multiply. Kept as the oracle.
+//! * [`NttKernel::Radix4`] — Shoup/Harvey lazy butterflies over
+//!   stage-major twiddles, consecutive stages fused in pairs (two
+//!   radix-2 layers sharing loads/stores, with a radix-2 tail stage
+//!   when the stage count is odd). Above [`RADIX4_BLOCK`] the walk is
 //!   **cache-blocked**: all stages whose butterfly span fits inside an
 //!   L1-sized block run back to back on that block while it is
 //!   resident, so the coefficient array crosses the cache hierarchy
 //!   once for the whole intra-block phase instead of once per stage
 //!   pair. Only the few cross-block stages still make full-array
-//!   passes. Below [`RADIX4_MIN_DIM`] the blocked schedule degenerates
-//!   to the radix-2 walk.
-//! * [`NttKernel::Simd`] — the radix-4 cache-blocked schedule with its
-//!   butterfly inner loops replaced by the 4-wide lane kernels of
-//!   [`crate::simd`] (AVX2 on supporting hosts, a bit-identical
-//!   portable 4-lane unroll everywhere else). Same lazy-reduction
-//!   invariants, same canonical outputs — the software analogue of
-//!   UFC's arrays of hardware butterfly lanes.
+//!   passes. At or below one block the schedule is the plain fused
+//!   radix-2 walk.
 //! * [`NttKernel::Ifma`] — the same schedule on the 8-wide AVX-512
 //!   IFMA lane kernels (`vpmadd52lo/hi`), with twiddles carried as
 //!   radix-2⁵² Shoup companions ([`crate::modops::shoup52_precompute`]).
@@ -53,15 +46,16 @@
 //!   the identical per-lane formulas, so IFMA legs are bit-identical
 //!   whether or not the host has the hardware.
 //!
-//! Each [`NttContext`] picks a kernel at construction:
-//! the `UFC_NTT_KERNEL` environment variable (`auto` / `reference` /
-//! `radix2` / `radix4` / `simd` / `ifma`) wins if set and well-formed,
-//! otherwise the heuristic [`NttKernel::auto_for`] applies (IFMA when
-//! the host has AVX-512 IFMA and the modulus fits, then SIMD whenever
-//! the host has AVX2, else radix-4 at `N ≥ 2^13` and radix-2 below).
+//! Each [`NttContext`] picks a kernel at construction: the
+//! `UFC_NTT_KERNEL` environment variable (`auto` / `reference` /
+//! `radix4` / `ifma`) wins if set and well-formed, otherwise the one
+//! dispatch rule [`NttKernel::auto_for`] applies — IFMA when the host
+//! has AVX-512 IFMA, the modulus is below 2⁵⁰ and `N ≥`
+//! [`RADIX4_MIN_DIM`], radix-4 otherwise (`BENCH_math.json`'s
+//! `ntt_kernels` table shows IFMA losing to radix-4 below that size).
 //! A malformed value no longer panics library consumers:
 //! [`NttKernel::select_for`] warns once on stderr and falls back to
-//! the heuristic, while CLIs validate the variable at startup via
+//! the rule, while CLIs validate the variable at startup via
 //! [`NttKernel::from_env`] and fail fast. Forcing `ifma` is strict,
 //! not best-effort: a host without AVX-512 IFMA gets
 //! [`NttError::IfmaUnavailable`] (unless `UFC_IFMA_PORTABLE=1`
@@ -81,8 +75,9 @@ use crate::prime::{is_prime, primitive_root_of_unity};
 use crate::simd;
 
 /// Environment variable that overrides NTT kernel selection for every
-/// subsequently built [`NttContext`]: `auto`, `reference`, `radix2`,
-/// `radix4`, `simd` or `ifma` (case-insensitive).
+/// subsequently built [`NttContext`]: `auto`, `reference`, `radix4` or
+/// `ifma` (case-insensitive). Any other value, including the retired
+/// `radix2` and `simd`, is a [`KernelEnvError`].
 pub const KERNEL_ENV: &str = "UFC_NTT_KERNEL";
 
 /// Environment variable that lets a forced `UFC_NTT_KERNEL=ifma` run
@@ -98,9 +93,11 @@ pub const IFMA_PORTABLE_ENV: &str = "UFC_IFMA_PORTABLE";
 /// = 32 KiB, sized to a typical L1 data cache.
 pub const RADIX4_BLOCK: usize = 1 << 12;
 
-/// Smallest ring dimension where the cache-blocked radix-4 schedule
-/// differs from (and beats) the radix-2 walk; the [`NttKernel::auto_for`]
-/// heuristic switches kernels here.
+/// Smallest ring dimension where the radix-4 schedule is cache-blocked
+/// rather than the plain fused radix-2 walk, and the IFMA crossover:
+/// [`NttKernel::auto_for`] picks IFMA only from here up, because below
+/// it the 8-wide lanes lose to scalar radix-4 (`BENCH_math.json`,
+/// `ntt_kernels` table).
 pub const RADIX4_MIN_DIM: usize = 1 << 13;
 
 /// Which butterfly kernel a [`NttContext`] executes.
@@ -113,16 +110,11 @@ pub enum NttKernel {
     /// Seed kernel: fully reduced butterflies, 128-bit `%` per
     /// multiply. Kept as the oracle and measured baseline.
     Reference,
-    /// Shoup/Harvey lazy radix-2 with fused stage pairs.
-    Radix2,
-    /// Cache-blocked radix-4 butterfly groups with a radix-2 tail
-    /// stage for odd stage counts.
+    /// Shoup/Harvey lazy butterflies in fused radix-4 groups with a
+    /// radix-2 tail stage for odd stage counts, cache-blocked above
+    /// [`RADIX4_BLOCK`].
     Radix4,
-    /// The radix-4 blocked schedule executed on the 4-wide lane
-    /// kernels of [`crate::simd`] (AVX2 when available, bit-identical
-    /// portable unroll otherwise).
-    Simd,
-    /// The same schedule on the 8-wide AVX-512 IFMA lane kernels
+    /// The radix-4 schedule on the 8-wide AVX-512 IFMA lane kernels
     /// (`vpmadd52lo/hi` with radix-2⁵² Shoup twiddles). Requires
     /// `q < 2^50`; runs on a bit-identical portable mirror when the
     /// hardware is absent.
@@ -132,21 +124,13 @@ pub enum NttKernel {
 impl NttKernel {
     /// Every kernel, in oracle-to-fastest order — the iteration set of
     /// the conformance suite and the CI kernel matrix.
-    pub const ALL: [NttKernel; 5] = [
-        NttKernel::Reference,
-        NttKernel::Radix2,
-        NttKernel::Radix4,
-        NttKernel::Simd,
-        NttKernel::Ifma,
-    ];
+    pub const ALL: [NttKernel; 3] = [NttKernel::Reference, NttKernel::Radix4, NttKernel::Ifma];
 
     /// The canonical lowercase name (what `UFC_NTT_KERNEL` accepts).
     pub fn name(self) -> &'static str {
         match self {
             NttKernel::Reference => "reference",
-            NttKernel::Radix2 => "radix2",
             NttKernel::Radix4 => "radix4",
-            NttKernel::Simd => "simd",
             NttKernel::Ifma => "ifma",
         }
     }
@@ -157,9 +141,7 @@ impl NttKernel {
     pub fn parse(s: &str) -> Option<NttKernel> {
         match s.to_ascii_lowercase().as_str() {
             "reference" => Some(NttKernel::Reference),
-            "radix2" => Some(NttKernel::Radix2),
             "radix4" => Some(NttKernel::Radix4),
-            "simd" => Some(NttKernel::Simd),
             "ifma" => Some(NttKernel::Ifma),
             _ => None,
         }
@@ -174,22 +156,15 @@ impl NttKernel {
         self != NttKernel::Ifma || ifma_modulus_ok(q)
     }
 
-    /// The heuristic default: IFMA when the host has AVX-512 IFMA and
-    /// the modulus fits its 50-bit ceiling (8 lanes and single-cycle
-    /// 52-bit multiplies beat everything else), then the SIMD lane
-    /// kernel whenever the host supports AVX2 (same schedule as
-    /// radix-4, wider butterflies), otherwise cache-blocked radix-4
-    /// once the working set outgrows one block (`n ≥ 2^13`) and
-    /// radix-2 below.
+    /// The dispatch rule: IFMA when the host has AVX-512 IFMA, the
+    /// modulus fits its 50-bit ceiling and `n ≥` [`RADIX4_MIN_DIM`]
+    /// (where the 8-wide lanes overtake scalar radix-4); radix-4
+    /// everywhere else.
     pub fn auto_for(n: usize, q: u64) -> NttKernel {
-        if simd::ifma_available() && ifma_modulus_ok(q) {
+        if n >= RADIX4_MIN_DIM && ifma_modulus_ok(q) && simd::ifma_available() {
             NttKernel::Ifma
-        } else if simd::avx2_available() {
-            NttKernel::Simd
-        } else if n >= RADIX4_MIN_DIM {
-            NttKernel::Radix4
         } else {
-            NttKernel::Radix2
+            NttKernel::Radix4
         }
     }
 
@@ -220,8 +195,8 @@ impl NttKernel {
     ///
     /// CLIs call this once at startup and fail fast on `Err`; library
     /// paths go through [`NttKernel::select_for`], which degrades to
-    /// the heuristic with a one-shot warning instead of panicking deep
-    /// inside table construction.
+    /// [`NttKernel::auto_for`] with a one-shot warning instead of
+    /// panicking deep inside table construction.
     ///
     /// # Errors
     ///
@@ -242,7 +217,7 @@ impl NttKernel {
     /// are built deep inside scheme and simulator code, where aborting
     /// on a typo'd environment would take the whole consumer down. The
     /// malformed value is reported once on stderr and selection falls
-    /// back to the heuristic. Binaries that want the hard failure
+    /// back to [`NttKernel::auto_for`]. Binaries that want the hard failure
     /// (bench runners, the CI kernel matrix via `xtask`) validate with
     /// [`NttKernel::from_env`] before building anything.
     ///
@@ -301,7 +276,7 @@ impl std::fmt::Display for KernelEnvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{KERNEL_ENV} must be one of auto|reference|radix2|radix4|simd|ifma, got `{}`",
+            "{KERNEL_ENV} must be one of auto|reference|radix4|ifma, got `{}`",
             self.value
         )
     }
@@ -1203,15 +1178,8 @@ impl NttContext {
         assert_eq!(a.len(), self.n);
         match self.kernel {
             NttKernel::Reference => self.cyclic_stages_reference(a, false),
-            NttKernel::Radix2 => {
-                self.lazy_stages(a, &self.omega_stage, &self.omega_stage_shoup, true);
-            }
             NttKernel::Radix4 => {
                 self.lazy_stages_radix4(a, &self.omega_stage, &self.omega_stage_shoup, true);
-            }
-            NttKernel::Simd => {
-                bit_reverse_permute(a);
-                self.simd_stage_walk(a, &self.omega_stage, &self.omega_stage_shoup, true);
             }
             NttKernel::Ifma => {
                 self.assert_ifma_tables();
@@ -1238,9 +1206,6 @@ impl NttContext {
                 }
                 return;
             }
-            NttKernel::Radix2 => {
-                self.lazy_stages(a, &self.omega_inv_stage, &self.omega_inv_stage_shoup, false);
-            }
             NttKernel::Radix4 => {
                 self.lazy_stages_radix4(
                     a,
@@ -1248,10 +1213,6 @@ impl NttContext {
                     &self.omega_inv_stage_shoup,
                     false,
                 );
-            }
-            NttKernel::Simd => {
-                bit_reverse_permute(a);
-                self.simd_stage_walk(a, &self.omega_inv_stage, &self.omega_inv_stage_shoup, false);
             }
             NttKernel::Ifma => {
                 self.assert_ifma_tables();
@@ -1296,9 +1257,7 @@ impl NttContext {
     pub fn forward_with(&self, kernel: NttKernel, a: &mut [u64]) {
         match kernel {
             NttKernel::Reference => self.forward_reference(a),
-            NttKernel::Radix2 => self.forward_radix2(a),
             NttKernel::Radix4 => self.forward_radix4(a),
-            NttKernel::Simd => self.forward_simd(a),
             NttKernel::Ifma => self.forward_ifma(a),
         }
     }
@@ -1307,57 +1266,32 @@ impl NttContext {
     pub fn inverse_with(&self, kernel: NttKernel, a: &mut [u64]) {
         match kernel {
             NttKernel::Reference => self.inverse_reference(a),
-            NttKernel::Radix2 => self.inverse_radix2(a),
             NttKernel::Radix4 => self.inverse_radix4(a),
-            NttKernel::Simd => self.inverse_simd(a),
             NttKernel::Ifma => self.inverse_ifma(a),
         }
     }
 
-    /// Lazy pre-twist shared by the negacyclic forward kernels:
-    /// reduced inputs come back < 2q, which the stage invariant
-    /// (< 4q) absorbs.
-    fn pre_twist(&self, a: &mut [u64]) {
-        let q = self.q;
-        for ((x, &w), &ws) in a.iter_mut().zip(&self.psi_pows).zip(&self.psi_shoup) {
-            *x = mul_shoup_lazy(*x, w, ws, q);
-        }
-    }
-
-    /// Fused ψ^{-i}·N^{-1} post-twist shared by the negacyclic inverse
-    /// kernels, straight off the lazy (< 4q) stage outputs.
-    fn post_twist(&self, a: &mut [u64]) {
-        self.twist_sweep(a, &self.psi_inv_n_pows, &self.psi_inv_n_shoup);
-    }
-
-    /// Negacyclic forward NTT, radix-2 Shoup/Harvey kernel.
-    pub fn forward_radix2(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n);
-        self.pre_twist(a);
-        self.lazy_stages(a, &self.omega_stage, &self.omega_stage_shoup, true);
-    }
-
-    /// Negacyclic inverse NTT, radix-2 Shoup/Harvey kernel.
-    pub fn inverse_radix2(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n);
-        self.lazy_stages(a, &self.omega_inv_stage, &self.omega_inv_stage_shoup, false);
-        self.post_twist(a);
-    }
-
-    /// Negacyclic forward NTT, cache-blocked radix-4 kernel.
+    /// Negacyclic forward NTT, radix-4 Shoup/Harvey kernel.
     ///
-    /// Bit-identical outputs to [`Self::forward_radix2`], with three
-    /// pass-level savings on top of the blocked schedule: the ψ
-    /// pre-twist rides along with the bit-reversal permutation
-    /// ([`Self::bit_reverse_twist`]), the stage-1 unit-twiddle
-    /// multiply is elided ([`Self::fused_pair_first`]), and the final
-    /// correction folds into the last stage's stores. For
-    /// `n ≤ RADIX4_BLOCK` the blocked schedule degenerates to the
-    /// radix-2 walk, so it defers to it outright.
+    /// For `n ≤ RADIX4_BLOCK` the blocked schedule degenerates to the
+    /// fused radix-2 walk ([`Self::lazy_stages`]) after a lazy ψ
+    /// pre-twist. Above one block it adds three pass-level savings on
+    /// top of the blocked schedule: the ψ pre-twist rides along with
+    /// the bit-reversal permutation ([`Self::bit_reverse_twist`]), the
+    /// stage-1 unit-twiddle multiply is elided
+    /// ([`Self::fused_pair_first`]), and the final correction folds
+    /// into the last stage's stores. Both paths give bit-identical
+    /// outputs.
     pub fn forward_radix4(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         if self.n <= RADIX4_BLOCK {
-            self.forward_radix2(a);
+            // Lazy ψ pre-twist: reduced inputs come back < 2q, which
+            // the stage invariant (< 4q) absorbs.
+            let q = self.q;
+            for ((x, &w), &ws) in a.iter_mut().zip(&self.psi_pows).zip(&self.psi_shoup) {
+                *x = mul_shoup_lazy(*x, w, ws, q);
+            }
+            self.lazy_stages(a, &self.omega_stage, &self.omega_stage_shoup, true);
             return;
         }
         self.bit_reverse_twist(a);
@@ -1369,15 +1303,17 @@ impl NttContext {
         );
     }
 
-    /// Negacyclic inverse NTT, cache-blocked radix-4 kernel.
+    /// Negacyclic inverse NTT, radix-4 Shoup/Harvey kernel.
     ///
-    /// Mirrors [`Self::forward_radix4`]: the `ψ^{-i}·N^{-1}`
-    /// post-twist pass is folded into the last stage's stores instead
-    /// of making its own trip over the array.
+    /// Mirrors [`Self::forward_radix4`]: small transforms run the
+    /// fused radix-2 walk and then the `ψ^{-i}·N^{-1}` post-twist
+    /// sweep; blocked transforms fold that post-twist into the last
+    /// stage's stores instead of making their own trip over the array.
     pub fn inverse_radix4(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         if self.n <= RADIX4_BLOCK {
-            self.inverse_radix2(a);
+            self.lazy_stages(a, &self.omega_inv_stage, &self.omega_inv_stage_shoup, false);
+            self.twist_sweep(a, &self.psi_inv_n_pows, &self.psi_inv_n_shoup);
             return;
         }
         bit_reverse_permute(a);
@@ -1390,149 +1326,6 @@ impl NttContext {
                 shoup: &self.psi_inv_n_shoup,
             },
         );
-    }
-
-    /// Negacyclic forward NTT, 4-wide SIMD lane kernel.
-    ///
-    /// Same schedule as [`Self::forward_radix4`] (blocked above
-    /// [`RADIX4_BLOCK`], plain fused walk below), with the butterfly
-    /// inner loops running on the [`crate::simd`] lane kernels. The
-    /// lane kernels evaluate the identical per-element integer
-    /// formulas, so outputs are bit-identical to every other kernel.
-    pub fn forward_simd(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n);
-        if self.n > RADIX4_BLOCK {
-            self.bit_reverse_twist(a);
-        } else {
-            // Lane form of the ψ pre-twist (< 2q out), then permute.
-            simd::twist_lazy_slice(a, &self.psi_pows, &self.psi_shoup, self.q);
-            bit_reverse_permute(a);
-        }
-        self.simd_stage_walk(a, &self.omega_stage, &self.omega_stage_shoup, true);
-    }
-
-    /// Negacyclic inverse NTT, 4-wide SIMD lane kernel.
-    ///
-    /// Lazy stage walk, then the fused `ψ^{-i}·N^{-1}` post-twist as
-    /// one lane sweep with the `[0, q)` correction folded in.
-    pub fn inverse_simd(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n);
-        bit_reverse_permute(a);
-        self.simd_stage_walk(a, &self.omega_inv_stage, &self.omega_inv_stage_shoup, false);
-        simd::twist_reduce_slice(a, &self.psi_inv_n_pows, &self.psi_inv_n_shoup, self.q);
-    }
-
-    /// The SIMD stage walker: the radix-4 blocked schedule with lane
-    /// butterflies. Requires bit-reversed input `< 2q` (the blocked
-    /// phase starts with [`Self::fused_pair_first`], which elides the
-    /// unit-twiddle stage-1 multiply under exactly that bound).
-    ///
-    /// With `reduce_output` the final stage folds the `[0, q)`
-    /// correction into its stores; otherwise outputs stay lazy
-    /// (`< 4q`) for a caller-side twist/scale sweep to finish.
-    fn simd_stage_walk(
-        &self,
-        a: &mut [u64],
-        twiddles: &[u64],
-        twiddles_shoup: &[u64],
-        reduce_output: bool,
-    ) {
-        let n = self.n;
-        let mut len = 2;
-        if n > RADIX4_BLOCK {
-            for block in a.chunks_exact_mut(RADIX4_BLOCK) {
-                self.fused_pair_first(block, twiddles, twiddles_shoup);
-                let mut blen = 8;
-                while 2 * blen <= RADIX4_BLOCK {
-                    self.fused_pair_simd(block, blen, twiddles, twiddles_shoup, false);
-                    blen <<= 2;
-                }
-            }
-            // First stage length not covered by the intra-block phase.
-            len = 8;
-            while 2 * len <= RADIX4_BLOCK {
-                len <<= 2;
-            }
-        }
-        while 2 * len < n {
-            self.fused_pair_simd(a, len, twiddles, twiddles_shoup, false);
-            len <<= 2;
-        }
-        if 2 * len == n {
-            self.fused_pair_simd(a, len, twiddles, twiddles_shoup, reduce_output);
-        } else if len == n {
-            self.single_stage_simd(a, len, twiddles, twiddles_shoup, reduce_output);
-        }
-    }
-
-    /// Lane form of [`Self::fused_pair`] / [`Self::fused_pair_reduce`]:
-    /// the four quarter-slices of each `2·len` chunk are contiguous,
-    /// so the fused two-stage butterfly vectorizes directly. Falls
-    /// back to the scalar fused pair when the quarter length is below
-    /// the lane width.
-    fn fused_pair_simd(
-        &self,
-        a: &mut [u64],
-        len: usize,
-        twiddles: &[u64],
-        twiddles_shoup: &[u64],
-        reduce: bool,
-    ) {
-        let ha = len / 2;
-        if ha < simd::LANES {
-            if reduce {
-                self.fused_pair_reduce(a, len, twiddles, twiddles_shoup);
-            } else {
-                self.fused_pair(a, len, twiddles, twiddles_shoup);
-            }
-            return;
-        }
-        let twb = &twiddles[len - 1..2 * len - 1];
-        let twbs = &twiddles_shoup[len - 1..2 * len - 1];
-        let (twb_lo, twb_hi) = twb.split_at(ha);
-        let (twbs_lo, twbs_hi) = twbs.split_at(ha);
-        let tw = simd::FusedTwiddles {
-            a: &twiddles[ha - 1..2 * ha - 1],
-            a_shoup: &twiddles_shoup[ha - 1..2 * ha - 1],
-            b_lo: twb_lo,
-            b_lo_shoup: twbs_lo,
-            b_hi: twb_hi,
-            b_hi_shoup: twbs_hi,
-        };
-        for chunk in a.chunks_exact_mut(2 * len) {
-            let (left, right) = chunk.split_at_mut(len);
-            let (x0s, x1s) = left.split_at_mut(ha);
-            let (x2s, x3s) = right.split_at_mut(ha);
-            simd::harvey_fused_pair(x0s, x1s, x2s, x3s, &tw, self.q, reduce);
-        }
-    }
-
-    /// Lane form of [`Self::single_stage`] /
-    /// [`Self::single_stage_reduce`] — the radix-2 tail stage for odd
-    /// stage counts.
-    fn single_stage_simd(
-        &self,
-        a: &mut [u64],
-        len: usize,
-        twiddles: &[u64],
-        twiddles_shoup: &[u64],
-        reduce: bool,
-    ) {
-        let half = len / 2;
-        if half < simd::LANES {
-            if reduce {
-                self.single_stage_reduce(a, len, twiddles, twiddles_shoup);
-            } else {
-                self.single_stage(a, len, twiddles, twiddles_shoup);
-            }
-            return;
-        }
-        let tw = &twiddles[half - 1..2 * half - 1];
-        let tws = &twiddles_shoup[half - 1..2 * half - 1];
-        for chunk in a.chunks_exact_mut(len) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            simd::harvey_stage(lo, hi, tw, tws, self.q, reduce);
-        }
     }
 
     /// Guard shared by every IFMA entry point: the radix-2⁵² tables
@@ -1552,7 +1345,7 @@ impl NttContext {
     /// (portable mirror lanes when the hardware is absent — same
     /// per-lane formulas, bit-identical outputs).
     ///
-    /// Same schedule as [`Self::forward_simd`]; the butterfly inner
+    /// Same schedule as [`Self::forward_radix4`]; the butterfly inner
     /// loops run the radix-2⁵² Shoup kernels of [`crate::simd`]. The
     /// large-`n` entry reuses the scalar fused bit-reversal+twist
     /// (64-bit Shoup): its `< 2q` outputs are exactly what the walk
@@ -1595,10 +1388,15 @@ impl NttContext {
         simd::twist_reduce52_slice(a, &self.psi_inv_n_pows, &self.psi_inv_n_shoup52, self.q);
     }
 
-    /// The IFMA stage walker: [`Self::simd_stage_walk`]'s blocked
-    /// schedule with the inner loops on the 52-bit lane kernels.
+    /// The IFMA stage walker: the radix-4 schedule (blocked above
+    /// [`RADIX4_BLOCK`], plain fused walk below) with the inner loops
+    /// on the 52-bit lane kernels. Requires bit-reversed input `< 2q`.
     /// `twiddles_shoup52` carries the radix-2⁵² companions; the
     /// twiddle values themselves are shared with every other kernel.
+    ///
+    /// With `reduce_output` the final stage folds the `[0, q)`
+    /// correction into its stores; otherwise outputs stay lazy
+    /// (`< 4q`) for a caller-side twist/scale sweep to finish.
     ///
     /// The first stage pair of each block stays on the scalar
     /// [`Self::fused_pair_first`]: stage 1 is multiply-free there and
@@ -1929,45 +1727,35 @@ mod tests {
             assert_eq!(format!("{k}"), k.name());
         }
         assert_eq!(NttKernel::parse("RADIX4"), Some(NttKernel::Radix4));
-        assert_eq!(NttKernel::parse("SIMD"), Some(NttKernel::Simd));
         assert_eq!(NttKernel::parse("radix8"), None);
+        // Retired generations are unknown names, not aliases.
+        assert_eq!(NttKernel::parse("radix2"), None);
+        assert_eq!(NttKernel::parse("simd"), None);
         assert!("auto".parse::<NttKernel>().is_err());
     }
 
     #[test]
-    fn auto_heuristic_switches_at_min_dim() {
-        // A modulus too wide for IFMA exercises the AVX2/radix tiers
-        // on every host.
+    fn auto_for_picks_ifma_only_on_large_rings_with_narrow_primes() {
+        let narrow = (1u64 << 49) - 1;
         let wide = (1u64 << 59) - 55;
-        if simd::avx2_available() {
-            // AVX2 hosts prefer the lane kernel at every dimension.
-            assert_eq!(
-                NttKernel::auto_for(RADIX4_MIN_DIM / 2, wide),
-                NttKernel::Simd
-            );
-            assert_eq!(NttKernel::auto_for(RADIX4_MIN_DIM, wide), NttKernel::Simd);
+        let large_narrow = if simd::ifma_available() {
+            NttKernel::Ifma
         } else {
-            assert_eq!(
-                NttKernel::auto_for(RADIX4_MIN_DIM / 2, wide),
-                NttKernel::Radix2
-            );
-            assert_eq!(NttKernel::auto_for(RADIX4_MIN_DIM, wide), NttKernel::Radix4);
-            assert_eq!(
-                NttKernel::auto_for(RADIX4_MIN_DIM * 2, wide),
-                NttKernel::Radix4
-            );
+            NttKernel::Radix4
+        };
+        for n in [RADIX4_MIN_DIM / 8, RADIX4_MIN_DIM / 2] {
+            assert_eq!(NttKernel::auto_for(n, narrow), NttKernel::Radix4, "n={n}");
+            assert_eq!(NttKernel::auto_for(n, wide), NttKernel::Radix4, "n={n}");
         }
-        // A fitting modulus takes the IFMA tier exactly when the
-        // hardware is present.
-        let narrow = (1u64 << 45) - 229;
-        let picked = NttKernel::auto_for(RADIX4_MIN_DIM, narrow);
-        if simd::ifma_available() {
-            assert_eq!(picked, NttKernel::Ifma);
-        } else {
-            assert_ne!(picked, NttKernel::Ifma);
+        for n in [RADIX4_MIN_DIM, RADIX4_MIN_DIM * 2] {
+            assert_eq!(NttKernel::auto_for(n, narrow), large_narrow, "n={n}");
+            // IFMA never auto-selects past its width bound.
+            assert_eq!(NttKernel::auto_for(n, wide), NttKernel::Radix4, "n={n}");
         }
-        // IFMA never auto-selects past its width bound.
-        assert_ne!(NttKernel::auto_for(RADIX4_MIN_DIM, wide), NttKernel::Ifma);
+        assert_eq!(
+            NttKernel::auto_for(RADIX4_MIN_DIM, 1u64 << 50),
+            NttKernel::Radix4
+        );
     }
 
     #[test]
@@ -2018,7 +1806,7 @@ mod tests {
     }
 
     #[test]
-    fn ifma_matches_simd_across_schedules() {
+    fn ifma_matches_radix4_across_schedules() {
         // 2^12 = one block (lane pre-twist path), 2^13/2^14 exercise
         // the blocked walk with scalar fused bit-reversal+twist.
         for log_n in [12usize, 13, 14] {
@@ -2032,14 +1820,14 @@ mod tests {
                     rng % q
                 })
                 .collect();
-            let mut sv = orig.clone();
+            let mut rv = orig.clone();
             let mut iv = orig.clone();
-            c.forward_simd(&mut sv);
+            c.forward_radix4(&mut rv);
             c.forward_ifma(&mut iv);
-            assert_eq!(sv, iv, "forward mismatch at n={n}");
-            c.inverse_simd(&mut sv);
+            assert_eq!(rv, iv, "forward mismatch at n={n}");
+            c.inverse_radix4(&mut rv);
             c.inverse_ifma(&mut iv);
-            assert_eq!(sv, iv, "inverse mismatch at n={n}");
+            assert_eq!(rv, iv, "inverse mismatch at n={n}");
             assert_eq!(iv, orig, "roundtrip mismatch at n={n}");
         }
     }
@@ -2051,8 +1839,8 @@ mod tests {
         assert_eq!(NttKernel::parse_env_value(Some("auto")), Ok(None));
         assert_eq!(NttKernel::parse_env_value(Some("AUTO")), Ok(None));
         assert_eq!(
-            NttKernel::parse_env_value(Some("simd")),
-            Ok(Some(NttKernel::Simd))
+            NttKernel::parse_env_value(Some("ifma")),
+            Ok(Some(NttKernel::Ifma))
         );
         assert_eq!(
             NttKernel::parse_env_value(Some("Radix4")),
@@ -2062,32 +1850,6 @@ mod tests {
         assert_eq!(err.value, "radix16");
         let msg = err.to_string();
         assert!(msg.contains("radix16") && msg.contains(KERNEL_ENV), "{msg}");
-    }
-
-    #[test]
-    fn simd_matches_radix4_across_schedules() {
-        // 2^12 exercises the small fused walk, 2^13 the blocked walk
-        // with a single tail stage, 2^14 the fused cross-block pair.
-        for log_n in [12usize, 13, 14] {
-            let n = 1 << log_n;
-            let c = ctx(n);
-            let mut rng = 0x13198a2e03707344u64 ^ (n as u64);
-            let orig: Vec<u64> = (0..n)
-                .map(|_| {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    rng % c.modulus()
-                })
-                .collect();
-            let mut r4 = orig.clone();
-            let mut sv = orig.clone();
-            c.forward_radix4(&mut r4);
-            c.forward_simd(&mut sv);
-            assert_eq!(r4, sv, "forward mismatch at n={n}");
-            c.inverse_radix4(&mut r4);
-            c.inverse_simd(&mut sv);
-            assert_eq!(r4, sv, "inverse mismatch at n={n}");
-            assert_eq!(sv, orig, "roundtrip mismatch at n={n}");
-        }
     }
 
     #[test]
@@ -2127,7 +1889,7 @@ mod tests {
     }
 
     #[test]
-    fn radix4_matches_radix2_above_and_below_block() {
+    fn radix4_matches_reference_above_and_below_block() {
         // 2^12 exercises the degenerate (single-block) path, 2^13 the
         // single-tail-stage path, 2^14 the fused cross-block pair.
         for log_n in [12usize, 13, 14] {
@@ -2140,15 +1902,15 @@ mod tests {
                     rng % c.modulus()
                 })
                 .collect();
-            let mut r2 = orig.clone();
+            let mut rf = orig.clone();
             let mut r4 = orig.clone();
-            c.forward_radix2(&mut r2);
+            c.forward_reference(&mut rf);
             c.forward_radix4(&mut r4);
-            assert_eq!(r2, r4, "forward mismatch at n={n}");
-            c.inverse_radix2(&mut r2);
+            assert_eq!(rf, r4, "forward mismatch at n={n}");
+            c.inverse_reference(&mut rf);
             c.inverse_radix4(&mut r4);
-            assert_eq!(r2, r4, "inverse mismatch at n={n}");
-            assert_eq!(r2, orig, "roundtrip mismatch at n={n}");
+            assert_eq!(rf, r4, "inverse mismatch at n={n}");
+            assert_eq!(r4, orig, "roundtrip mismatch at n={n}");
         }
     }
 

@@ -1,5 +1,4 @@
-//! Dependency-free limb and op parallelism built on
-//! `std::thread::scope`.
+//! Dependency-free limb parallelism built on `std::thread::scope`.
 //!
 //! RNS operations are embarrassingly parallel across limbs: every limb
 //! is an independent length-`n` vector with its own modulus. This
@@ -10,22 +9,9 @@
 //! threads are spawned per call, which amortizes fine at FHE sizes
 //! (an NTT at N = 2^14 dwarfs a thread spawn).
 //!
-//! One level up, [`par_ops`]/[`par_ops_on`] parallelize across
-//! *independent operations in a trace* — e.g. the element-wise ops of
-//! one evaluator level, which touch disjoint ciphertexts — with a
-//! self-scheduling queue: workers pull the next op index from a shared
-//! atomic counter, so an op that finishes early immediately steals the
-//! next one instead of idling behind a static partition. That matters
-//! for op-level traces, whose per-op costs are far less uniform than
-//! per-limb NTT costs.
-//!
 //! Determinism: limbs are assigned to workers by a fixed round-robin
 //! of the limb index, and each limb is processed exactly once by one
-//! worker, so results are bit-identical for every thread count. The
-//! op-level queue hands out each index exactly once too; because the
-//! ops it runs are data-disjoint by contract, the *schedule* may vary
-//! between runs but the results never do — pinned by the 1-vs-N test
-//! in `crates/math/tests` and consumed by `bench_math --par-ops`.
+//! worker, so results are bit-identical for every thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -107,73 +93,6 @@ where
     });
 }
 
-/// Applies `f(op_index)` to every index in `0..count` exactly once,
-/// fanning independent ops out over a self-scheduling worker queue.
-///
-/// Unlike [`par_limbs`]'s static round-robin, ops are *pulled*: each
-/// worker grabs the next index from a shared counter when it finishes
-/// its current op, so skewed per-op costs (a bootstrap next to an
-/// add) cannot strand work behind a slow static share. `f` must only
-/// touch data owned by its own index; under that contract results are
-/// independent of the thread count and of the (nondeterministic)
-/// schedule.
-///
-/// Respects [`set_max_threads`]; runs serially on the caller's thread
-/// when the cap or the op count leaves a single worker.
-pub fn par_ops<F>(count: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = effective_threads().min(count);
-    if threads <= 1 {
-        for i in 0..count {
-            let _op = ufc_trace::span_n("math", "par_op", i as u64);
-            f(i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                {
-                    let _worker = ufc_trace::span_n("math", "par_ops_worker", count as u64);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let _op = ufc_trace::span_n("math", "par_op", i as u64);
-                        f(i);
-                    }
-                }
-                // Flush inside the closure — see par_limbs.
-                ufc_trace::flush_current_thread();
-            });
-        }
-    });
-}
-
-/// [`par_ops`] over a slice of owned work items: `f(i, &mut items[i])`
-/// with exclusive access to each item.
-///
-/// Exclusivity is threaded through a per-item mutex so the queue stays
-/// safe code; every lock is taken exactly once by whichever worker
-/// pulled that index, so the locks never contend and cost one
-/// uncontended CAS per op.
-pub fn par_ops_on<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let slots: Vec<std::sync::Mutex<&mut T>> =
-        items.iter_mut().map(std::sync::Mutex::new).collect();
-    par_ops(slots.len(), |i| {
-        let mut item = slots[i].lock().expect("per-op slot poisoned");
-        f(i, &mut item);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,42 +130,6 @@ mod tests {
         par_limbs(n, &mut parallel, f);
         set_max_threads(prev);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_ops_runs_every_op_exactly_once() {
-        use std::sync::atomic::AtomicU32;
-        let hits: Vec<AtomicU32> = (0..37).map(|_| AtomicU32::new(0)).collect();
-        let prev = set_max_threads(4);
-        par_ops(hits.len(), |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        set_max_threads(prev);
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::SeqCst), 1, "op {i}");
-        }
-    }
-
-    #[test]
-    fn par_ops_on_results_independent_of_thread_count() {
-        let work = |i: usize, buf: &mut Vec<u64>| {
-            for (j, x) in buf.iter_mut().enumerate() {
-                *x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(j as u64);
-            }
-        };
-        let mut serial: Vec<Vec<u64>> = (0..9).map(|_| vec![0u64; 64]).collect();
-        let mut parallel = serial.clone();
-        let prev = set_max_threads(1);
-        par_ops_on(&mut serial, work);
-        set_max_threads(4);
-        par_ops_on(&mut parallel, work);
-        set_max_threads(prev);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_ops_zero_count_is_a_noop() {
-        par_ops(0, |_| panic!("must not be called"));
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //! host and each limb's modulus — AVX-512 IFMA 52-bit Barrett below
 //! 2⁵⁰, AVX2 limb-split below 2⁶¹, or the bit-identical portable
 //! unroll when the scalar pipeline measures faster (the dispatch
-//! floor guarantees SIMD never loses to scalar). Limb-level fan-out
-//! composes with the op-level work-stealing of
-//! [`crate::par::par_ops`], which parallelizes *across* independent
-//! plane operations in a trace.
+//! floor guarantees SIMD never loses to scalar).
 
 use crate::automorph::{apply_coeff_slice, apply_eval_slice};
 use crate::modops::{from_signed, inv_mod, mul_shoup, neg_mod, shoup_precompute, sub_mod, Barrett};

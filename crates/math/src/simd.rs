@@ -47,11 +47,12 @@
 //!
 //! All backends produce **exactly** the same output words:
 //!
-//! * The lazy kernels ([`twist_lazy_slice`], [`harvey_stage`],
-//!   [`harvey_fused_pair`], [`scale_shoup_slice`], and their 52-bit
-//!   `*52` counterparts) evaluate the *same integer formula* per lane
-//!   as their scalar counterparts (`a·w − ⌊a·w_shoup/2^R⌋·q` in
-//!   wrapping arithmetic, `R = 64` or `52`), so even the lazy
+//! * The lazy kernels ([`scale_shoup_slice`] and the 52-bit NTT
+//!   kernels [`twist_lazy52_slice`], [`twist_reduce52_slice`],
+//!   [`harvey_stage52`], [`harvey_fused_pair52`]) evaluate the *same
+//!   integer formula* per lane as their scalar counterparts
+//!   (`a·w − ⌊a·w_shoup/2^R⌋·q` in wrapping arithmetic, `R = 64` or
+//!   `52`), so even the lazy
 //!   `[0, 2q)`/`[0, 4q)` representatives match word for word — the
 //!   Harvey lazy-reduction bounds are preserved, not just congruence.
 //! * The canonical kernels ([`add_mod_slice`], [`sub_mod_slice`],
@@ -550,118 +551,6 @@ pub fn scale_shoup_slice(a: &mut [u64], s: u64, s_shoup: u64, q: u64) {
     portable::scale_shoup_slice(a, s, s_shoup, q);
 }
 
-/// Element-wise lazy Shoup twist `a[i] ← a[i]·w[i] mod q` as a
-/// representative in `[0, 2q)` — the ψ pre-twist of the negacyclic
-/// forward NTT. Accepts any 64-bit `a[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn twist_lazy_slice(a: &mut [u64], w: &[u64], w_shoup: &[u64], q: u64) {
-    assert_eq!(a.len(), w.len(), "slice length mismatch");
-    assert_eq!(a.len(), w_shoup.len(), "slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::twist_lazy_slice(a, w, w_shoup, q) };
-        return;
-    }
-    portable::twist_lazy_slice(a, w, w_shoup, q);
-}
-
-/// Element-wise Shoup twist with the `[0, q)` correction folded in —
-/// the fused `ψ^{-i}·N^{-1}` post-twist of the negacyclic inverse NTT,
-/// straight off lazy (`< 4q`) stage outputs.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn twist_reduce_slice(a: &mut [u64], w: &[u64], w_shoup: &[u64], q: u64) {
-    assert_eq!(a.len(), w.len(), "slice length mismatch");
-    assert_eq!(a.len(), w_shoup.len(), "slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::twist_reduce_slice(a, w, w_shoup, q) };
-        return;
-    }
-    portable::twist_reduce_slice(a, w, w_shoup, q);
-}
-
-/// One Harvey lazy radix-2 butterfly stage over paired half-slices:
-/// for each `j`,
-///
-/// ```text
-/// u  = lo[j] − 2q·[lo[j] ≥ 2q]          (correct the u leg to < 2q)
-/// t  = a[j]·w[j] mod q as < 2q          (lazy Shoup multiply)
-/// lo[j] = u + t,   hi[j] = u + 2q − t   (both < 4q)
-/// ```
-///
-/// With `reduce`, both outputs get the final `[0, q)` correction — the
-/// last-stage variant. The same data flow serves the inverse
-/// transform: this codebase runs the inverse as a Cooley–Tukey walk
-/// over the ω⁻¹ stage tables (not a Gentleman–Sande butterfly), so
-/// forward and inverse share this one primitive.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn harvey_stage(lo: &mut [u64], hi: &mut [u64], tw: &[u64], tws: &[u64], q: u64, reduce: bool) {
-    assert_eq!(lo.len(), hi.len(), "slice length mismatch");
-    assert_eq!(lo.len(), tw.len(), "slice length mismatch");
-    assert_eq!(lo.len(), tws.len(), "slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::harvey_stage(lo, hi, tw, tws, q, reduce) };
-        return;
-    }
-    portable::harvey_stage(lo, hi, tw, tws, q, reduce);
-}
-
-/// Two fused Harvey radix-2 stages over the four quarter-slices of a
-/// `2·len` chunk — the vector form of the scalar fused stage pair:
-/// stage A butterflies `(x0, x1)` and `(x2, x3)` with the `tw.a`
-/// twiddles, then stage B butterflies `(a0, a2)` and `(a1, a3)` with
-/// `tw.b_lo`/`tw.b_hi`, all in registers, with a single load and store
-/// per element. Bit-identical to running [`harvey_stage`] twice.
-/// With `reduce`, stage B's outputs get the `[0, q)` correction.
-///
-/// # Panics
-///
-/// Panics if any slice length differs from `x0`'s.
-pub fn harvey_fused_pair(
-    x0: &mut [u64],
-    x1: &mut [u64],
-    x2: &mut [u64],
-    x3: &mut [u64],
-    tw: &FusedTwiddles<'_>,
-    q: u64,
-    reduce: bool,
-) {
-    let ha = x0.len();
-    assert!(
-        x1.len() == ha && x2.len() == ha && x3.len() == ha,
-        "quarter-slice length mismatch"
-    );
-    assert!(
-        tw.a.len() == ha
-            && tw.a_shoup.len() == ha
-            && tw.b_lo.len() == ha
-            && tw.b_lo_shoup.len() == ha
-            && tw.b_hi.len() == ha
-            && tw.b_hi_shoup.len() == ha,
-        "twiddle slice length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::harvey_fused_pair(x0, x1, x2, x3, tw, q, reduce) };
-        return;
-    }
-    portable::harvey_fused_pair(x0, x1, x2, x3, tw, q, reduce);
-}
-
 /// Element-wise lazy 52-bit Shoup twist `a[i] ← a[i]·w[i] mod q` as a
 /// representative in `[0, 2q)` — the IFMA generation's ψ pre-twist.
 /// `w52` holds [`crate::modops::shoup52_precompute`] companions;
@@ -709,10 +598,21 @@ pub fn twist_reduce52_slice(a: &mut [u64], w: &[u64], w52: &[u64], q: u64) {
     portable52::twist_reduce52_slice(a, w, w52, q);
 }
 
-/// One Harvey lazy radix-2 butterfly stage on the 52-bit generation:
-/// the same data flow as [`harvey_stage`] with the Shoup radix lowered
-/// to `2^52` (`tw52` from [`crate::modops::shoup52_precompute`]).
-/// Stage values stay below `4q < 2^52`.
+/// One Harvey lazy radix-2 butterfly stage over paired half-slices
+/// on the 52-bit generation: for each `j`,
+///
+/// ```text
+/// u  = lo[j] − 2q·[lo[j] ≥ 2q]          (correct the u leg to < 2q)
+/// t  = hi[j]·tw[j] mod q as < 2q        (lazy 52-bit Shoup multiply)
+/// lo[j] = u + t,   hi[j] = u + 2q − t   (both < 4q < 2^52)
+/// ```
+///
+/// `tw52` holds [`crate::modops::shoup52_precompute`] companions.
+/// With `reduce`, both outputs get the final `[0, q)` correction — the
+/// last-stage variant. The same data flow serves the inverse
+/// transform: this codebase runs the inverse as a Cooley–Tukey walk
+/// over the ω⁻¹ stage tables (not a Gentleman–Sande butterfly), so
+/// forward and inverse share this one primitive.
 ///
 /// # Panics
 ///
@@ -739,9 +639,14 @@ pub fn harvey_stage52(
     portable52::harvey_stage52(lo, hi, tw, tw52, q, reduce);
 }
 
-/// Two fused Harvey radix-2 stages on the 52-bit generation — the
-/// IFMA counterpart of [`harvey_fused_pair`]. The `*_shoup` fields of
-/// `tw` carry **52-bit** companions here.
+/// Two fused Harvey radix-2 stages over the four quarter-slices of a
+/// `2·len` chunk on the 52-bit generation: stage A butterflies
+/// `(x0, x1)` and `(x2, x3)` with the `tw.a` twiddles, then stage B
+/// butterflies `(a0, a2)` and `(a1, a3)` with `tw.b_lo`/`tw.b_hi`, all
+/// in registers, with a single load and store per element.
+/// Bit-identical to running [`harvey_stage52`] twice. With `reduce`,
+/// stage B's outputs get the `[0, q)` correction. The `*_shoup` fields
+/// of `tw` carry **52-bit** companions.
 ///
 /// # Panics
 ///
@@ -785,7 +690,7 @@ pub fn harvey_fused_pair52(
 /// every architecture) and always used for tail elements, so the AVX2
 /// backend's conformance target is in the same binary.
 mod portable {
-    use super::{add_mod, mul_shoup_lazy, reduce_4q, Barrett, FusedTwiddles, LANES};
+    use super::{add_mod, mul_shoup_lazy, reduce_4q, Barrett, LANES};
 
     #[inline(always)]
     fn csub(v: u64, m: u64) -> u64 {
@@ -952,106 +857,6 @@ mod portable {
             *x = mul(*x);
         }
     }
-
-    pub(super) fn twist_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: u64) {
-        let mut wc = w.chunks_exact(LANES);
-        let mut sc = ws.chunks_exact(LANES);
-        let mut ac = a.chunks_exact_mut(LANES);
-        for ((av, wv), sv) in (&mut ac).zip(&mut wc).zip(&mut sc) {
-            av[0] = mul_shoup_lazy(av[0], wv[0], sv[0], q);
-            av[1] = mul_shoup_lazy(av[1], wv[1], sv[1], q);
-            av[2] = mul_shoup_lazy(av[2], wv[2], sv[2], q);
-            av[3] = mul_shoup_lazy(av[3], wv[3], sv[3], q);
-        }
-        for ((x, &wv), &sv) in ac
-            .into_remainder()
-            .iter_mut()
-            .zip(wc.remainder())
-            .zip(sc.remainder())
-        {
-            *x = mul_shoup_lazy(*x, wv, sv, q);
-        }
-    }
-
-    pub(super) fn twist_reduce_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: u64) {
-        let twist = |x: u64, wv: u64, sv: u64| csub(mul_shoup_lazy(x, wv, sv, q), q);
-        let mut wc = w.chunks_exact(LANES);
-        let mut sc = ws.chunks_exact(LANES);
-        let mut ac = a.chunks_exact_mut(LANES);
-        for ((av, wv), sv) in (&mut ac).zip(&mut wc).zip(&mut sc) {
-            av[0] = twist(av[0], wv[0], sv[0]);
-            av[1] = twist(av[1], wv[1], sv[1]);
-            av[2] = twist(av[2], wv[2], sv[2]);
-            av[3] = twist(av[3], wv[3], sv[3]);
-        }
-        for ((x, &wv), &sv) in ac
-            .into_remainder()
-            .iter_mut()
-            .zip(wc.remainder())
-            .zip(sc.remainder())
-        {
-            *x = twist(*x, wv, sv);
-        }
-    }
-
-    /// Scalar Harvey butterfly shared by both stage kernels; returns
-    /// the `(lo, hi)` pair.
-    #[inline(always)]
-    fn butterfly(x: u64, y: u64, w: u64, ws: u64, q: u64) -> (u64, u64) {
-        let two_q = 2 * q;
-        let u = csub(x, two_q);
-        let t = mul_shoup_lazy(y, w, ws, q);
-        (u + t, u + two_q - t)
-    }
-
-    pub(super) fn harvey_stage(
-        lo: &mut [u64],
-        hi: &mut [u64],
-        tw: &[u64],
-        tws: &[u64],
-        q: u64,
-        reduce: bool,
-    ) {
-        for (((x, y), &w), &ws) in lo.iter_mut().zip(hi.iter_mut()).zip(tw).zip(tws) {
-            let (a, b) = butterfly(*x, *y, w, ws, q);
-            if reduce {
-                *x = reduce_4q(a, q);
-                *y = reduce_4q(b, q);
-            } else {
-                *x = a;
-                *y = b;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn harvey_fused_pair(
-        x0: &mut [u64],
-        x1: &mut [u64],
-        x2: &mut [u64],
-        x3: &mut [u64],
-        tw: &FusedTwiddles<'_>,
-        q: u64,
-        reduce: bool,
-    ) {
-        for j in 0..x0.len() {
-            let (a0, a1) = butterfly(x0[j], x1[j], tw.a[j], tw.a_shoup[j], q);
-            let (a2, a3) = butterfly(x2[j], x3[j], tw.a[j], tw.a_shoup[j], q);
-            let (y0, y2) = butterfly(a0, a2, tw.b_lo[j], tw.b_lo_shoup[j], q);
-            let (y1, y3) = butterfly(a1, a3, tw.b_hi[j], tw.b_hi_shoup[j], q);
-            if reduce {
-                x0[j] = reduce_4q(y0, q);
-                x1[j] = reduce_4q(y1, q);
-                x2[j] = reduce_4q(y2, q);
-                x3[j] = reduce_4q(y3, q);
-            } else {
-                x0[j] = y0;
-                x1[j] = y1;
-                x2[j] = y2;
-                x3[j] = y3;
-            }
-        }
-    }
 }
 
 /// The portable mirror of the 52-bit (IFMA) kernel generation: plain
@@ -1194,7 +999,7 @@ pub use portable52::mul_mod_barrett52;
 /// portable backend so tails are handled identically on both paths.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{portable, FusedTwiddles, LANES};
+    use super::{portable, LANES};
     use core::arch::x86_64::*;
 
     /// Sign-bit bias for synthesizing unsigned 64-bit compares out of
@@ -1466,138 +1271,6 @@ mod avx2 {
             store(a, i, csub(r, qv));
         }
         portable::scale_shoup_slice(&mut a[n4..], s, s_shoup, q);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn twist_lazy_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: u64) {
-        let qv = splat(q);
-        let n4 = full(a.len());
-        for i in (0..n4).step_by(LANES) {
-            store(a, i, shoup_lazy(load(a, i), load(w, i), load(ws, i), qv));
-        }
-        portable::twist_lazy_slice(&mut a[n4..], &w[n4..], &ws[n4..], q);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn twist_reduce_slice(a: &mut [u64], w: &[u64], ws: &[u64], q: u64) {
-        let qv = splat(q);
-        let n4 = full(a.len());
-        for i in (0..n4).step_by(LANES) {
-            let r = shoup_lazy(load(a, i), load(w, i), load(ws, i), qv);
-            store(a, i, csub(r, qv));
-        }
-        portable::twist_reduce_slice(&mut a[n4..], &w[n4..], &ws[n4..], q);
-    }
-
-    /// Vector Harvey butterfly: returns `(u + t, u + 2q − t)` with the
-    /// u leg corrected to `< 2q`, exactly like the scalar butterfly.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn butterfly(
-        x: __m256i,
-        y: __m256i,
-        w: __m256i,
-        ws: __m256i,
-        q: __m256i,
-        two_q: __m256i,
-    ) -> (__m256i, __m256i) {
-        let u = csub(x, two_q);
-        let t = shoup_lazy(y, w, ws, q);
-        (
-            _mm256_add_epi64(u, t),
-            _mm256_sub_epi64(_mm256_add_epi64(u, two_q), t),
-        )
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn harvey_stage(
-        lo: &mut [u64],
-        hi: &mut [u64],
-        tw: &[u64],
-        tws: &[u64],
-        q: u64,
-        reduce: bool,
-    ) {
-        let qv = splat(q);
-        let two_qv = splat(2 * q);
-        let n4 = full(lo.len());
-        for i in (0..n4).step_by(LANES) {
-            let (mut a, mut b) = butterfly(
-                load(lo, i),
-                load(hi, i),
-                load(tw, i),
-                load(tws, i),
-                qv,
-                two_qv,
-            );
-            if reduce {
-                a = reduce_4q_vec(a, qv, two_qv);
-                b = reduce_4q_vec(b, qv, two_qv);
-            }
-            store(lo, i, a);
-            store(hi, i, b);
-        }
-        portable::harvey_stage(
-            &mut lo[n4..],
-            &mut hi[n4..],
-            &tw[n4..],
-            &tws[n4..],
-            q,
-            reduce,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn harvey_fused_pair(
-        x0: &mut [u64],
-        x1: &mut [u64],
-        x2: &mut [u64],
-        x3: &mut [u64],
-        tw: &FusedTwiddles<'_>,
-        q: u64,
-        reduce: bool,
-    ) {
-        let qv = splat(q);
-        let two_qv = splat(2 * q);
-        let n4 = full(x0.len());
-        for i in (0..n4).step_by(LANES) {
-            let wa = load(tw.a, i);
-            let was = load(tw.a_shoup, i);
-            let (a0, a1) = butterfly(load(x0, i), load(x1, i), wa, was, qv, two_qv);
-            let (a2, a3) = butterfly(load(x2, i), load(x3, i), wa, was, qv, two_qv);
-            let (mut y0, mut y2) =
-                butterfly(a0, a2, load(tw.b_lo, i), load(tw.b_lo_shoup, i), qv, two_qv);
-            let (mut y1, mut y3) =
-                butterfly(a1, a3, load(tw.b_hi, i), load(tw.b_hi_shoup, i), qv, two_qv);
-            if reduce {
-                y0 = reduce_4q_vec(y0, qv, two_qv);
-                y1 = reduce_4q_vec(y1, qv, two_qv);
-                y2 = reduce_4q_vec(y2, qv, two_qv);
-                y3 = reduce_4q_vec(y3, qv, two_qv);
-            }
-            store(x0, i, y0);
-            store(x1, i, y1);
-            store(x2, i, y2);
-            store(x3, i, y3);
-        }
-        let rest = FusedTwiddles {
-            a: &tw.a[n4..],
-            a_shoup: &tw.a_shoup[n4..],
-            b_lo: &tw.b_lo[n4..],
-            b_lo_shoup: &tw.b_lo_shoup[n4..],
-            b_hi: &tw.b_hi[n4..],
-            b_hi_shoup: &tw.b_hi_shoup[n4..],
-        };
-        portable::harvey_fused_pair(
-            &mut x0[n4..],
-            &mut x1[n4..],
-            &mut x2[n4..],
-            &mut x3[n4..],
-            &rest,
-            q,
-            reduce,
-        );
     }
 }
 
@@ -1971,87 +1644,6 @@ mod tests {
                     mul_shoup(a[j], s, ss, q),
                     "scale len={len} j={j}"
                 );
-            }
-
-            let ws: Vec<u64> = b.iter().map(|&w| shoup_precompute(w, q)).collect();
-            let mut lazy = a.clone();
-            twist_lazy_slice(&mut lazy, &b, &ws, q);
-            let mut red = a.clone();
-            twist_reduce_slice(&mut red, &b, &ws, q);
-            for j in 0..len {
-                assert_eq!(
-                    lazy[j],
-                    mul_shoup_lazy(a[j], b[j], ws[j], q),
-                    "twist_lazy len={len} j={j}"
-                );
-                assert!(lazy[j] < 2 * q, "lazy bound len={len} j={j}");
-                assert_eq!(red[j], mul_shoup(a[j], b[j], ws[j], q), "twist_reduce");
-            }
-        }
-    }
-
-    /// The butterfly kernels, including denormal lazy inputs in
-    /// `[q, 2q)` and `[0, 4q)`, against the scalar formula — exact
-    /// word equality on the lazy representatives, not just congruence.
-    #[test]
-    fn butterfly_kernels_match_scalar_formula_on_lazy_inputs() {
-        let q = generate_ntt_prime(64, 59).unwrap();
-        let scalar_butterfly = |x: u64, y: u64, w: u64, ws: u64| {
-            let two_q = 2 * q;
-            let u = if x >= two_q { x - two_q } else { x };
-            let t = mul_shoup_lazy(y, w, ws, q);
-            (u + t, u + two_q - t)
-        };
-        for len in [1usize, 3, 4, 5, 8, 13, 64] {
-            let mut s = 0xb1ff ^ len as u64;
-            // Lazy operands anywhere below 4q; twiddles reduced.
-            let lo0: Vec<u64> = (0..len).map(|_| lcg(&mut s) % (4 * q)).collect();
-            let hi0: Vec<u64> = (0..len).map(|_| lcg(&mut s) % (4 * q)).collect();
-            let w: Vec<u64> = (0..len).map(|_| lcg(&mut s) % q).collect();
-            let ws: Vec<u64> = w.iter().map(|&x| shoup_precompute(x, q)).collect();
-            for reduce in [false, true] {
-                let mut lo = lo0.clone();
-                let mut hi = hi0.clone();
-                harvey_stage(&mut lo, &mut hi, &w, &ws, q, reduce);
-                for j in 0..len {
-                    let (a, b) = scalar_butterfly(lo0[j], hi0[j], w[j], ws[j]);
-                    let (a, b) = if reduce {
-                        (reduce_4q(a, q), reduce_4q(b, q))
-                    } else {
-                        (a, b)
-                    };
-                    assert_eq!(lo[j], a, "stage lo len={len} j={j} reduce={reduce}");
-                    assert_eq!(hi[j], b, "stage hi len={len} j={j} reduce={reduce}");
-                }
-            }
-            // Fused pair vs two explicit stages on denormal [q, 2q)
-            // inputs (the < 2q entry bound of the blocked walk).
-            let mk = |s: &mut u64| -> Vec<u64> { (0..len).map(|_| q + lcg(s) % q).collect() };
-            let (x0, x1, x2, x3) = (mk(&mut s), mk(&mut s), mk(&mut s), mk(&mut s));
-            let wb: Vec<u64> = (0..2 * len).map(|_| lcg(&mut s) % q).collect();
-            let wbs: Vec<u64> = wb.iter().map(|&x| shoup_precompute(x, q)).collect();
-            let tw = FusedTwiddles {
-                a: &w,
-                a_shoup: &ws,
-                b_lo: &wb[..len],
-                b_lo_shoup: &wbs[..len],
-                b_hi: &wb[len..],
-                b_hi_shoup: &wbs[len..],
-            };
-            for reduce in [false, true] {
-                let (mut f0, mut f1, mut f2, mut f3) =
-                    (x0.clone(), x1.clone(), x2.clone(), x3.clone());
-                harvey_fused_pair(&mut f0, &mut f1, &mut f2, &mut f3, &tw, q, reduce);
-                let (mut g0, mut g1, mut g2, mut g3) =
-                    (x0.clone(), x1.clone(), x2.clone(), x3.clone());
-                harvey_stage(&mut g0, &mut g1, &w, &ws, q, false);
-                harvey_stage(&mut g2, &mut g3, &w, &ws, q, false);
-                harvey_stage(&mut g0, &mut g2, &wb[..len], &wbs[..len], q, reduce);
-                harvey_stage(&mut g1, &mut g3, &wb[len..], &wbs[len..], q, reduce);
-                assert_eq!(f0, g0, "fused len={len} reduce={reduce}");
-                assert_eq!(f1, g1, "fused len={len} reduce={reduce}");
-                assert_eq!(f2, g2, "fused len={len} reduce={reduce}");
-                assert_eq!(f3, g3, "fused len={len} reduce={reduce}");
             }
         }
     }

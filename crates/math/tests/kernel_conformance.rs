@@ -1,8 +1,8 @@
 //! Cross-kernel NTT conformance suite.
 //!
 //! The dispatch layer ([`NttKernel`]) promises that the reference,
-//! radix-2, cache-blocked radix-4, SIMD and IFMA kernels are
-//! interchangeable: **bit-identical** outputs, not merely congruent
+//! radix-4 and IFMA kernels — and hence whichever one
+//! [`NttKernel::auto_for`] picks — are interchangeable: **bit-identical** outputs, not merely congruent
 //! ones, for the negacyclic forward/inverse transforms and for full
 //! negacyclic products. This suite pins that promise differentially
 //! across every generated prime for ring dimensions 2^10 … 2^14, and
@@ -19,10 +19,7 @@
 //! suite's 59-bit primes outright.
 
 use proptest::prelude::*;
-use ufc_math::modops::{
-    add_mod, ifma_modulus_ok, mul_mod, mul_shoup, mul_shoup_lazy, reduce_4q, shoup_precompute,
-    sub_mod,
-};
+use ufc_math::modops::{add_mod, ifma_modulus_ok, mul_mod, mul_shoup, shoup_precompute, sub_mod};
 use ufc_math::ntt::{NttContext, NttKernel};
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::{Form, Poly};
@@ -37,7 +34,7 @@ const LOG_DIMS: [usize; 5] = [10, 11, 12, 13, 14];
 
 /// Prime widths sampled per dimension. 59 bits stresses the lazy
 /// (< 4q < 2^61) headroom of the Harvey butterflies; 50 bits sits at
-/// the top of the IFMA window (all five generations run); 30 bits
+/// the top of the IFMA window (all three generations run); 30 bits
 /// gives a completely different twiddle landscape.
 const PRIME_BITS: [u32; 4] = [30, 45, 50, 59];
 
@@ -179,7 +176,7 @@ fn negacyclic_mul_matches_schoolbook_oracle() {
             let a = Poly::pseudorandom(n, q, 7 + log_n as u64);
             let b = Poly::pseudorandom(n, q, 13 + log_n as u64);
             let want = schoolbook_negacyclic(a.coeffs(), b.coeffs(), q);
-            // 40-bit primes sit inside the IFMA window, so all five
+            // 40-bit primes sit inside the IFMA window, so all three
             // generations (portable lanes on non-IFMA hosts) face the
             // oracle here.
             for k in kernels_for(q) {
@@ -262,58 +259,6 @@ proptest! {
         }
     }
 
-    /// The SIMD butterfly/twist primitives on *denormal* lazy inputs —
-    /// representatives in `[q, 2q)` rather than canonical `[0, q)` —
-    /// must match the scalar Harvey formula word-for-word, because the
-    /// stage walk feeds them exactly such values between stages.
-    #[test]
-    fn prop_simd_butterflies_match_scalar_formula_on_denormal_inputs(
-        seed in any::<u64>(), len in 1usize..41, reduce in any::<bool>()
-    ) {
-        let q = generate_ntt_prime(1 << 10, 59).unwrap();
-        let w = fill(seed ^ 1, len, 1, q);
-        let ws: Vec<u64> = w.iter().map(|&wi| shoup_precompute(wi, q)).collect();
-
-        // Twists accept any lazy representative; feed [q, 2q).
-        let a = fill(seed, len, q, 2 * q);
-        let mut got = a.clone();
-        simd::twist_lazy_slice(&mut got, &w, &ws, q);
-        for i in 0..len {
-            prop_assert_eq!(
-                got[i],
-                mul_shoup_lazy(a[i], w[i], ws[i], q),
-                "twist_lazy lane {}", i
-            );
-        }
-        let mut got = a.clone();
-        simd::twist_reduce_slice(&mut got, &w, &ws, q);
-        for i in 0..len {
-            prop_assert_eq!(
-                got[i],
-                mul_shoup(a[i], w[i], ws[i], q),
-                "twist_reduce lane {}", i
-            );
-        }
-
-        // Stage inputs may sit anywhere below 4q on the u leg and 2q on
-        // the multiplied leg; [q, 2q) is the denormal band both share.
-        let lo0 = fill(seed ^ 2, len, q, 2 * q);
-        let hi0 = fill(seed ^ 3, len, q, 2 * q);
-        let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
-        simd::harvey_stage(&mut lo, &mut hi, &w, &ws, q, reduce);
-        for i in 0..len {
-            let u = if lo0[i] >= 2 * q { lo0[i] - 2 * q } else { lo0[i] };
-            let t = mul_shoup_lazy(hi0[i], w[i], ws[i], q);
-            let (mut el, mut eh) = (u + t, u + 2 * q - t);
-            if reduce {
-                el = reduce_4q(el, q);
-                eh = reduce_4q(eh, q);
-            }
-            prop_assert_eq!(lo[i], el, "stage lo lane {}", i);
-            prop_assert_eq!(hi[i], eh, "stage hi lane {}", i);
-        }
-    }
-
     /// The limb-split (AVX2) and 52-bit Barrett (IFMA) hadamard/mac
     /// kernels on *denormal* `[q, 2q)` multiplicands, across generated
     /// prime widths spanning both windows: every lane must be
@@ -371,32 +316,71 @@ proptest! {
         }
     }
 
-    /// Whole-transform conformance under proptest: the SIMD generation
+    /// Whole-transform conformance under proptest: the IFMA generation
     /// must equal the radix-4 generation bit-for-bit, forward and
     /// inverse, including on denormal `[q, 2q)` input vectors (both
-    /// kernels tolerate any `< 2q` entry representative).
+    /// kernels tolerate any `< 2q` entry representative). 2^13 runs
+    /// the cache-blocked schedule, the smaller sizes the plain walk.
     #[test]
-    fn prop_simd_transform_bit_identical_to_radix4(
-        seed in any::<u64>(), log_n in 10usize..13, denormal in any::<bool>()
+    fn prop_ifma_transform_bit_identical_to_radix4(
+        seed in any::<u64>(), log_n in 10usize..14, denormal in any::<bool>()
     ) {
         let n = 1 << log_n;
-        let q = generate_ntt_prime(n, 59).unwrap();
+        let q = generate_ntt_prime(n, 49).unwrap();
         let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap();
         let (lo, hi) = if denormal { (q, 2 * q) } else { (0, q) };
         let data = fill(seed, n, lo, hi);
 
-        let mut s = data.clone();
-        ctx.forward_simd(&mut s);
+        let mut f = data.clone();
+        ctx.forward_ifma(&mut f);
         let mut r = data.clone();
         ctx.forward_radix4(&mut r);
-        prop_assert_eq!(&s, &r, "forward diverged at n=2^{}", log_n);
+        prop_assert_eq!(&f, &r, "forward diverged at n=2^{}", log_n);
 
         // Inverse operates on reduced evaluation-form vectors.
-        let mut si = s.clone();
-        ctx.inverse_simd(&mut si);
+        let mut fi = f.clone();
+        ctx.inverse_ifma(&mut fi);
         let mut ri = r.clone();
         ctx.inverse_radix4(&mut ri);
-        prop_assert_eq!(&si, &ri, "inverse diverged at n=2^{}", log_n);
+        prop_assert_eq!(&fi, &ri, "inverse diverged at n=2^{}", log_n);
+    }
+}
+
+/// The kernel the dispatch rule picks must be bit-identical to the
+/// reference oracle on both sides of the IFMA crossover
+/// (`RADIX4_MIN_DIM` = 2^13) and at every prime-width class the
+/// schemes use: 31-bit TFHE, 36-bit CKKS, 49-bit inside the IFMA
+/// window, 59-bit outside it. The context is built with the
+/// `auto_for` choice pinned, so the ambient `UFC_NTT_KERNEL` of a CI
+/// leg cannot substitute another kernel.
+#[test]
+fn auto_kernel_bit_identical_to_reference() {
+    for log_n in [12usize, 13] {
+        let n = 1 << log_n;
+        for bits in [31u32, 36, 49, 59] {
+            let q = generate_ntt_prime(n, bits).unwrap();
+            let auto = NttKernel::auto_for(n, q);
+            let ctx = NttContext::try_new_with_kernel(n, q, auto).unwrap();
+            let data = Poly::pseudorandom(n, q, 0xA070 ^ u64::from(bits)).into_coeffs();
+            let mut got = data.clone();
+            ctx.forward(&mut got);
+            let mut want = data.clone();
+            ctx.forward_reference(&mut want);
+            assert_eq!(
+                got, want,
+                "forward {auto} diverged from reference at n=2^{log_n}, {bits}-bit q"
+            );
+            ctx.inverse(&mut got);
+            ctx.inverse_reference(&mut want);
+            assert_eq!(
+                got, want,
+                "inverse {auto} diverged from reference at n=2^{log_n}, {bits}-bit q"
+            );
+            assert_eq!(
+                got, data,
+                "round trip under {auto} at n=2^{log_n}, {bits}-bit q"
+            );
+        }
     }
 }
 
@@ -417,7 +401,7 @@ fn rns_plane_transforms_bit_identical_across_kernels() {
             .collect();
         let coeff_plane = RnsPlane::from_polys(&polys, Form::Coeff);
         // A plane kernel must be valid for every residue modulus; the
-        // 50-bit primes here keep all five generations in play.
+        // 50-bit primes here keep all three generations in play.
         let kernels: Vec<NttKernel> = NttKernel::ALL
             .into_iter()
             .filter(|k| moduli.iter().all(|&q| k.supports_modulus(q)))

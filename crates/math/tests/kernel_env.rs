@@ -4,7 +4,10 @@
 //!
 //! * A malformed `UFC_NTT_KERNEL` must not abort library consumers
 //!   that merely build [`ufc_math::ntt::NttContext`]s — it warns once
-//!   on stderr and falls back to the automatic heuristic.
+//!   on stderr and falls back to the automatic dispatch rule. The
+//!   retired kernel names `radix2` and `simd` are malformed values
+//!   like any other: a typed [`KernelEnvError`] for CLIs that
+//!   validate at startup, a warn-and-fallback for library paths.
 //! * A *well-formed* `UFC_NTT_KERNEL=ifma` is strict: on a prime at
 //!   or above 2⁵⁰ it is a typed [`NttError::IfmaPrimeTooWide`], and
 //!   on a host without AVX-512 IFMA (simulated with
@@ -20,7 +23,9 @@
 
 use std::process::Command;
 
-use ufc_math::ntt::{NttContext, NttError, NttKernel, IFMA_PORTABLE_ENV, KERNEL_ENV};
+use ufc_math::ntt::{
+    KernelEnvError, NttContext, NttError, NttKernel, IFMA_PORTABLE_ENV, KERNEL_ENV,
+};
 use ufc_math::prime::generate_ntt_prime;
 
 /// Marker variable switching this binary into child mode.
@@ -205,4 +210,58 @@ fn forced_ifma_portable_escape_runs_mirror_lanes() {
         stdout.contains("child-ok kernel=ifma"),
         "expected the ifma kernel on portable lanes, stdout:\n{stdout}"
     );
+}
+
+#[test]
+fn retired_kernel_names_are_rejected_without_panicking() {
+    if let Ok(mode) = std::env::var(CHILD_ENV) {
+        if mode == "retired" {
+            child_retired_name();
+        }
+        return;
+    }
+    for retired in ["radix2", "simd"] {
+        let (stdout, stderr) = run_child(
+            "retired_kernel_names_are_rejected_without_panicking",
+            "retired",
+            &[(KERNEL_ENV, retired)],
+        );
+        assert!(
+            stdout.contains(&format!("child-cli-err value={retired}")),
+            "expected a KernelEnvError for `{retired}`, stdout:\n{stdout}"
+        );
+        assert!(
+            stdout.contains("child-lib-ok"),
+            "library path did not fall back for `{retired}`, stdout:\n{stdout}"
+        );
+        let warnings = stderr
+            .matches("falling back to automatic kernel selection")
+            .count();
+        assert_eq!(warnings, 1, "stderr:\n{stderr}");
+        assert!(stderr.contains(retired), "stderr:\n{stderr}");
+    }
+}
+
+/// Child mode for the retired-name test: the CLI path
+/// (`NttKernel::from_env`) must return the typed error, and the
+/// library path (`NttContext::new`) must warn once and come up on the
+/// kernel the dispatch rule picks.
+fn child_retired_name() {
+    let err: KernelEnvError = match NttKernel::from_env() {
+        Err(e) => e,
+        Ok(k) => panic!("retired kernel name accepted as {k:?}"),
+    };
+    println!("child-cli-err value={}", err.value);
+    let (n, q) = (64, 7681);
+    let a = NttContext::new(n, q);
+    let b = NttContext::new(n, q);
+    for ctx in [&a, &b] {
+        assert_eq!(ctx.kernel(), NttKernel::auto_for(n, q));
+    }
+    let x: Vec<u64> = (0..n as u64).collect();
+    let mut y = x.clone();
+    a.forward(&mut y);
+    a.inverse(&mut y);
+    assert_eq!(x, y, "roundtrip through fallback kernel");
+    println!("child-lib-ok kernel={}", a.kernel().name());
 }

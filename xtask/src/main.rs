@@ -17,7 +17,10 @@
 //! * `bench-math [--quick]` — build the release `bench_math` harness,
 //!   run it writing `BENCH_math.json` at the workspace root, and
 //!   validate the report shape (experiment tag, numeric headline
-//!   speedup, non-empty tables, host topology block).
+//!   speedup, non-empty tables, host topology block) and, on full
+//!   runs, the dispatch floors: every element-wise row at speedup
+//!   ≥ 1.0 and every `ntt_kernels` row with the auto-selected NTT
+//!   kernel within 1.10x of the fastest one.
 //! * `bench-switch [--quick]` — build the release `bench_switch`
 //!   harness, run it writing `BENCH_switch.json` at the workspace
 //!   root, and validate the report shape (experiment tag, `extract`
@@ -617,24 +620,10 @@ fn bench_math(quick: bool) -> ExitCode {
         eprintln!("xtask bench-math: report has no tables");
         return ExitCode::FAILURE;
     }
-    // The kernel-dispatch contract: the radix-2 vs radix-4 vs SIMD
-    // comparison table must be present and populated.
-    let radix_table = tables
-        .iter()
-        .find(|t| t.get("name").and_then(serde::Value::as_str) == Some("ntt_radix"));
-    let radix_rows = radix_table
-        .and_then(|t| t.get("rows"))
-        .and_then(serde::Value::as_array)
-        .map(<[serde::Value]>::len)
-        .unwrap_or(0);
-    if radix_rows == 0 {
-        eprintln!("xtask bench-math: report has no populated `ntt_radix` table");
-        return ExitCode::FAILURE;
-    }
-    // SIMD-lane coverage: on AVX2 hosts the report must carry the simd
-    // NTT columns and the element-wise lane-kernel table. Non-AVX2
-    // hosts still run the portable lanes, but the committed report is
-    // only held to the vector contract where vectors exist.
+    // SIMD-lane coverage: on AVX2 hosts the report must carry the
+    // element-wise lane-kernel table. Non-AVX2 hosts still run the
+    // portable lanes, but the committed report is only held to the
+    // vector contract where vectors exist.
     let avx2 = report
         .get("host")
         .and_then(|h| h.get("avx2"))
@@ -644,9 +633,10 @@ fn bench_math(quick: bool) -> ExitCode {
         return ExitCode::FAILURE;
     };
     // Host-topology contract: the report must say what it ran on —
-    // core count, the NTT kernel auto-selection landed on, and the
-    // limb-parallel worker count — so committed numbers are
-    // interpretable across machines.
+    // core count and the limb-parallel worker count — so committed
+    // numbers are interpretable across machines. (Which NTT kernel
+    // dispatch picks depends on the ring size, so it is the `auto`
+    // column of `ntt_kernels`, not a host field.)
     let host = report.get("host");
     for field in ["available_parallelism", "par_threads"] {
         if host
@@ -657,14 +647,6 @@ fn bench_math(quick: bool) -> ExitCode {
             eprintln!("xtask bench-math: report host has no numeric `{field}` field");
             return ExitCode::FAILURE;
         }
-    }
-    if host
-        .and_then(|h| h.get("ntt_kernel"))
-        .and_then(serde::Value::as_str)
-        .is_none()
-    {
-        eprintln!("xtask bench-math: report host has no string `ntt_kernel` field");
-        return ExitCode::FAILURE;
     }
     let overhead = host
         .and_then(|h| h.get("trace_overhead_pct"))
@@ -681,16 +663,6 @@ fn bench_math(quick: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if avx2 {
-        let has_simd_col = radix_table
-            .and_then(|t| t.get("columns"))
-            .and_then(serde::Value::as_array)
-            .is_some_and(|cols| cols.iter().any(|c| c.as_str() == Some("forward_simd_ns")));
-        if !has_simd_col {
-            eprintln!(
-                "xtask bench-math: AVX2 host but `ntt_radix` has no `forward_simd_ns` column"
-            );
-            return ExitCode::FAILURE;
-        }
         let ew_rows = tables
             .iter()
             .find(|t| t.get("name").and_then(serde::Value::as_str) == Some("ew_kernels"))
@@ -724,6 +696,64 @@ fn bench_math(quick: bool) -> ExitCode {
             .and_then(serde::Value::as_array)
             .and_then(|cols| cols.iter().position(|c| c.as_str() == Some(col)))
     };
+    // NTT dispatch floor: in every `ntt_kernels` row and direction,
+    // the kernel `auto_for` picked must run within 1.10x of the
+    // fastest kernel measured. --quick runs only check the shape:
+    // their few repetitions make close kernels' ratios noisy.
+    let kernel_rows = table_rows("ntt_kernels");
+    if kernel_rows.is_empty() {
+        eprintln!("xtask bench-math: report has no populated `ntt_kernels` table");
+        return ExitCode::FAILURE;
+    }
+    let Some(auto_col) = col_index("ntt_kernels", "auto") else {
+        eprintln!("xtask bench-math: `ntt_kernels` has no `auto` column");
+        return ExitCode::FAILURE;
+    };
+    let n_col = col_index("ntt_kernels", "n");
+    let bits_col = col_index("ntt_kernels", "q_bits");
+    let mut worst_auto_ratio = 1.0f64;
+    for row in &kernel_rows {
+        let cells = row.as_array().unwrap_or_default();
+        let cell_u64 = |col: Option<usize>| {
+            col.and_then(|c| cells.get(c))
+                .and_then(serde::Value::as_u64)
+        };
+        let (n, bits) = (
+            cell_u64(n_col).unwrap_or(0),
+            cell_u64(bits_col).unwrap_or(0),
+        );
+        let Some(auto) = cells.get(auto_col).and_then(serde::Value::as_str) else {
+            eprintln!("xtask bench-math: `ntt_kernels` row n={n} has no `auto` kernel name");
+            return ExitCode::FAILURE;
+        };
+        for dir in ["forward", "inverse"] {
+            // Null cells are kernels that cannot run over this prime.
+            let times: Vec<(&str, f64)> = ["radix4", "ifma"]
+                .into_iter()
+                .filter_map(|k| {
+                    let col = col_index("ntt_kernels", &format!("{dir}_{k}_ns"))?;
+                    Some((k, cells.get(col)?.as_f64()?))
+                })
+                .collect();
+            let fastest = times.iter().map(|&(_, t)| t).fold(f64::INFINITY, f64::min);
+            let Some(&(_, auto_t)) = times.iter().find(|&&(k, _)| k == auto) else {
+                eprintln!(
+                    "xtask bench-math: `ntt_kernels` row n={n}, {bits}-bit q picks `{auto}` \
+                     but has no {dir} time for it"
+                );
+                return ExitCode::FAILURE;
+            };
+            let ratio = auto_t / fastest;
+            worst_auto_ratio = worst_auto_ratio.max(ratio);
+            if !quick && ratio > 1.10 {
+                eprintln!(
+                    "xtask bench-math: {dir} NTT at n={n}, {bits}-bit q: auto kernel \
+                     `{auto}` runs {ratio:.2}x the fastest kernel (gate: 1.10x)"
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     if table_rows("ew_dispatch").is_empty() {
         eprintln!("xtask bench-math: report has no populated `ew_dispatch` table");
         return ExitCode::FAILURE;
@@ -783,25 +813,12 @@ fn bench_math(quick: bool) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    // Work-stealing contract: multi-core hosts must report the
-    // op-level scaling table alongside the limb-level one.
-    let cores = report
-        .get("host")
-        .and_then(|h| h.get("available_parallelism"))
-        .and_then(serde::Value::as_u64)
-        .unwrap_or(1);
-    if cores > 1 && table_rows("op_scaling").is_empty() {
-        eprintln!(
-            "xtask bench-math: {cores}-core host but no populated `op_scaling` \
-             work-stealing table"
-        );
-        return ExitCode::FAILURE;
-    }
     println!(
-        "bench-math ok: {} tables ({radix_rows} ntt_radix rows, {} ew rows, best \
-         hadamard {best_hadamard:.2}x / mac {best_mac:.2}x), headline speedup \
-         {speedup:.2}x in {}",
+        "bench-math ok: {} tables ({} ntt_kernels rows, auto kernel within \
+         {worst_auto_ratio:.2}x of the fastest; {} ew rows, best hadamard \
+         {best_hadamard:.2}x / mac {best_mac:.2}x), headline speedup {speedup:.2}x in {}",
         tables.len(),
+        kernel_rows.len(),
         table_rows("ew_kernels").len(),
         out.display()
     );

@@ -449,19 +449,31 @@ fn main() {
         // Seed shape: one full negacyclic product per digit-row pair
         // (4 per level) through the `%`-based kernels, instead of
         // transforming only the digits and MAC-ing against cached
-        // evaluation-form rows.
+        // evaluation-form rows. The coefficient-form rows are rebuilt
+        // from the cached ones outside the timed region.
         let g = ctx.gadget();
         let ntt = ctx.ntt();
+        let [a_rows, b_rows] = rgsw.coeff_rows(&ctx);
+        let row_poly = |p: &RnsPlane| p.limb_poly(0);
+        let (a_rows_a, a_rows_b): (Vec<Poly>, Vec<Poly>) = a_rows
+            .iter()
+            .map(|r| (row_poly(&r.a), row_poly(&r.b)))
+            .unzip();
+        let (b_rows_a, b_rows_b): (Vec<Poly>, Vec<Poly>) = b_rows
+            .iter()
+            .map(|r| (row_poly(&r.a), row_poly(&r.b)))
+            .unzip();
         let ep_ref = time_ns(r.min(8), || {
-            let a_digits = g.decompose_poly(&ct.a);
-            let b_digits = g.decompose_poly(&ct.b);
+            let a_digits = g.decompose_plane(ct.a.limb(0));
+            let b_digits = g.decompose_plane(ct.b.limb(0));
             let mut acc_a = Poly::zero(n, ctx.q());
             let mut acc_b = Poly::zero(n, ctx.q());
             for l in 0..g.levels() {
-                acc_a.add_assign(&ntt.negacyclic_mul_reference(&a_digits[l], &rgsw.a_rows[l].a));
-                acc_a.add_assign(&ntt.negacyclic_mul_reference(&b_digits[l], &rgsw.b_rows[l].a));
-                acc_b.add_assign(&ntt.negacyclic_mul_reference(&a_digits[l], &rgsw.a_rows[l].b));
-                acc_b.add_assign(&ntt.negacyclic_mul_reference(&b_digits[l], &rgsw.b_rows[l].b));
+                let (da, db) = (a_digits.limb_poly(l), b_digits.limb_poly(l));
+                acc_a = acc_a.add(&ntt.negacyclic_mul_reference(&da, &a_rows_a[l]));
+                acc_a = acc_a.add(&ntt.negacyclic_mul_reference(&db, &b_rows_a[l]));
+                acc_b = acc_b.add(&ntt.negacyclic_mul_reference(&da, &a_rows_b[l]));
+                acc_b = acc_b.add(&ntt.negacyclic_mul_reference(&db, &b_rows_b[l]));
             }
             std::hint::black_box((acc_a, acc_b));
         });

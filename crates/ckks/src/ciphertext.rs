@@ -1,7 +1,7 @@
 //! CKKS ciphertexts: a pair of RNS polynomials plus level/scale
 //! bookkeeping.
 
-use crate::rnspoly::RnsPoly;
+use crate::RnsPoly;
 
 /// An RLWE ciphertext `(c0, c1)` with `c0 + c1·s ≈ Δ·m`.
 #[derive(Debug, Clone)]
@@ -53,8 +53,8 @@ mod tests {
     #[test]
     fn construction_checks_limbs() {
         let ctx = CkksContext::new(32, 4, 2, 2, 36, 26);
-        let a = RnsPoly::zero(&ctx, 3, Form::Eval);
-        let b = RnsPoly::zero(&ctx, 3, Form::Eval);
+        let a = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
+        let b = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
         let ct = Ciphertext::new(a, b, 2, 1024.0);
         assert_eq!(ct.limb_count(), 3);
         assert_eq!(ct.dim(), 32);
@@ -64,8 +64,8 @@ mod tests {
     #[should_panic(expected = "limb count")]
     fn mismatched_level_rejected() {
         let ctx = CkksContext::new(32, 4, 2, 2, 36, 26);
-        let a = RnsPoly::zero(&ctx, 3, Form::Eval);
-        let b = RnsPoly::zero(&ctx, 3, Form::Eval);
+        let a = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
+        let b = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
         let _ = Ciphertext::new(a, b, 3, 1024.0);
     }
 }

@@ -4,6 +4,8 @@
 use std::sync::Arc;
 use ufc_math::modops::{inv_mod, mul_mod};
 use ufc_math::ntt::{NttContext, NttKernel};
+use ufc_math::plane::RnsPlane;
+use ufc_math::poly::Form;
 use ufc_math::prime::generate_ntt_primes;
 use ufc_math::rns::{BaseConverter, RnsBasis};
 
@@ -255,6 +257,38 @@ impl CkksContext {
         moduli.iter().map(|&m| self.ntt_for_modulus(m)).collect()
     }
 
+    /// Converts `p` to evaluation form in place through the tables of
+    /// its limb moduli (a no-op if it is already there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any limb modulus is neither a Q nor a P modulus.
+    pub fn to_eval(&self, p: &mut RnsPlane) {
+        if p.form() == Form::Coeff {
+            p.ntt_forward(&self.ntt_tables(p.moduli()));
+        }
+    }
+
+    /// Converts `p` to coefficient form in place (a no-op if it is
+    /// already there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any limb modulus is neither a Q nor a P modulus.
+    pub fn to_coeff(&self, p: &mut RnsPlane) {
+        if p.form() == Form::Eval {
+            p.ntt_inverse(&self.ntt_tables(p.moduli()));
+        }
+    }
+
+    /// The integer polynomial with centered coefficients `signed` over
+    /// the first `count` Q limbs, in evaluation form.
+    pub fn eval_from_signed(&self, signed: &[i64], count: usize) -> RnsPlane {
+        let mut p = RnsPlane::from_signed(signed, &self.q_moduli[..count]);
+        self.to_eval(&mut p);
+        p
+    }
+
     /// Forces a specific NTT kernel on every table in the chain
     /// (`Q` and `P` limbs alike). All kernels are bit-identical, so
     /// this changes scheduling only; it exists for the cross-kernel
@@ -385,6 +419,22 @@ mod tests {
     fn p_must_cover_digit() {
         // 6 limbs, dnum 2 -> digit size 3 > p_limbs 2.
         let _ = CkksContext::new(32, 6, 2, 2, 36, 26);
+    }
+
+    #[test]
+    fn form_conversions_roundtrip_and_are_idempotent() {
+        let c = small();
+        let signed: Vec<i64> = (0..32).map(|i| i * 3 - 40).collect();
+        let coeff = RnsPlane::from_signed(&signed, &c.q_moduli()[..3]);
+        let mut p = c.eval_from_signed(&signed, 3);
+        assert_eq!(p.form(), Form::Eval);
+        let eval = p.clone();
+        c.to_eval(&mut p);
+        assert_eq!(p, eval, "to_eval on an evaluation-form plane is a no-op");
+        c.to_coeff(&mut p);
+        assert_eq!(p, coeff);
+        c.to_coeff(&mut p);
+        assert_eq!(p, coeff, "to_coeff on a coefficient-form plane is a no-op");
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! hardware (§IV-B5).
 
 use crate::context::CkksContext;
-use crate::rnspoly::RnsPoly;
+use crate::RnsPoly;
 use rand::Rng;
 use ufc_math::automorph;
 use ufc_math::modops::mul_mod;
-use ufc_math::poly::{Form, Poly};
+use ufc_math::plane::RnsPlane;
+use ufc_math::poly::Form;
 use ufc_math::sample::{gaussian, ternary_poly, uniform_poly};
 
 /// Samples a centered discrete-Gaussian coefficient vector.
@@ -47,15 +48,9 @@ impl SecretKey {
         &self.signed
     }
 
-    /// The secret as a limb polynomial for modulus `q`, in coefficient
-    /// form.
-    pub fn poly_mod(&self, q: u64, _n: usize) -> Poly {
-        Poly::from_signed(&self.signed, q)
-    }
-
     /// The secret over the first `count` Q limbs, in evaluation form.
     pub fn rns_eval(&self, ctx: &CkksContext, count: usize) -> RnsPoly {
-        RnsPoly::from_signed(ctx, &self.signed, count).to_eval(ctx)
+        ctx.eval_from_signed(&self.signed, count)
     }
 }
 
@@ -76,10 +71,15 @@ impl SwitchingKey {
         s_from_signed: &[i64],
         rng: &mut R,
     ) -> Self {
-        let n = ctx.n();
         let mut per_level = Vec::with_capacity(ctx.max_level() + 1);
         for level in 0..=ctx.max_level() {
             let active = level + 1;
+            // All moduli for this level's keys: active Q then P.
+            let moduli: Vec<u64> = ctx.q_moduli()[..active]
+                .iter()
+                .chain(ctx.p_moduli())
+                .copied()
+                .collect();
             let mut digit_keys = Vec::new();
             for dt in ctx.digits() {
                 let (lo, hi) = dt.limb_range;
@@ -87,28 +87,16 @@ impl SwitchingKey {
                     break;
                 }
                 let hi_l = hi.min(active);
-                // All moduli for this key: active Q then P.
-                let moduli: Vec<u64> = ctx.q_moduli()[..active]
+                // factor = [P * Qhat_j]_q for active Q limbs inside
+                // the key; 0 on P limbs (P ≡ 0 there) and on Q limbs
+                // automatically via the product.
+                let factors: Vec<u64> = moduli
                     .iter()
-                    .chain(ctx.p_moduli())
-                    .copied()
-                    .collect();
-                let mut b_limbs = Vec::with_capacity(moduli.len());
-                let mut a_limbs = Vec::with_capacity(moduli.len());
-                // One small-integer noise polynomial shared by every
-                // limb: RNS limbs must be residues of the same integer
-                // polynomial or CRT reconstruction breaks.
-                let e_signed = gaussian_signed(rng, n);
-                for (idx, &q) in moduli.iter().enumerate() {
-                    let ntt = ctx.ntt_for_modulus(q);
-                    let a = uniform_poly(rng, n, q);
-                    let e = Poly::from_signed(&e_signed, q);
-                    let s = Poly::from_signed(&sk.signed, q);
-                    let s_from = Poly::from_signed(s_from_signed, q);
-                    // factor = [P * Qhat_j]_q for active Q limbs inside
-                    // the key; 0 on P limbs (P ≡ 0 there) and on Q
-                    // limbs automatically via the product.
-                    let factor = if idx < active {
+                    .enumerate()
+                    .map(|(idx, &q)| {
+                        if idx >= active {
+                            return 0;
+                        }
                         let mut f = ctx.p_mod_q(idx);
                         for (k, &qk) in ctx.q_moduli()[..active].iter().enumerate() {
                             if !(lo..hi_l).contains(&k) {
@@ -116,21 +104,11 @@ impl SwitchingKey {
                             }
                         }
                         f
-                    } else {
-                        0
-                    };
-                    // b = -a*s + e + factor * s_from  (over Z_q).
-                    let a_eval = ntt.to_eval(&a);
-                    let s_eval = ntt.to_eval(&s);
-                    let as_prod = ntt.to_coeff(&a_eval.hadamard(&s_eval));
-                    let b = as_prod.neg().add(&e).add(&s_from.scale(factor));
-                    b_limbs.push(ntt.to_eval(&b));
-                    a_limbs.push(a_eval);
-                }
-                digit_keys.push((
-                    RnsPoly::from_limbs(b_limbs, Form::Eval),
-                    RnsPoly::from_limbs(a_limbs, Form::Eval),
-                ));
+                    })
+                    .collect();
+                // b = -a*s + e + factor * s_from.
+                let target = (s_from_signed, factors.as_slice());
+                digit_keys.push(rlwe_sample(ctx, sk, &moduli, Some(target), rng));
             }
             per_level.push(digit_keys);
         }
@@ -170,28 +148,9 @@ impl KeySet {
     /// Generates public + relinearization + conjugation keys.
     pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, sk: &SecretKey, rng: &mut R) -> Self {
         let n = ctx.n();
-        let active = ctx.max_level() + 1;
-        // Public key over full Q (one shared noise polynomial; see
-        // SwitchingKey::generate).
-        let mut b_limbs = Vec::new();
-        let mut a_limbs = Vec::new();
-        let e_signed = gaussian_signed(rng, n);
-        for i in 0..active {
-            let q = ctx.q_moduli()[i];
-            let ntt = ctx.ntt_q(i);
-            let a = uniform_poly(rng, n, q);
-            let e = Poly::from_signed(&e_signed, q);
-            let s = Poly::from_signed(&sk.signed, q);
-            let a_eval = ntt.to_eval(&a);
-            let as_prod = ntt.to_coeff(&a_eval.hadamard(&ntt.to_eval(&s)));
-            let b = as_prod.neg().add(&e);
-            b_limbs.push(ntt.to_eval(&b));
-            a_limbs.push(a_eval);
-        }
-        let public = PublicKey {
-            b: RnsPoly::from_limbs(b_limbs, Form::Eval),
-            a: RnsPoly::from_limbs(a_limbs, Form::Eval),
-        };
+        let q_moduli = &ctx.q_moduli()[..=ctx.max_level()];
+        let (b, a) = rlwe_sample(ctx, sk, q_moduli, None, rng);
+        let public = PublicKey { b, a };
 
         // s² for relinearization.
         let s2 = square_signed(&sk.signed);
@@ -236,6 +195,45 @@ impl KeySet {
     pub fn rotation_key_count(&self) -> usize {
         self.rotations.len()
     }
+}
+
+/// One key-shaped RLWE sample `(b, a)` over `moduli`, both in
+/// evaluation form: `b = -a·s + e + factors ∘ s_from` with uniform `a`
+/// and one small Gaussian `e` shared by every limb (RNS limbs must be
+/// residues of the same integer polynomial or CRT reconstruction
+/// breaks); `target = (s_from, factors)` is optional. Draws `e`, then
+/// `a` limb by limb. The two key planes are the only plane-sized
+/// allocations: freeing plane-sized temporaries between long-lived key
+/// allocations fragments the heap the keys live in and raises peak
+/// memory.
+fn rlwe_sample<R: Rng + ?Sized>(
+    ctx: &CkksContext,
+    sk: &SecretKey,
+    moduli: &[u64],
+    target: Option<(&[i64], &[u64])>,
+    rng: &mut R,
+) -> (RnsPoly, RnsPoly) {
+    let n = ctx.n();
+    let e_signed = gaussian_signed(rng, n);
+    // Sized up front: keys keep this buffer, so no growth slack.
+    let mut a_flat = Vec::with_capacity(moduli.len() * n);
+    for &q in moduli {
+        a_flat.extend_from_slice(uniform_poly(rng, n, q).coeffs());
+    }
+    let mut a = RnsPlane::from_flat_unchecked(a_flat, moduli, Form::Coeff);
+    ctx.to_eval(&mut a);
+    // b starts as -s, so the product below is already -a·s.
+    let neg_s: Vec<i64> = sk.signed.iter().map(|&v| -v).collect();
+    let mut b = RnsPlane::from_signed(&neg_s, moduli);
+    ctx.to_eval(&mut b);
+    b.hadamard_assign(&a);
+    ctx.to_coeff(&mut b);
+    b.add_signed_assign(&e_signed, &vec![1; moduli.len()]);
+    if let Some((s_from, factors)) = target {
+        b.add_signed_assign(s_from, factors);
+    }
+    ctx.to_eval(&mut b);
+    (b, a)
 }
 
 /// Negacyclic square of a signed coefficient vector (exact integer
@@ -302,9 +300,12 @@ mod tests {
         let sk = SecretKey::generate(&c, &mut rng);
         let ks = KeySet::generate(&c, &sk, &mut rng);
         let s_eval = sk.rns_eval(&c, c.max_level() + 1);
-        let check = ks.public.b.add(&ks.public.a.mul(&s_eval)).to_coeff(&c);
+        let mut check = ks.public.a.clone();
+        check.hadamard_assign(&s_eval);
+        check.add_assign(&ks.public.b);
+        c.to_coeff(&mut check);
         for l in 0..check.limb_count() {
-            let q = check.limb_modulus(l);
+            let q = check.modulus(l);
             for &v in check.limb(l) {
                 let centered = ufc_math::modops::to_signed(v, q);
                 assert!(centered.abs() < 64, "noise too large: {centered}");

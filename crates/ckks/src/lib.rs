@@ -33,11 +33,16 @@ pub mod encoding;
 pub mod eval;
 pub mod keys;
 pub mod noise;
-pub mod rnspoly;
 
 pub use ciphertext::Ciphertext;
 pub use context::CkksContext;
 pub use encoding::Encoder;
 pub use eval::{Evaluator, HoistedDigits};
 pub use keys::{KeySet, SecretKey};
-pub use rnspoly::RnsPoly;
+
+/// A polynomial over `Q = q_0 … q_level` (optionally extended by `P`)
+/// in RNS representation: the workspace's one polynomial container,
+/// shared with TFHE. Form conversions go through
+/// [`CkksContext::to_eval`] / [`CkksContext::to_coeff`], which own the
+/// NTT tables.
+pub type RnsPoly = ufc_math::plane::RnsPlane;

@@ -6,7 +6,8 @@
 //! in the digit size instead of the coefficient size.
 
 use crate::modops::{add_mod, from_signed, mul_mod};
-use crate::poly::Poly;
+use crate::plane::RnsPlane;
+use crate::poly::Form;
 
 /// A base-`2^log_base` gadget with `levels` digits over modulus `q`.
 ///
@@ -85,6 +86,28 @@ impl Gadget {
     /// below `weight(levels-1) / 2 + levels` (the approximate-gadget
     /// error TFHE tolerates).
     pub fn decompose_scalar(&self, v: u64) -> Vec<i64> {
+        let mut digits = vec![0i64; self.levels];
+        self.for_each_digit(v, |j, d| digits[j] = d);
+        digits
+    }
+
+    /// Decomposes every residue of `src` into a `levels`-limb plane
+    /// over `q` in coefficient form: limb `j` holds digit `j` of every
+    /// coefficient (the signed digits of [`Self::decompose_scalar`]
+    /// mapped into `Z_q`). Digits are written straight into the plane
+    /// buffer, with no per-coefficient allocation.
+    pub fn decompose_plane(&self, src: &[u64]) -> RnsPlane {
+        let n = src.len();
+        let mut flat = vec![0u64; n * self.levels];
+        for (i, &c) in src.iter().enumerate() {
+            self.for_each_digit(c, |j, d| flat[j * n + i] = from_signed(d, self.q));
+        }
+        RnsPlane::from_flat_unchecked(flat, &vec![self.q; self.levels], Form::Coeff)
+    }
+
+    /// Calls `emit(j, digit_j)` for the balanced digits of `v`, MSB
+    /// digit (`j = 0`) last.
+    fn for_each_digit(&self, v: u64, mut emit: impl FnMut(usize, i64)) {
         debug_assert!(v < self.q);
         let total_bits = self.log_base as u64 * self.levels as u64;
         // Scale v from modulus q to the 2^total_bits gadget domain,
@@ -92,9 +115,10 @@ impl Gadget {
         let scaled = (((v as u128) << total_bits) + self.q as u128 / 2) / self.q as u128;
         let mask = (1u128 << total_bits) - 1;
         let x = scaled & mask;
-        // Balanced base-B digits, MSB digit first.
+        // Balanced base-B digits, least significant first; a final
+        // carry out of the MSB digit is dropped (it corresponds to
+        // adding q, a no-op mod q).
         let b = 1i64 << self.log_base;
-        let mut digits = vec![0i64; self.levels];
         let mut carry = 0i64;
         for j in (0..self.levels).rev() {
             let shift = self.log_base as u64 * (self.levels - 1 - j) as u64;
@@ -105,11 +129,8 @@ impl Gadget {
             } else {
                 carry = 0;
             }
-            digits[j] = d;
+            emit(j, d);
         }
-        // Drop a final carry: it corresponds to adding q (a no-op mod q).
-        let _ = x;
-        digits
     }
 
     /// Recomposes digits into a residue: `sum_j digit_j * weight(j) mod q`.
@@ -121,22 +142,6 @@ impl Gadget {
             acc = add_mod(acc, term, self.q);
         }
         acc
-    }
-
-    /// Decomposes every coefficient of a polynomial, producing `levels`
-    /// digit polynomials (signed digits mapped into `Z_q`).
-    pub fn decompose_poly(&self, p: &Poly) -> Vec<Poly> {
-        assert_eq!(p.modulus(), self.q, "modulus mismatch");
-        let n = p.dim();
-        let mut out: Vec<Vec<u64>> = vec![vec![0; n]; self.levels];
-        for (i, &c) in p.coeffs().iter().enumerate() {
-            for (j, &d) in self.decompose_scalar(c).iter().enumerate() {
-                out[j][i] = from_signed(d, self.q);
-            }
-        }
-        out.into_iter()
-            .map(|v| Poly::from_coeffs(v, self.q))
-            .collect()
     }
 
     /// Worst-case recomposition error bound (per coefficient, absolute
@@ -207,20 +212,19 @@ mod tests {
     }
 
     #[test]
-    fn poly_decompose_recompose() {
+    fn plane_decompose_recompose() {
         let q = crate::prime::generate_ntt_prime(16, 40).unwrap();
         let g = Gadget::new(q, 10, 5); // 50 bits > 40: exact
-        let p = Poly::from_coeffs((0..16u64).map(|i| i * 999_999 % q).collect(), q);
-        let digits = g.decompose_poly(&p);
-        assert_eq!(digits.len(), 5);
+        let src: Vec<u64> = (0..16u64).map(|i| i * 999_999 % q).collect();
+        let digits = g.decompose_plane(&src);
+        assert_eq!(digits.limb_count(), 5);
         // Recompose: sum_j digits_j * weight_j; approximate per
         // coefficient within the gadget error bound.
-        let mut acc = Poly::zero(16, q);
-        for (j, dp) in digits.iter().enumerate() {
-            acc = acc.add(&dp.scale(g.weight(j)));
-        }
         let bound = g.error_bound() as i64;
-        for (got, want) in acc.coeffs().iter().zip(p.coeffs()) {
+        for (i, &want) in src.iter().enumerate() {
+            let got = (0..5).fold(0u64, |acc, j| {
+                add_mod(acc, mul_mod(digits.limb(j)[i], g.weight(j), q), q)
+            });
             let err = to_signed(
                 if got >= want {
                     got - want

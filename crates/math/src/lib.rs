@@ -18,11 +18,13 @@
 //!   `UFC_NTT_KERNEL`), and the
 //!   **constant-geometry (Pease) NTT**
 //!   that UFC's interconnect co-design is built around ([`cgntt`]),
-//!   plus the double-precision FFT datapath of the Strix baseline
-//!   ([`fft`], §VII-D),
-//! * negacyclic polynomial rings `Z_q[X]/(X^N + 1)` ([`poly`]),
+//!   plus the double-precision FFT of the Strix baseline as the
+//!   §VII-D accuracy model ([`fft`]),
 //! * the flat limb-major RNS data plane with in-place kernels
-//!   ([`plane`]) and dependency-free limb parallelism ([`par`]),
+//!   ([`plane`]), the one polynomial container of both schemes, and
+//!   dependency-free limb parallelism ([`par`]),
+//! * single-modulus polynomials `Z_q[X]/(X^N + 1)` ([`poly`]) for
+//!   plaintexts and as the per-limb test oracle,
 //! * residue number systems and fast base conversion (`BConv`)
 //!   ([`rns`]),
 //! * gadget / digit decomposition used by key-switching and RGSW

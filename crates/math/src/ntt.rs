@@ -1554,18 +1554,6 @@ impl NttContext {
         Poly::from_coeffs_unchecked(c, self.q)
     }
 
-    /// Converts a polynomial to evaluation form in place.
-    pub fn forward_poly(&self, p: &mut Poly) {
-        assert_eq!(p.modulus(), self.q, "modulus mismatch");
-        self.forward(p.coeffs_mut());
-    }
-
-    /// Converts a polynomial to coefficient form in place.
-    pub fn inverse_poly(&self, p: &mut Poly) {
-        assert_eq!(p.modulus(), self.q, "modulus mismatch");
-        self.inverse(p.coeffs_mut());
-    }
-
     /// Negacyclic polynomial product via NTT:
     /// `iNTT(NTT(a) ∘ NTT(b))`.
     pub fn negacyclic_mul(&self, a: &Poly, b: &Poly) -> Poly {
@@ -1580,43 +1568,6 @@ impl NttContext {
         }
         self.inverse(&mut out);
         Poly::from_coeffs_unchecked(out, self.q)
-    }
-
-    /// In-place negacyclic product: `a ← a * b`, one scratch buffer
-    /// (the NTT image of `b`) instead of the three temporaries the
-    /// out-of-place path used to allocate.
-    pub fn negacyclic_mul_assign(&self, a: &mut Poly, b: &Poly) {
-        let _span =
-            ufc_trace::span_full("math", "negacyclic_mul", self.kernel.name(), self.n as u64);
-        assert_eq!(a.modulus(), self.q, "modulus mismatch");
-        let mut eb = b.coeffs().to_vec();
-        self.forward(&mut eb);
-        let ac = a.coeffs_mut();
-        self.forward(ac);
-        for (x, &y) in ac.iter_mut().zip(eb.iter()) {
-            *x = self.barrett.mul(*x, y);
-        }
-        self.inverse(ac);
-    }
-
-    /// In-place negacyclic product against an operand that is
-    /// *already* in evaluation form: `a ← iNTT(NTT(a) ∘ b_eval)`.
-    /// Zero scratch allocations; the workhorse of cached-key external
-    /// products.
-    pub fn negacyclic_mul_assign_eval(&self, a: &mut Poly, b_eval: &Poly) {
-        let _span = ufc_trace::span_full(
-            "math",
-            "negacyclic_mul_eval",
-            self.kernel.name(),
-            self.n as u64,
-        );
-        assert_eq!(a.modulus(), self.q, "modulus mismatch");
-        let ac = a.coeffs_mut();
-        self.forward(ac);
-        for (x, &y) in ac.iter_mut().zip(b_eval.coeffs().iter()) {
-            *x = self.barrett.mul(*x, y);
-        }
-        self.inverse(ac);
     }
 
     /// Seed negacyclic product — the bench-math baseline. Replicates
@@ -1951,24 +1902,6 @@ mod tests {
             c.negacyclic_mul_reference(&a, &b),
             a.negacyclic_mul_schoolbook(&b)
         );
-    }
-
-    #[test]
-    fn mul_assign_variants_match_out_of_place() {
-        let n = 64;
-        let c = ctx(n);
-        let a = Poly::from_coeffs((0..n as u64).map(|i| i * 13 + 7).collect(), c.modulus());
-        let b = Poly::from_coeffs((0..n as u64).map(|i| i * 3 + 1).collect(), c.modulus());
-        let expected = c.negacyclic_mul(&a, &b);
-
-        let mut x = a.clone();
-        c.negacyclic_mul_assign(&mut x, &b);
-        assert_eq!(x, expected);
-
-        let mut y = a.clone();
-        let b_eval = c.to_eval(&b);
-        c.negacyclic_mul_assign_eval(&mut y, &b_eval);
-        assert_eq!(y, expected);
     }
 
     #[test]

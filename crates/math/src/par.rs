@@ -58,10 +58,19 @@ where
     }
     assert_eq!(data.len() % n, 0, "flat buffer must be whole limbs");
     let limbs = data.len() / n;
-    let threads = effective_threads().min(limbs);
-    if threads <= 1 || limbs < 2 || data.len() < PAR_MIN_WORK {
+    // Size checks first: `effective_threads` may query the OS (cgroup
+    // quotas, affinity), which costs more than a small ring's kernel.
+    let serial = limbs < 2 || data.len() < PAR_MIN_WORK;
+    let threads = if serial {
+        1
+    } else {
+        effective_threads().min(limbs)
+    };
+    if threads <= 1 {
+        // A one-limb plane (a TFHE ring element) has no limb
+        // distribution to show: its time stays with the caller's span.
         for (i, chunk) in data.chunks_mut(n).enumerate() {
-            let _limb = ufc_trace::span_n("math", "par_limb", i as u64);
+            let _limb = (limbs > 1).then(|| ufc_trace::span_n("math", "par_limb", i as u64));
             f(i, chunk);
         }
         return;

@@ -7,17 +7,25 @@
 //! `Vec<Poly>`-of-`Vec<u64>`, an [`RnsPlane`] stores all residue limbs
 //! of a polynomial in a single `Vec<u64>` with stride `n` (limb `i`
 //! occupies `data[i*n .. (i+1)*n]`), plus per-limb moduli and a
-//! [`Form`] tag. All operations are in place and fan out across limbs
-//! via [`crate::par::par_limbs`]; the element-wise kernels
+//! [`Form`] tag. It is the only container either scheme keeps
+//! ciphertexts, keys and evaluator intermediates in: a CKKS
+//! polynomial is a plane over its active `Q` (and `P`) limbs, a TFHE
+//! RLWE component is a single-limb plane over the 31-bit `q`, and an
+//! RGSW row stack or gadget digit set is a plane with one limb per
+//! level over that same `q`. Operations fan out across limbs via
+//! [`crate::par::par_limbs`]; the element-wise kernels
 //! (add/sub/hadamard/mac/scale) go through [`crate::simd`]'s per-op
 //! dispatch, which routes each op to the fastest backend for this
 //! host and each limb's modulus — AVX-512 IFMA 52-bit Barrett below
 //! 2⁵⁰, AVX2 limb-split below 2⁶¹, or the bit-identical portable
 //! unroll when the scalar pipeline measures faster (the dispatch
-//! floor guarantees SIMD never loses to scalar).
+//! floor guarantees SIMD never loses to scalar). TFHE's 31-bit `q`
+//! therefore takes the IFMA route where the host has it.
 
 use crate::automorph::{apply_coeff_slice, apply_eval_slice};
-use crate::modops::{from_signed, inv_mod, mul_shoup, neg_mod, shoup_precompute, sub_mod, Barrett};
+use crate::modops::{
+    add_mod, from_signed, inv_mod, mul_shoup, neg_mod, shoup_precompute, sub_mod, Barrett,
+};
 use crate::ntt::{NttContext, NttKernel};
 use crate::par::par_limbs;
 use crate::poly::{Form, Poly};
@@ -271,6 +279,58 @@ impl RnsPlane {
         });
     }
 
+    /// Limb-folding multiply-accumulate: `self ← self + Σ_l a_l ∘ b_l`.
+    /// `self` has one limb; `a` and `b` carry one limb per term
+    /// (e.g. per gadget level), all over `self`'s modulus and in
+    /// evaluation form — the digit-by-row inner product of the RGSW
+    /// external product.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self` has one limb, `a` and `b` agree in shape,
+    /// and every limb of `a` is over `self`'s modulus.
+    pub fn mac_limbs_assign(&mut self, a: &Self, b: &Self) {
+        a.check(b);
+        assert_eq!(self.limb_count(), 1, "mac_limbs accumulates into one limb");
+        assert_eq!(self.n, a.n, "plane dimension mismatch");
+        assert_eq!(self.form, Form::Eval, "mac requires evaluation form");
+        assert_eq!(a.form, Form::Eval, "mac requires evaluation form");
+        let q = self.moduli[0];
+        assert!(a.moduli.iter().all(|&m| m == q), "plane moduli mismatch");
+        for l in 0..a.limb_count() {
+            simd::mac_mod_slice(&mut self.data, a.limb(l), b.limb(l), q);
+        }
+    }
+
+    /// Adds the integer polynomial with centered coefficients `signed`,
+    /// scaled per limb by `scalars[i]`, to every limb: limb `i` gains
+    /// `scalars[i] · [signed]_{q_i}`. Fuses [`Self::from_signed`],
+    /// [`Self::scale_limbs_assign`] and [`Self::add_assign`] without a
+    /// plane-sized temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the plane is in coefficient form, `signed` has
+    /// `dim()` entries and `scalars` one per limb.
+    pub fn add_signed_assign(&mut self, signed: &[i64], scalars: &[u64]) {
+        assert_eq!(
+            self.form,
+            Form::Coeff,
+            "integer polynomials add in coefficient form"
+        );
+        assert_eq!(signed.len(), self.n, "coefficient count mismatch");
+        assert_eq!(scalars.len(), self.limb_count(), "one scalar per limb");
+        let (n, moduli) = (self.n, &self.moduli);
+        par_limbs(n, &mut self.data, |i, chunk| {
+            let q = moduli[i];
+            let s = scalars[i] % q;
+            let s_shoup = shoup_precompute(s, q);
+            for (c, &v) in chunk.iter_mut().zip(signed) {
+                *c = add_mod(*c, mul_shoup(from_signed(v, q), s, s_shoup, q), q);
+            }
+        });
+    }
+
     /// In-place per-limb scalar multiply (Shoup): limb `i` is scaled
     /// by `scalars[i] mod q_i`.
     ///
@@ -299,6 +359,43 @@ impl RnsPlane {
                 Form::Eval => apply_eval_slice(&src, chunk, k),
             }
         });
+    }
+
+    /// Multiplication by the monomial `X^k` in the negacyclic ring
+    /// (`X^N = -1`, `k` taken mod `2N`): coefficient `i` moves to
+    /// `i + k`, negated each time it wraps past `N`. This is TFHE's
+    /// `Rotate` primitive (Table I), the step of blind rotation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the plane is in coefficient form.
+    pub fn rotate_monomial(&self, k: usize) -> Self {
+        assert_eq!(self.form, Form::Coeff, "rotation requires coefficient form");
+        let n = self.n;
+        let k = k % (2 * n);
+        // X^k = ±X^shift, with the sign flipped when k ≥ N.
+        let (shift, flip) = if k < n { (k, false) } else { (k - n, true) };
+        let mut data = vec![0; self.data.len()];
+        for ((dst, src), &q) in data
+            .chunks_mut(n)
+            .zip(self.data.chunks(n))
+            .zip(&self.moduli)
+        {
+            let signed = |v: u64, negate: bool| if negate { neg_mod(v, q) } else { v };
+            let (head, tail) = src.split_at(n - shift);
+            for (d, &s) in dst[shift..].iter_mut().zip(head) {
+                *d = signed(s, flip);
+            }
+            for (d, &s) in dst[..shift].iter_mut().zip(tail) {
+                *d = signed(s, !flip);
+            }
+        }
+        Self {
+            data,
+            moduli: self.moduli.clone(),
+            n,
+            form: Form::Coeff,
+        }
     }
 
     /// In-place forward NTT of every limb: coefficient → evaluation
@@ -350,19 +447,22 @@ impl RnsPlane {
             assert_eq!(t.dim(), n, "NTT table dimension mismatch");
             assert_eq!(t.modulus(), q, "NTT table modulus mismatch");
         }
-        par_limbs(n, &mut self.data, |i, chunk| {
-            let k = kernel.unwrap_or_else(|| tables[i].kernel());
-            if inverse {
-                tables[i].inverse_with(k, chunk);
-            } else {
-                tables[i].forward_with(k, chunk);
-            }
+        // The table's own dispatch goes through `forward`/`inverse`, so
+        // plane transforms carry the same kernel-tagged trace span as
+        // slice transforms; a forced kernel takes the span-free path.
+        par_limbs(n, &mut self.data, |i, chunk| match (kernel, inverse) {
+            (None, false) => tables[i].forward(chunk),
+            (None, true) => tables[i].inverse(chunk),
+            (Some(k), false) => tables[i].forward_with(k, chunk),
+            (Some(k), true) => tables[i].inverse_with(k, chunk),
         });
     }
 
-    /// Exact RNS rescale: drops the last limb `q_L` and replaces each
-    /// remaining limb by `(c_i - [c_L]_{q_i}) · q_L^{-1} mod q_i` —
-    /// exact division by `q_L` on centered representatives.
+    /// RNS rescale with rounding: drops the last limb `q_L` and
+    /// replaces each remaining limb by
+    /// `(c_i + h - [c_L + h]_{q_L}) · q_L^{-1} mod q_i`, `h = ⌊q_L/2⌋` —
+    /// exact division of `c + h` by `q_L`, i.e. `round(c / q_L)` on
+    /// centered representatives.
     ///
     /// # Panics
     ///
@@ -374,17 +474,21 @@ impl RnsPlane {
         assert!(count >= 2, "rescale needs at least two limbs");
         let n = self.n;
         let q_last = self.moduli[count - 1];
+        let half = q_last / 2;
         let moduli = &self.moduli;
         let (head, tail) = self.data.split_at_mut((count - 1) * n);
-        let last: &[u64] = tail;
+        // The last limb shifted by h: [c_L + h]_{q_L}.
+        let last: Vec<u64> = tail.iter().map(|&c| add_mod(c, half, q_last)).collect();
         par_limbs(n, head, |i, chunk| {
             let qi = moduli[i];
             let br = Barrett::new(qi);
+            let half_i = half % qi;
             let inv = inv_mod(q_last % qi, qi).expect("coprime moduli");
             let inv_shoup = shoup_precompute(inv, qi);
-            for (a, &b) in chunk.iter_mut().zip(last) {
+            for (a, &b) in chunk.iter_mut().zip(&last) {
                 let b_red = br.reduce_u128(b as u128);
-                *a = mul_shoup(sub_mod(*a, b_red, qi), inv, inv_shoup, qi);
+                let shifted = add_mod(*a, half_i, qi);
+                *a = mul_shoup(sub_mod(shifted, b_red, qi), inv, inv_shoup, qi);
             }
         });
         self.truncate_limbs(count - 1);
@@ -452,6 +556,20 @@ mod tests {
     }
 
     #[test]
+    fn add_signed_matches_from_signed_scale_add() {
+        let a = sample();
+        let signed = [-3i64, 0, 7, -100];
+        let scalars = [5u64, 190];
+        let mut fused = a.clone();
+        fused.add_signed_assign(&signed, &scalars);
+        let mut term = RnsPlane::from_signed(&signed, &[Q1, Q2]);
+        term.scale_limbs_assign(&scalars);
+        let mut expect = a;
+        expect.add_assign(&term);
+        assert_eq!(fused, expect);
+    }
+
+    #[test]
     fn prefix_and_truncate() {
         let a = sample();
         let p = a.prefix(1);
@@ -468,6 +586,51 @@ mod tests {
         let a = sample();
         let mut b = a.clone();
         b.hadamard_assign(&a);
+    }
+
+    #[test]
+    fn rescale_rounds_to_nearest() {
+        // c = v·q_L + r with |r| < q_L/2 must rescale to exactly v:
+        // flooring would give v - 1 for every negative r.
+        let moduli = crate::prime::generate_ntt_primes(8, 30, 3);
+        let q_last = moduli[2] as i64;
+        let v: [i64; 8] = [0, 1, -1, 5, -7, 1000, -1000, 3];
+        let r: [i64; 8] = [
+            0,
+            -1,
+            1,
+            q_last / 2 - 1,
+            -(q_last / 2 - 1),
+            -3,
+            q_last / 3,
+            -q_last / 3,
+        ];
+        let c: Vec<i64> = v.iter().zip(&r).map(|(&v, &r)| v * q_last + r).collect();
+        let mut p = RnsPlane::from_signed(&c, &moduli);
+        p.rescale_assign();
+        assert_eq!(p, RnsPlane::from_signed(&v, &moduli[..2]));
+    }
+
+    #[test]
+    fn mac_limbs_folds_every_limb_into_one() {
+        let moduli = [Q1, Q1, Q1];
+        let a = RnsPlane::from_flat(
+            vec![1, 2, 3, 4, 5, 6, 7, 8, 90, 91, 92, 93],
+            &moduli,
+            Form::Eval,
+        );
+        let b = RnsPlane::from_flat(
+            vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 50, 60, 70],
+            &moduli,
+            Form::Eval,
+        );
+        let mut acc = RnsPlane::from_flat(vec![1, 1, 1, 1], &[Q1], Form::Eval);
+        let mut expect = acc.limb_poly(0);
+        acc.mac_limbs_assign(&a, &b);
+        for l in 0..3 {
+            expect.mac_assign(&a.limb_poly(l), &b.limb_poly(l));
+        }
+        assert_eq!(acc.limb(0), expect.coeffs());
     }
 
     #[test]

@@ -121,12 +121,6 @@ impl Poly {
         &self.coeffs
     }
 
-    /// Mutable view of the coefficients.
-    #[inline]
-    pub fn coeffs_mut(&mut self) -> &mut [u64] {
-        &mut self.coeffs
-    }
-
     /// Consumes the polynomial, returning its coefficient vector.
     pub fn into_coeffs(self) -> Vec<u64> {
         self.coeffs
@@ -210,47 +204,6 @@ impl Poly {
         }
     }
 
-    /// In-place element-wise sum: `self ← self + rhs`.
-    pub fn add_assign(&mut self, rhs: &Self) {
-        self.check_compat(rhs);
-        for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
-            *a = add_mod(*a, b, self.modulus);
-        }
-    }
-
-    /// In-place element-wise difference: `self ← self - rhs`.
-    pub fn sub_assign(&mut self, rhs: &Self) {
-        self.check_compat(rhs);
-        for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
-            *a = sub_mod(*a, b, self.modulus);
-        }
-    }
-
-    /// In-place negation.
-    pub fn neg_assign(&mut self) {
-        for a in &mut self.coeffs {
-            *a = neg_mod(*a, self.modulus);
-        }
-    }
-
-    /// In-place Hadamard product: `self ← self ∘ rhs` (Barrett).
-    pub fn hadamard_assign(&mut self, rhs: &Self) {
-        self.check_compat(rhs);
-        let br = Barrett::new(self.modulus);
-        for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
-            *a = br.mul(*a, b);
-        }
-    }
-
-    /// In-place scalar multiply (Shoup): `self ← s · self`.
-    pub fn scale_assign(&mut self, s: u64) {
-        let s = s % self.modulus;
-        let s_shoup = shoup_precompute(s, self.modulus);
-        for a in &mut self.coeffs {
-            *a = crate::modops::mul_shoup(*a, s, s_shoup, self.modulus);
-        }
-    }
-
     /// Multiply-accumulate: `self ← self + a ∘ b` (Barrett). The MAC
     /// kernel of key-switch inner products and external products.
     pub fn mac_assign(&mut self, a: &Self, b: &Self) {
@@ -316,30 +269,6 @@ impl Poly {
         }
     }
 
-    /// Switches every coefficient to a new modulus by rounding
-    /// `round(c * new_q / old_q)` on centered representatives.
-    pub fn mod_switch(&self, new_q: u64) -> Self {
-        let coeffs = self
-            .coeffs
-            .iter()
-            .map(|&c| {
-                let centered = crate::modops::to_signed(c, self.modulus);
-                let scaled = (centered as i128 * new_q as i128
-                    + if centered >= 0 {
-                        self.modulus as i128 / 2
-                    } else {
-                        -(self.modulus as i128 / 2)
-                    })
-                    / self.modulus as i128;
-                from_signed(scaled as i64, new_q)
-            })
-            .collect();
-        Self {
-            coeffs,
-            modulus: new_q,
-        }
-    }
-
     fn check_compat(&self, rhs: &Self) {
         assert_eq!(self.dim(), rhs.dim(), "polynomial dimension mismatch");
         assert_eq!(self.modulus, rhs.modulus, "polynomial modulus mismatch");
@@ -395,49 +324,6 @@ mod tests {
             let via_mul = a.negacyclic_mul_schoolbook(&Poly::monomial(1, k % 16, 8, Q));
             assert_eq!(rotated, via_mul, "k = {k}");
         }
-    }
-
-    #[test]
-    fn mod_switch_preserves_message_scaled() {
-        // A value near q/4 should land near new_q/4.
-        let q = 1u64 << 30;
-        let new_q = 1u64 << 20;
-        let p = Poly::from_coeffs(vec![q / 4, q / 2 - 1, 0, 3 * (q / 4)], q);
-        let s = p.mod_switch(new_q);
-        assert_eq!(s.modulus(), new_q);
-        assert!((s.coeffs()[0] as i64 - (new_q / 4) as i64).abs() <= 1);
-        assert!((s.coeffs()[3] as i64 - (3 * (new_q / 4)) as i64).abs() <= 1);
-    }
-
-    #[test]
-    fn in_place_ops_match_out_of_place() {
-        let q = 1_152_921_504_598_720_513u64; // 60-bit NTT prime
-        let a = Poly::from_coeffs(vec![1, q - 1, 123_456_789, q / 2], q);
-        let b = Poly::from_coeffs(vec![q - 2, 7, 42, q / 3], q);
-
-        let mut x = a.clone();
-        x.add_assign(&b);
-        assert_eq!(x, a.add(&b));
-
-        let mut x = a.clone();
-        x.sub_assign(&b);
-        assert_eq!(x, a.sub(&b));
-
-        let mut x = a.clone();
-        x.neg_assign();
-        assert_eq!(x, a.neg());
-
-        let mut x = a.clone();
-        x.hadamard_assign(&b);
-        assert_eq!(x, a.hadamard(&b));
-
-        let mut x = a.clone();
-        x.scale_assign(12345);
-        assert_eq!(x, a.scale(12345));
-
-        let mut x = a.clone();
-        x.mac_assign(&a, &b);
-        assert_eq!(x, a.add(&a.hadamard(&b)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the zero-copy refactor:
 //!
 //! 1. every [`RnsPlane`] operation is bit-identical to running the
-//!    corresponding [`Poly`] kernel limb by limb;
+//!    corresponding [`Poly`] kernel (or scalar gadget decomposition)
+//!    limb by limb;
 //! 2. the lazy Harvey butterflies round-trip (and stay fully reduced)
 //!    for *every* prime [`generate_ntt_primes`] can emit, across ring
 //!    dimensions and modulus widths;
@@ -13,6 +14,8 @@
 //!    matter how many worker threads `par_limbs` fans out to.
 
 use proptest::prelude::*;
+use ufc_math::gadget::Gadget;
+use ufc_math::modops::from_signed;
 use ufc_math::ntt::NttContext;
 use ufc_math::par::set_max_threads;
 use ufc_math::plane::RnsPlane;
@@ -168,8 +171,9 @@ proptest! {
         }
     }
 
-    /// Rescale on the plane against the hand-rolled per-limb formula
-    /// `(c_i - c_L) · q_L^{-1} mod q_i` on centered representatives.
+    /// Rescale on the plane against the hand-rolled per-limb rounding
+    /// formula `(c_i + h - [c_L + h]_{q_L}) · q_L^{-1} mod q_i`,
+    /// `h = ⌊q_L/2⌋`.
     #[test]
     fn prop_rescale_matches_per_limb_formula(seed in any::<u64>()) {
         let n = 32;
@@ -185,10 +189,57 @@ proptest! {
             for (j, (&got, &c_last)) in
                 dropped.limb(i).iter().zip(a.limb(2)).enumerate()
             {
-                let c_i = a.limb(i)[j];
-                let diff = ufc_math::modops::sub_mod(c_i, c_last % qi, qi);
+                let half = q_last / 2;
+                let shifted_last = (c_last + half) % q_last;
+                let c_i = (a.limb(i)[j] + half % qi) % qi;
+                let diff = ufc_math::modops::sub_mod(c_i, shifted_last % qi, qi);
                 let expect = ufc_math::modops::mul_mod(diff, inv, qi);
                 prop_assert_eq!(got, expect, "limb {} coeff {}", i, j);
+            }
+        }
+    }
+}
+
+// ------------------------------------------------ TFHE plane kernels
+
+/// Plane monomial rotation against `Poly::rotate_monomial` for every
+/// exponent `k < 2N`, on every limb of a two-limb plane.
+#[test]
+fn plane_rotation_matches_poly_for_every_exponent() {
+    let n = 64;
+    let moduli = generate_ntt_primes(n, 31, 2);
+    let a = random_plane(0x707A7E, n, &moduli, Form::Coeff);
+    for k in 0..2 * n {
+        let rotated = a.rotate_monomial(k);
+        for i in 0..a.limb_count() {
+            let expect = a.limb_poly(i).rotate_monomial(k);
+            assert_eq!(rotated.limb(i), expect.coeffs(), "k = {k}, limb {i}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Plane digit decomposition against `Gadget::decompose_scalar`,
+    /// coefficient by coefficient: limb `j` holds digit `j` as a
+    /// residue mod `q`.
+    #[test]
+    fn prop_plane_decomposition_matches_scalar(
+        seed in any::<u64>(),
+        log_base in 2u32..11,
+        levels in 1usize..5,
+    ) {
+        let n = 32;
+        let q = generate_ntt_primes(n, 31, 1)[0];
+        let g = Gadget::new(q, log_base, levels);
+        let src = random_plane(seed, n, &[q], Form::Coeff);
+        let digits = g.decompose_plane(src.limb(0));
+        prop_assert_eq!(digits.limb_count(), levels);
+        prop_assert_eq!(digits.form(), Form::Coeff);
+        for (i, &c) in src.limb(0).iter().enumerate() {
+            for (j, &d) in g.decompose_scalar(c).iter().enumerate() {
+                prop_assert_eq!(digits.limb(j)[i], from_signed(d, q), "coeff {} digit {}", i, j);
             }
         }
     }

@@ -59,6 +59,19 @@ proptest! {
         let a = Poly::from_signed(&(0..n).map(|_| next()).collect::<Vec<_>>(), q);
         let b = Poly::from_signed(&(0..n).map(|_| next()).collect::<Vec<_>>(), q);
         prop_assert_eq!(negacyclic_mul_fft(&a, &b), ctx.negacyclic_mul(&a, &b));
+
+        // The TFHE external-product shape at N = 256: balanced base-2^7
+        // gadget digits (|d| ≤ 64) against uniform 31-bit residues.
+        // N · B/2 · q/2 ≈ 2^44 stays inside the f64 mantissa, so the
+        // FFT product must be exact (see the `fft` module docs for the
+        // T1 shape, where it is not).
+        let n = 256;
+        let q = generate_ntt_prime(n, 31).unwrap();
+        let ctx = NttContext::new(n, q);
+        let digits: Vec<i64> = (0..n).map(|_| next() % 65).collect();
+        let digits = Poly::from_signed(&digits, q);
+        let torus = random_poly(seed.wrapping_add(2), n, q);
+        prop_assert_eq!(negacyclic_mul_fft(&digits, &torus), ctx.negacyclic_mul(&digits, &torus));
     }
 
     #[test]

@@ -149,11 +149,11 @@ impl CkksToLwe {
             level: ct.level as u32,
             count: indices.len() as u32,
         });
-        let ct0 = ev.drop_to_level(ct, 0);
-        let c0 = ct0.c0.to_coeff(ev.context());
-        let c1 = ct0.c1.to_coeff(ev.context());
-        let c0 = c0.limb(0);
-        let c1 = c1.limb(0);
+        let mut ct0 = ev.drop_to_level(ct, 0);
+        ev.context().to_coeff(&mut ct0.c0);
+        ev.context().to_coeff(&mut ct0.c1);
+        let c0 = ct0.c0.limb(0);
+        let c1 = ct0.c1.limb(0);
         let n = c0.len();
         check_indices(indices, n)?;
         Ok(indices
@@ -215,11 +215,11 @@ impl CkksToLwe {
             level: ct.level as u32,
             count: indices.len() as u32,
         });
-        let ct0 = ev.drop_to_level(ct, 0);
-        let c0 = ct0.c0.to_coeff(ev.context());
-        let c1 = ct0.c1.to_coeff(ev.context());
-        let c0 = c0.limb(0);
-        let c1 = c1.limb(0);
+        let mut ct0 = ev.drop_to_level(ct, 0);
+        ev.context().to_coeff(&mut ct0.c0);
+        ev.context().to_coeff(&mut ct0.c1);
+        let c0 = ct0.c0.limb(0);
+        let c1 = ct0.c1.limb(0);
         let n = c0.len();
         check_indices(indices, n)?;
         let q0 = self.q0;
@@ -332,7 +332,7 @@ pub fn encode_coefficients(ctx: &CkksContext, messages: &[u64], space: u64) -> u
             (m * delta) as i64
         })
         .collect();
-    ufc_ckks::RnsPoly::from_signed(ctx, &signed, ctx.max_level() + 1).to_eval(ctx)
+    ctx.eval_from_signed(&signed, ctx.max_level() + 1)
 }
 
 #[cfg(test)]

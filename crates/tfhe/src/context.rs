@@ -5,21 +5,7 @@ use std::sync::Arc;
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::gadget::Gadget;
 use ufc_math::ntt::{NttContext, NttKernel};
-use ufc_math::poly::Poly;
 use ufc_math::prime::generate_ntt_prime;
-
-/// Which polynomial-multiplication datapath to use (§VII-D): UFC
-/// computes exact NTTs over an NTT-friendly prime; Strix uses 64-bit
-/// double-precision FFTs over the same 32-bit words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MulBackend {
-    /// Exact number-theoretic transform (UFC's choice).
-    #[default]
-    Ntt,
-    /// Double-precision FFT (Strix's choice) — exact in the TFHE
-    /// operand regime, inexact beyond the f64 mantissa budget.
-    Fft,
-}
 
 /// Shared TFHE parameter environment.
 ///
@@ -42,8 +28,6 @@ pub struct TfheContext {
     ks_gadget: Gadget,
     /// Noise standard deviation for fresh encryptions.
     sigma: f64,
-    /// Polynomial-multiplication datapath.
-    backend: MulBackend,
 }
 
 impl TfheContext {
@@ -75,27 +59,6 @@ impl TfheContext {
             gadget: Gadget::new(q, glwe_log_base, glwe_levels),
             ks_gadget: Gadget::new(q, ks_log_base, ks_levels),
             sigma: 3.2,
-            backend: MulBackend::Ntt,
-        }
-    }
-
-    /// Switches the polynomial-multiplication datapath (builder
-    /// style).
-    pub fn with_backend(mut self, backend: MulBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The active datapath.
-    pub fn backend(&self) -> MulBackend {
-        self.backend
-    }
-
-    /// Negacyclic polynomial product through the active datapath.
-    pub fn poly_mul(&self, a: &Poly, b: &Poly) -> Poly {
-        match self.backend {
-            MulBackend::Ntt => self.ntt.negacyclic_mul(a, b),
-            MulBackend::Fft => ufc_math::fft::negacyclic_mul_fft(a, b),
         }
     }
 
@@ -136,7 +99,6 @@ impl TfheContext {
             gadget: Gadget::new(q, p.glwe_log_base, p.glwe_levels as usize),
             ks_gadget: Gadget::new(q, p.ks_log_base, p.ks_levels as usize),
             sigma: 3.2,
-            backend: MulBackend::Ntt,
         })
     }
 

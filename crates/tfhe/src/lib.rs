@@ -15,9 +15,6 @@
 //! * bootstrapped binary gates (NAND/AND/OR/XOR/XNOR/NOT)
 //!   ([`gates`]) and encrypted integer circuits (mux / adder /
 //!   comparator, [`circuits`]),
-//! * a switchable polynomial-multiplication datapath — exact NTT
-//!   (UFC) or 64-bit FFT (Strix) — for the §VII-D comparison
-//!   ([`context::MulBackend`]),
 //! * a ciphertext-granularity tracer mirroring the paper's tracing
 //!   tool ([`context::TfheEvaluator`]).
 //!
@@ -39,7 +36,7 @@ pub mod rlwe;
 
 pub use bootstrap::{lut_test_vector, programmable_bootstrap};
 pub use circuits::EncryptedUint;
-pub use context::{MulBackend, TfheContext, TfheEvaluator};
+pub use context::{TfheContext, TfheEvaluator};
 pub use keys::TfheKeys;
 pub use lwe::{sub_scaled_parts, LweCiphertext};
 pub use rgsw::RgswCiphertext;

@@ -1,32 +1,35 @@
 //! RGSW ciphertexts, external products and CMux — the engine of
 //! TFHE's blind rotation.
 
-use crate::context::{MulBackend, TfheContext};
-use crate::rlwe::RlweCiphertext;
+use crate::context::TfheContext;
+use crate::rlwe::{plane_of, RlweCiphertext};
 use rand::Rng;
-use ufc_math::poly::Poly;
+use ufc_math::plane::RnsPlane;
+use ufc_math::poly::{Form, Poly};
+
+/// The `levels` RLWE rows that multiply the digits of one operand
+/// component, stacked one gadget level per limb, in evaluation form.
+#[derive(Debug, Clone)]
+struct RowStack {
+    /// Row masks: limb `l` is level `l`'s `a` polynomial.
+    mask: RnsPlane,
+    /// Row bodies: limb `l` is level `l`'s `b` polynomial.
+    body: RnsPlane,
+}
 
 /// An RGSW encryption of a small scalar/monomial `m`: `2·levels` RLWE
 /// rows arranged as `Z + m·G` (§II-A3).
 ///
-/// Rows `0..levels` perturb the mask component (`a`-rows); rows
-/// `levels..2·levels` perturb the body (`b`-rows).
-///
-/// On the NTT datapath the four row polynomials per level are also
-/// cached in evaluation form at encryption time, so every external
-/// product only transforms the *digits* of its RLWE operand (2 forward
-/// NTTs per level plus 2 inverse NTTs total, instead of 4 full
-/// negacyclic products per level). Mutating `a_rows` / `b_rows` after
-/// encryption does not refresh this cache.
+/// The `a`-rows (RLWE(0) with `m·w_l` added to the mask) multiply the
+/// digits of an operand's mask; the `b`-rows (RLWE(`m·w_l`)) multiply
+/// the digits of its body. Each row is stored once, in evaluation
+/// form, so an external product only transforms the *digits* of its
+/// RLWE operand (one forward NTT per digit plus one inverse per output
+/// component).
 #[derive(Debug, Clone)]
 pub struct RgswCiphertext {
-    /// `a`-rows: RLWE(0) with `m·w_l` added to the mask.
-    pub a_rows: Vec<RlweCiphertext>,
-    /// `b`-rows: RLWE(m·w_l).
-    pub b_rows: Vec<RlweCiphertext>,
-    /// Evaluation-form images `[a_row.a, a_row.b, b_row.a, b_row.b]`
-    /// per level; empty on the FFT datapath.
-    eval_rows: Vec<[Poly; 4]>,
+    /// `[a-rows, b-rows]`.
+    rows: [RowStack; 2],
 }
 
 impl RgswCiphertext {
@@ -38,42 +41,40 @@ impl RgswCiphertext {
         m: &Poly,
         rng: &mut R,
     ) -> Self {
-        let levels = ctx.gadget().levels();
-        let zero = Poly::zero(ctx.ring_dim(), ctx.q());
-        let mut a_rows = Vec::with_capacity(levels);
-        let mut b_rows = Vec::with_capacity(levels);
+        let g = ctx.gadget();
+        let (n, q, levels) = (ctx.ring_dim(), ctx.q(), g.levels());
+        let m = plane_of(m);
+        let zero = RnsPlane::zero(n, &[q], Form::Coeff);
+        // Row polynomials, coefficient form, stacked per level:
+        // [a-row masks, a-row bodies, b-row masks, b-row bodies].
+        let mut stacks: [Vec<u64>; 4] = std::array::from_fn(|_| Vec::with_capacity(levels * n));
         for l in 0..levels {
-            let w = ctx.gadget().weight(l);
-            let mw = m.scale(w);
+            let mut mw = m.clone();
+            mw.scale_limbs_assign(&[g.weight(l)]);
             // a-row: RLWE(0), then add m·w to the mask.
-            let mut row = RlweCiphertext::encrypt(ctx, s_signed, &zero, rng);
-            row.a = row.a.add(&mw);
-            a_rows.push(row);
+            let mut a_row = RlweCiphertext::encrypt_plane(ctx, s_signed, &zero, rng);
+            a_row.a.add_assign(&mw);
             // b-row: RLWE(m·w).
-            b_rows.push(RlweCiphertext::encrypt(ctx, s_signed, &mw, rng));
-        }
-        let eval_rows = match ctx.backend() {
-            MulBackend::Ntt => {
-                let ntt = ctx.ntt();
-                a_rows
-                    .iter()
-                    .zip(&b_rows)
-                    .map(|(ar, br)| {
-                        [
-                            ntt.to_eval(&ar.a),
-                            ntt.to_eval(&ar.b),
-                            ntt.to_eval(&br.a),
-                            ntt.to_eval(&br.b),
-                        ]
-                    })
-                    .collect()
+            let b_row = RlweCiphertext::encrypt_plane(ctx, s_signed, &mw, rng);
+            for (stack, row) in stacks
+                .iter_mut()
+                .zip([&a_row.a, &a_row.b, &b_row.a, &b_row.b])
+            {
+                stack.extend_from_slice(row.flat());
             }
-            MulBackend::Fft => Vec::new(),
-        };
+        }
+        let moduli = vec![q; levels];
+        let tables = vec![ctx.ntt(); levels];
+        let [am, ab, bm, bb] = stacks.map(|flat| {
+            let mut plane = RnsPlane::from_flat_unchecked(flat, &moduli, Form::Coeff);
+            plane.ntt_forward(&tables);
+            plane
+        });
         Self {
-            a_rows,
-            b_rows,
-            eval_rows,
+            rows: [
+                RowStack { mask: am, body: ab },
+                RowStack { mask: bm, body: bb },
+            ],
         }
     }
 
@@ -89,58 +90,64 @@ impl RgswCiphertext {
         Self::encrypt(ctx, s_signed, &m, rng)
     }
 
+    /// The rows in coefficient form, `[a-rows, b-rows]`, one RLWE
+    /// ciphertext per gadget level: an inverse transform of the cached
+    /// evaluation-form rows, for inspection and reference products.
+    pub fn coeff_rows(&self, ctx: &TfheContext) -> [Vec<RlweCiphertext>; 2] {
+        let tables = [ctx.ntt()];
+        let coeff_limb = |plane: &RnsPlane, l: usize| {
+            let mut limb =
+                RnsPlane::from_flat_unchecked(plane.limb(l).to_vec(), &[ctx.q()], Form::Eval);
+            limb.ntt_inverse(&tables);
+            limb
+        };
+        self.rows.each_ref().map(|rows| {
+            (0..rows.mask.limb_count())
+                .map(|l| RlweCiphertext {
+                    a: coeff_limb(&rows.mask, l),
+                    b: coeff_limb(&rows.body, l),
+                })
+                .collect()
+        })
+    }
+
     /// External product `self ⊡ ct`: returns an RLWE encryption of
-    /// `m · phase(ct)`. Decomposes both components of `ct` with the
-    /// RGSW gadget and accumulates digit-by-row polynomial products —
-    /// the NTT/EWMM-heavy kernel of functional bootstrapping.
+    /// `m · phase(ct)` — the NTT/EWMM-heavy kernel of functional
+    /// bootstrapping. Each component of `ct` is gadget-decomposed into
+    /// one digit plane (`levels` limbs over `q`), forward-transformed,
+    /// and MAC-folded against the cached evaluation-form rows; the two
+    /// accumulators are inverted at the end.
     pub fn external_product(&self, ctx: &TfheContext, ct: &RlweCiphertext) -> RlweCiphertext {
         let _span = ufc_trace::span_n("tfhe", "external_product", ctx.ring_dim() as u64);
         let g = ctx.gadget();
-        let a_digits = g.decompose_poly(&ct.a);
-        let b_digits = g.decompose_poly(&ct.b);
-        let mut acc_a = Poly::zero(ctx.ring_dim(), ctx.q());
-        let mut acc_b = Poly::zero(ctx.ring_dim(), ctx.q());
-        if ctx.backend() == MulBackend::Ntt {
-            // Digit-domain accumulation: forward-transform each digit
-            // once, MAC against the cached evaluation-form rows, and
-            // invert the two accumulators at the end.
-            let ntt = ctx.ntt();
-            for (l, (mut da, mut db)) in a_digits.into_iter().zip(b_digits).enumerate() {
-                ntt.forward_poly(&mut da);
-                ntt.forward_poly(&mut db);
-                let [ra_a, ra_b, rb_a, rb_b] = &self.eval_rows[l];
-                acc_a.mac_assign(&da, ra_a);
-                acc_b.mac_assign(&da, ra_b);
-                acc_a.mac_assign(&db, rb_a);
-                acc_b.mac_assign(&db, rb_b);
-            }
-            ntt.inverse_poly(&mut acc_a);
-            ntt.inverse_poly(&mut acc_b);
-        } else {
-            for l in 0..g.levels() {
-                // digit(a)_l × a_row_l + digit(b)_l × b_row_l through
-                // the FFT datapath (Strix).
-                let da = &a_digits[l];
-                let db = &b_digits[l];
-                acc_a.add_assign(&ctx.poly_mul(da, &self.a_rows[l].a));
-                acc_a.add_assign(&ctx.poly_mul(db, &self.b_rows[l].a));
-                acc_b.add_assign(&ctx.poly_mul(da, &self.a_rows[l].b));
-                acc_b.add_assign(&ctx.poly_mul(db, &self.b_rows[l].b));
-            }
+        let (n, q) = (ctx.ring_dim(), ctx.q());
+        let tables = vec![ctx.ntt(); g.levels()];
+        let mut acc_a = RnsPlane::zero(n, &[q], Form::Eval);
+        let mut acc_b = RnsPlane::zero(n, &[q], Form::Eval);
+        for (component, rows) in [&ct.a, &ct.b].into_iter().zip(&self.rows) {
+            let mut digits = g.decompose_plane(component.limb(0));
+            digits.ntt_forward(&tables);
+            acc_a.mac_limbs_assign(&digits, &rows.mask);
+            acc_b.mac_limbs_assign(&digits, &rows.body);
         }
+        acc_a.ntt_inverse(&tables[..1]);
+        acc_b.ntt_inverse(&tables[..1]);
         RlweCiphertext { a: acc_a, b: acc_b }
     }
 
     /// CMux: returns an encryption of `ct0` if the RGSW bit is 0 and
-    /// `ct1` if it is 1: `ct0 + bit ⊡ (ct1 - ct0)`.
+    /// `ct1` if it is 1: `ct0 + bit ⊡ (ct1 - ct0)`. Consumes `ct1` as
+    /// the buffer for the difference.
     pub fn cmux(
         &self,
         ctx: &TfheContext,
         ct0: &RlweCiphertext,
-        ct1: &RlweCiphertext,
+        mut ct1: RlweCiphertext,
     ) -> RlweCiphertext {
-        let diff = ct1.sub(ct0);
-        ct0.add(&self.external_product(ctx, &diff))
+        ct1.sub_assign(ct0);
+        let mut out = self.external_product(ctx, &ct1);
+        out.add_assign(ct0);
+        out
     }
 }
 
@@ -206,6 +213,27 @@ mod tests {
     }
 
     #[test]
+    fn coeff_rows_decrypt_to_gadget_multiples() {
+        let (ctx, s, mut rng) = setup();
+        let rgsw = RgswCiphertext::encrypt_bit(&ctx, &s, 1, &mut rng);
+        let [a_rows, b_rows] = rgsw.coeff_rows(&ctx);
+        assert_eq!(a_rows.len(), ctx.gadget().levels());
+        for (l, row) in b_rows.iter().enumerate() {
+            // b-row l is RLWE(w_l): the constant w_l plus noise.
+            let want = Poly::monomial(ctx.gadget().weight(l), 0, 128, ctx.q());
+            let err = phase_error(&ctx, &row.phase(&ctx, &s), &want);
+            assert!(err < 64, "level {l}: err = {err}");
+        }
+        for (l, row) in a_rows.iter().enumerate() {
+            // a-row l carries w_l on the mask, so its phase is -w_l·s.
+            let neg_w = ctx.q() - ctx.gadget().weight(l);
+            let want = Poly::from_signed(&s, ctx.q()).scale(neg_w);
+            let err = phase_error(&ctx, &row.phase(&ctx, &s), &want);
+            assert!(err < 64, "level {l}: err = {err}");
+        }
+    }
+
+    #[test]
     fn cmux_selects() {
         let (ctx, s, mut rng) = setup();
         let m0 = Poly::from_coeffs(vec![ctx.encode(0, 4); 128], ctx.q());
@@ -214,7 +242,7 @@ mod tests {
         let ct1 = RlweCiphertext::encrypt(&ctx, &s, &m1, &mut rng);
         for bit in [0u64, 1] {
             let sel = RgswCiphertext::encrypt_bit(&ctx, &s, bit, &mut rng);
-            let out = sel.cmux(&ctx, &ct0, &ct1);
+            let out = sel.cmux(&ctx, &ct0, ct1.clone());
             let want = if bit == 0 { &m0 } else { &m1 };
             let err = phase_error(&ctx, &out.phase(&ctx, &s), want);
             assert!(err < (ctx.q() / 64) as i64, "bit={bit} err={err}");

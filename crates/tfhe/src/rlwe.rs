@@ -5,25 +5,45 @@ use crate::context::TfheContext;
 use crate::lwe::LweCiphertext;
 use rand::Rng;
 use ufc_math::modops::{from_signed, neg_mod};
-use ufc_math::poly::Poly;
+use ufc_math::plane::RnsPlane;
+use ufc_math::poly::{Form, Poly};
 use ufc_math::sample::{gaussian_poly, uniform_poly};
 
 /// An RLWE encryption `(a, b)` with `b = a·s + m + e` over
-/// `Z_q[X]/(X^N+1)`, kept in coefficient form.
+/// `Z_q[X]/(X^N+1)`: two single-limb planes over the TFHE modulus, in
+/// coefficient form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RlweCiphertext {
     /// Mask polynomial.
-    pub a: Poly,
+    pub a: RnsPlane,
     /// Body polynomial.
-    pub b: Poly,
+    pub b: RnsPlane,
+}
+
+/// A plaintext polynomial as a single-limb coefficient-form plane.
+pub(crate) fn plane_of(p: &Poly) -> RnsPlane {
+    RnsPlane::from_polys(std::slice::from_ref(p), Form::Coeff)
+}
+
+/// `a · s` for the ring key `s` (signed coefficients), through the
+/// plane's NTT and Hadamard kernels.
+fn mul_by_key(ctx: &TfheContext, a: &RnsPlane, s_signed: &[i64]) -> RnsPlane {
+    let tables = [ctx.ntt()];
+    let mut s = RnsPlane::from_signed(s_signed, &[ctx.q()]);
+    s.ntt_forward(&tables);
+    let mut out = a.clone();
+    out.ntt_forward(&tables);
+    out.hadamard_assign(&s);
+    out.ntt_inverse(&tables);
+    out
 }
 
 impl RlweCiphertext {
     /// The trivial encryption of plaintext polynomial `m`.
     pub fn trivial(m: Poly, ctx: &TfheContext) -> Self {
         Self {
-            a: Poly::zero(ctx.ring_dim(), ctx.q()),
-            b: m,
+            a: RnsPlane::zero(ctx.ring_dim(), &[ctx.q()], Form::Coeff),
+            b: plane_of(&m),
         }
     }
 
@@ -35,12 +55,21 @@ impl RlweCiphertext {
         m: &Poly,
         rng: &mut R,
     ) -> Self {
+        Self::encrypt_plane(ctx, s_signed, &plane_of(m), rng)
+    }
+
+    /// [`Self::encrypt`] of a plaintext already held as a plane.
+    pub(crate) fn encrypt_plane<R: Rng + ?Sized>(
+        ctx: &TfheContext,
+        s_signed: &[i64],
+        m: &RnsPlane,
+        rng: &mut R,
+    ) -> Self {
         let q = ctx.q();
         let n = ctx.ring_dim();
-        let a = uniform_poly(rng, n, q);
-        let e = gaussian_poly(rng, n, q, ctx.sigma());
-        let s = Poly::from_signed(s_signed, q);
-        let mut b = ctx.ntt().negacyclic_mul(&a, &s);
+        let a = plane_of(&uniform_poly(rng, n, q));
+        let e = plane_of(&gaussian_poly(rng, n, q, ctx.sigma()));
+        let mut b = mul_by_key(ctx, &a, s_signed);
         b.add_assign(&e);
         b.add_assign(m);
         Self { a, b }
@@ -48,27 +77,22 @@ impl RlweCiphertext {
 
     /// Computes the phase polynomial `b - a·s`.
     pub fn phase(&self, ctx: &TfheContext, s_signed: &[i64]) -> Poly {
-        let s = Poly::from_signed(s_signed, ctx.q());
-        let mut p = ctx.ntt().negacyclic_mul(&self.a, &s);
+        let mut p = mul_by_key(ctx, &self.a, s_signed);
         p.neg_assign();
         p.add_assign(&self.b);
-        p
+        p.limb_poly(0)
     }
 
-    /// Homomorphic addition.
-    pub fn add(&self, rhs: &Self) -> Self {
-        Self {
-            a: self.a.add(&rhs.a),
-            b: self.b.add(&rhs.b),
-        }
+    /// In-place homomorphic addition.
+    pub fn add_assign(&mut self, rhs: &Self) {
+        self.a.add_assign(&rhs.a);
+        self.b.add_assign(&rhs.b);
     }
 
-    /// Homomorphic subtraction.
-    pub fn sub(&self, rhs: &Self) -> Self {
-        Self {
-            a: self.a.sub(&rhs.a),
-            b: self.b.sub(&rhs.b),
-        }
+    /// In-place homomorphic subtraction.
+    pub fn sub_assign(&mut self, rhs: &Self) {
+        self.a.sub_assign(&rhs.a);
+        self.b.sub_assign(&rhs.b);
     }
 
     /// Multiplies both components by the monomial `X^k` (`k < 2N`) —
@@ -86,20 +110,21 @@ impl RlweCiphertext {
     /// unit (§IV-B4).
     pub fn sample_extract(&self, idx: usize) -> LweCiphertext {
         let n = self.a.dim();
-        let q = self.a.modulus();
+        let q = self.a.modulus(0);
+        let a = self.a.limb(0);
         assert!(idx < n, "coefficient index out of range");
         // coeff_idx(a·s) = Σ_{j<=idx} a_{idx-j} s_j - Σ_{j>idx} a_{N+idx-j} s_j.
         let mut a_vec = vec![0u64; n];
         for (j, slot) in a_vec.iter_mut().enumerate() {
             *slot = if j <= idx {
-                self.a.coeffs()[idx - j]
+                a[idx - j]
             } else {
-                neg_mod(self.a.coeffs()[n + idx - j], q)
+                neg_mod(a[n + idx - j], q)
             };
         }
         LweCiphertext {
             a: a_vec,
-            b: self.b.coeffs()[idx],
+            b: self.b.limb(0)[idx],
             q,
         }
     }
@@ -183,6 +208,7 @@ mod tests {
         let ct = RlweCiphertext::trivial(m.clone(), &ctx);
         let lwe = ct.sample_extract(5);
         assert_eq!(lwe.b, m.coeffs()[5]);
+        assert_eq!(ct.b.limb(0), m.coeffs());
         assert!(lwe.a.iter().all(|&x| x == 0));
     }
 }

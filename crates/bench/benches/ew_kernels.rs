@@ -1,7 +1,9 @@
 //! Criterion benches for the element-wise lane kernels behind
-//! [`ufc_math::plane::RnsPlane`]: the dispatched SIMD path (AVX2 when
-//! the host has it, the portable 4-lane unroll otherwise) against the
-//! scalar loops the plane used before the lane layer existed.
+//! [`ufc_math::plane::RnsPlane`] at a 59-bit prime: the dispatched
+//! path against the scalar loops the plane used before the lane layer
+//! existed. At this width add/sub/scale run AVX2 when the host has
+//! it, and hadamard/mac run the portable Barrett unroll on every host
+//! (the IFMA lanes need `q < 2^50`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ufc_math::modops::{add_mod, mul_mod, shoup_precompute, sub_mod, Barrett};

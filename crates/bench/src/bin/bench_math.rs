@@ -9,11 +9,11 @@
 //! ```
 //!
 //! Emits `BENCH_math.json` (or `--out`) with one table per kernel
-//! family — including `ew_kernels` (scalar vs dispatched backend per
-//! element-wise op at a 59-bit and a 50-bit prime), `ew_dispatch`
-//! (the dispatch table itself: backend + static/measured provenance
-//! per op) and `ntt_kernels` (radix-4 vs IFMA at a 49-bit and a
-//! 60-bit prime, with the kernel `NttKernel::auto_for` picks per row)
+//! family — including `ew_kernels` (scalar loop vs dispatched kernel
+//! per element-wise op at a 59-bit and a 50-bit prime, with the
+//! backend `simd::ew_backend` routes each row to) and `ntt_kernels`
+//! (radix-4 vs IFMA at a 49-bit and a 60-bit prime, with the kernel
+//! `NttKernel::auto_for` picks per row)
 //! — and a `headline` object recording the single-thread
 //! negacyclic-multiply speedup at the largest ring dimension.
 //! `--quick` restricts sizes and repetitions for CI smoke runs.
@@ -250,16 +250,15 @@ fn main() {
 
     // ------------------------------------------- element-wise kernels
     // The RNS plane's add/sub/hadamard/mac/scale go through the
-    // per-op dispatch layer; measure the *dispatched* entry points
-    // against the scalar loops they replaced, at one prime per vector
-    // window: 59 bits exercises the AVX2 limb-split window (too wide
-    // for IFMA), 50 bits brings the IFMA 52-bit Barrett window in.
-    // Because dispatch falls back to the portable unroll whenever a
-    // vector backend would lose on this host, every row's speedup is
-    // expected at >= 1.0 — the xtask validator gates on it.
+    // per-op dispatch rule; measure the *dispatched* entry points
+    // against the scalar loops they replaced, at one prime on each
+    // side of the IFMA window: 59 bits is too wide for IFMA (hadamard
+    // and mac run portable Barrett), 50 bits brings the IFMA 52-bit
+    // Barrett lanes in. No route is slower than the scalar loop, so
+    // every row's speedup is expected at >= 1.0 — the xtask validator
+    // gates on it, and on each row's backend matching the rule.
     println!("\n## Element-wise plane kernels (scalar loop vs dispatched backend)\n");
     let mut ew_rows = Vec::new();
-    let mut ew_dispatch_rows = Vec::new();
     {
         use ufc_math::modops::{add_mod, mul_mod, shoup_precompute, sub_mod, Barrett};
         use ufc_math::simd::{self, EwOp};
@@ -274,8 +273,8 @@ fn main() {
             let ss = shoup_precompute(s, q);
             let r = reps(n);
             println!("### {bits}-bit prime (q = {q})\n");
-            println!("| kernel | scalar (µs) | dispatched (µs) | speedup | backend | source |");
-            println!("|---|---|---|---|---|---|");
+            println!("| kernel | scalar (µs) | dispatched (µs) | speedup | backend |");
+            println!("|---|---|---|---|---|");
             // (op, scalar loop, simd call) per kernel, timed in
             // alternation; each rep re-seeds the destination so both
             // sides do identical memory traffic.
@@ -332,7 +331,7 @@ fn main() {
             );
             for (op, scalar, simd_t) in rows {
                 let speedup = scalar / simd_t;
-                let route = simd::ew_route(op, q);
+                let backend = simd::ew_backend(op, q).name();
                 let name = match op {
                     EwOp::Mul => "hadamard",
                     other => other.name(),
@@ -344,27 +343,15 @@ fn main() {
                     cell(scalar),
                     cell(simd_t),
                     cell(speedup),
-                    cell(route.backend.name()),
-                    cell(route.source.name()),
+                    cell(backend),
                 ]);
                 println!(
-                    "| {name} | {:.1} | {:.1} | {speedup:.2}x | {} | {} |",
+                    "| {name} | {:.1} | {:.1} | {speedup:.2}x | {backend} |",
                     scalar / 1e3,
                     simd_t / 1e3,
-                    route.backend.name(),
-                    route.source.name()
                 );
             }
             println!();
-            for route in simd::ew_dispatch_table(q) {
-                ew_dispatch_rows.push(vec![
-                    cell(bits as u64),
-                    cell(q),
-                    cell(route.op.name()),
-                    cell(route.backend.name()),
-                    cell(route.source.name()),
-                ]);
-            }
         }
     }
     let ew_table = json.table(
@@ -377,15 +364,10 @@ fn main() {
             "simd_ns",
             "speedup",
             "backend",
-            "source",
         ],
     );
     for row in ew_rows {
         ew_table.push(row);
-    }
-    let ew_dispatch_table = json.table("ew_dispatch", &["bits", "q", "op", "backend", "source"]);
-    for row in ew_dispatch_rows {
-        ew_dispatch_table.push(row);
     }
 
     // ------------------------------------------- negacyclic multiply
@@ -656,15 +638,12 @@ fn main() {
             trace_overhead_pct: worst_overhead_pct,
             mul_mod_ns,
             mul_shoup_lazy_ns: mul_shoup_ns,
-            simd_note: "Element-wise ops are routed per (op, modulus) by a dispatch table: \
-                        add/sub/scale take AVX2 statically; hadamard/mac take AVX-512 IFMA \
-                        (vpmadd52, 52-bit Barrett) for moduli below 2^50, else the AVX2 \
-                        limb-split multiply (q < 2^61) only when a one-shot calibration race \
-                        says it beats scalar Barrett on this host — hosts with a fast scalar \
-                        mulx route wide-modulus hadamard back to the portable unroll. The \
-                        dispatch floor makes speedup >= 1.0 an invariant; the >= 1.3x \
-                        hadamard/mac rows come from the IFMA window. UFC_SIMD_DISABLE \
-                        overrides routing for A/B runs."
+            simd_note: "Element-wise ops are routed per (op, modulus) by one static rule: \
+                        add/sub/scale take AVX2 when the host has it; hadamard/mac take \
+                        AVX-512 IFMA (vpmadd52, 52-bit Barrett) when the host has it and \
+                        q < 2^50, else the portable Barrett unroll. Each ew_kernels row \
+                        records its backend; the >= 1.3x hadamard/mac rows come from the \
+                        IFMA window. UFC_SIMD_DISABLE turns backends off for A/B runs."
                 .to_owned(),
         },
         headline: Headline {

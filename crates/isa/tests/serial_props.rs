@@ -1,14 +1,20 @@
-//! Round-trip property tests for the native text serialization.
+//! Round-trip and never-panic property tests for the native text
+//! serialization.
 //!
 //! The on-disk v1 form replaces a serde stack (offline build, see
 //! `shims/README.md`), so the round-trip guarantee — `parse(print(x))
 //! == x` for *every* representable trace and stream, including
 //! semantically malformed ones — is load-bearing: `ufc-lint` must see
-//! exactly what the producer wrote.
+//! exactly what the producer wrote. The parsers also read files from
+//! outside the workspace, so on any input — random bytes or a printed
+//! text with one token broken — they must return a value or a
+//! line-numbered `ParseError`, never panic.
 
 use proptest::prelude::*;
 use ufc_isa::instr::{InstrStream, Kernel, MacroInstr, Phase, PolyShape};
-use ufc_isa::serial::{stream_from_text, stream_to_text, trace_from_text, trace_to_text};
+use ufc_isa::serial::{
+    stream_from_text, stream_to_text, trace_from_text, trace_to_text, ParseError,
+};
 use ufc_isa::trace::{Trace, TraceOp};
 
 /// Deterministic splitmix-style generator: the proptest shim's
@@ -134,6 +140,86 @@ fn random_stream(seed: u64) -> InstrStream {
     InstrStream::from_raw(instrs)
 }
 
+/// Checks the parser contract on outside input: `Ok`, or an error
+/// whose line number points into `text` (0 = the input as a whole).
+fn assert_typed<T>(text: &str, result: Result<T, ParseError>) {
+    if let Err(e) = result {
+        assert!(
+            e.line <= text.lines().count(),
+            "error line {} past the end of the input: {e}",
+            e.line
+        );
+        assert!(
+            !e.message.is_empty(),
+            "error without a message at line {}",
+            e.line
+        );
+    }
+}
+
+/// Replacement tokens for the mutation property: bare and doubled
+/// separators, empty, negative and overflowing fields, list edge
+/// cases, directive words out of place, and multi-byte or control
+/// characters.
+const JUNK: [&str; 26] = [
+    "",
+    "=",
+    "==",
+    "level=",
+    "=7",
+    "level=-1",
+    "level=4294967296",
+    "step=99999999999",
+    "bytes=18446744073709551616",
+    "deps=,",
+    "deps=1,,2",
+    "deps=-3",
+    "pack=",
+    "pack=-1",
+    "log_n=64",
+    "kernel=",
+    "phase=Nope",
+    "trace",
+    "stream",
+    "instr",
+    "op",
+    "ckks",
+    "#",
+    "é=ü",
+    "\u{0}",
+    "\u{feff}",
+];
+
+/// Applies one token-level edit to a printed text: token `k` of a
+/// random line is replaced by a [`JUNK`] token, duplicated, or cut at
+/// a random char boundary.
+fn mutate(text: &str, g: &mut Gen) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    if lines.is_empty() {
+        return text.to_owned();
+    }
+    let l = g.below(lines.len() as u64) as usize;
+    let mut tokens: Vec<String> = lines[l].split(' ').map(str::to_owned).collect();
+    let k = g.below(tokens.len() as u64) as usize;
+    match g.below(3) {
+        0 => tokens[k] = JUNK[g.below(JUNK.len() as u64) as usize].to_owned(),
+        1 => {
+            let dup = tokens[k].clone();
+            tokens.insert(k, dup);
+        }
+        _ => {
+            let cuts: Vec<usize> = tokens[k].char_indices().map(|(i, _)| i).collect();
+            let cut = cuts
+                .get(g.below(cuts.len() as u64) as usize)
+                .copied()
+                .unwrap_or(0);
+            tokens[k].truncate(cut);
+        }
+    }
+    lines[l] = tokens.join(" ");
+    lines.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -165,5 +251,31 @@ proptest! {
         let text = stream_to_text(&s);
         let reprinted = stream_to_text(&stream_from_text(&text).unwrap());
         prop_assert_eq!(text, reprinted);
+    }
+
+    #[test]
+    fn prop_parsers_never_panic_on_random_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        header in 0u64..3
+    ) {
+        let body = String::from_utf8_lossy(&bytes);
+        // Random bytes almost never form a header, so also feed them
+        // after a valid one to reach the op and instr parsers.
+        let text = match header {
+            0 => body.into_owned(),
+            1 => format!("trace t\nop {body}"),
+            _ => format!("stream\ninstr {body}"),
+        };
+        assert_typed(&text, trace_from_text(&text));
+        assert_typed(&text, stream_from_text(&text));
+    }
+
+    #[test]
+    fn prop_parsers_never_panic_on_mutated_texts(seed in any::<u64>()) {
+        let mut g = Gen(seed ^ 0x5eed);
+        let trace = mutate(&trace_to_text(&random_trace(seed)), &mut g);
+        assert_typed(&trace, trace_from_text(&trace));
+        let stream = mutate(&stream_to_text(&random_stream(seed)), &mut g);
+        assert_typed(&stream, stream_from_text(&stream));
     }
 }

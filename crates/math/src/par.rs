@@ -14,6 +14,7 @@
 //! worker, so results are bit-identical for every thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Global cap on worker threads. `0` means "auto" (use
 /// `std::thread::available_parallelism`).
@@ -33,11 +34,18 @@ pub fn set_max_threads(n: usize) -> usize {
 }
 
 /// The number of worker threads [`par_limbs`] would use right now.
+///
+/// The auto-detected count is queried once per process and cached:
+/// `available_parallelism` reads cgroup quota files on Linux, which
+/// costs tens of microseconds per call.
 pub fn effective_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
     match MAX_THREADS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        0 => *AUTO.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        }),
         n => n,
     }
 }
@@ -58,8 +66,8 @@ where
     }
     assert_eq!(data.len() % n, 0, "flat buffer must be whole limbs");
     let limbs = data.len() / n;
-    // Size checks first: `effective_threads` may query the OS (cgroup
-    // quotas, affinity), which costs more than a small ring's kernel.
+    // Size checks first: a small ring runs serially whatever the
+    // thread count.
     let serial = limbs < 2 || data.len() < PAR_MIN_WORK;
     let threads = if serial {
         1

@@ -15,12 +15,11 @@
 //! level over that same `q`. Operations fan out across limbs via
 //! [`crate::par::par_limbs`]; the element-wise kernels
 //! (add/sub/hadamard/mac/scale) go through [`crate::simd`]'s per-op
-//! dispatch, which routes each op to the fastest backend for this
-//! host and each limb's modulus — AVX-512 IFMA 52-bit Barrett below
-//! 2⁵⁰, AVX2 limb-split below 2⁶¹, or the bit-identical portable
-//! unroll when the scalar pipeline measures faster (the dispatch
-//! floor guarantees SIMD never loses to scalar). TFHE's 31-bit `q`
-//! therefore takes the IFMA route where the host has it.
+//! dispatch, which routes each op by the host's features and each
+//! limb's modulus — AVX2 for add/sub/scale, AVX-512 IFMA 52-bit
+//! Barrett for hadamard/mac below 2⁵⁰, the bit-identical portable
+//! unroll otherwise. TFHE's 31-bit `q` therefore takes the IFMA route
+//! where the host has it.
 
 use crate::automorph::{apply_coeff_slice, apply_eval_slice};
 use crate::modops::{

@@ -15,12 +15,9 @@
 //!   window ([`crate::modops::ifma_modulus_ok`]) — the 52-bit
 //!   `vpmadd52` Barrett path for both the `ifma` NTT generation and
 //!   the element-wise hadamard/MAC dispatch.
-//! * `bits <= 61` keeps the prime below 2⁶¹, inside the AVX2
-//!   limb-split multiply window (the 2×32-bit cross terms stay
-//!   exact).
-//! * `bits = 62` is still valid for every scalar and lazy-NTT path
-//!   (operands in `[0, 4q)` must fit in 64 bits), but element-wise
-//!   multiplies route to the portable/scalar backends.
+//! * Wider primes, up to `bits = 62`, are valid for every scalar and
+//!   lazy-NTT path (operands in `[0, 4q)` must fit in 64 bits);
+//!   element-wise multiplies on them run portable Barrett.
 //!
 //! RNS limbs rarely *need* to be wide: prefer ≤ 50-bit limbs (one
 //! more limb if necessary) unless precision budgeting says otherwise.

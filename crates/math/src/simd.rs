@@ -6,14 +6,12 @@
 //! between three backends:
 //!
 //! * **AVX2** (`x86_64` only) — `u64x4` lanes built from
-//!   `core::arch::x86_64` intrinsics. AVX2 has no 64×64-bit multiply
-//!   or unsigned 64-bit compare, so both are synthesized: the multiply
-//!   from `vpmuludq` 32×32 **limb-split** partial products (shared
-//!   between the low and high product words, with the full-width
-//!   reduction done by *approximate-high-word* Shoup folds — see
-//!   `avx2::mul_hi_approx`), the compare by biasing both operands with
-//!   the sign bit and using the signed `vpcmpgtq`. Selected at runtime
-//!   via [`avx2_available`].
+//!   `core::arch::x86_64` intrinsics, for the element-wise ops whose
+//!   vector win is structural: `add`, `sub` and the broadcast Shoup
+//!   `scale`. AVX2 has no unsigned 64-bit compare, so it is
+//!   synthesized by biasing both operands with the sign bit and using
+//!   the signed `vpcmpgtq`. Selected at runtime via
+//!   [`avx2_available`].
 //! * **AVX-512 IFMA** (`x86_64` only) — `u64x8` lanes around
 //!   `vpmadd52lo/hi` (`_mm512_madd52{lo,hi}_epu64`), which multiply
 //!   52-bit operands and return either half of the 104-bit product in
@@ -31,17 +29,21 @@
 //!
 //! # Per-op dispatch
 //!
-//! Historically dispatch was per-*transform*: one AVX2 probe routed
-//! every kernel onto the vector path. That was a measured performance
-//! bug for `mul`/`mac` — the synthesized 64×64 multiply (27 `vpmuludq`
-//! per 4 lanes) lost to scalar Barrett. Element-wise ops now route
-//! **per op** through a cost table ([`ew_backend`]): structurally-won
-//! ops (`add`/`sub`/`scale`) take static routes, while `mul`/`mac`
-//! route to IFMA when the modulus fits, else to whichever of the
-//! limb-split AVX2 path and scalar Barrett *measures* faster on this
-//! host (a one-shot calibration cached for the process). The table is
-//! exported ([`ew_dispatch_table`]) so `bench_math` can prove the
-//! "SIMD never loses to scalar" invariant row by row.
+//! Element-wise ops route **per op** by one static rule
+//! ([`ew_backend`]) that depends only on what the code can observe —
+//! the host's feature probes and the modulus width:
+//!
+//! * `add`/`sub`/`scale` take AVX2 when the host has it, else the
+//!   portable unroll;
+//! * `mul`/`mac` take IFMA when the host has it and `q < 2^50`, else
+//!   portable Barrett.
+//!
+//! AVX2 has no 64×64-bit multiply, so wide-modulus `mul`/`mac` stay on
+//! scalar Barrett: a 2×32-bit limb-split vector multiply measured
+//! 5–27 % slower than it at 31–60-bit primes. The same `(op, q)`
+//! therefore lands on the same backend in every process on a host,
+//! and `bench_math` records that backend next to each `ew_kernels`
+//! row.
 //!
 //! # Bit-identity contract
 //!
@@ -58,12 +60,11 @@
 //! * The canonical kernels ([`add_mod_slice`], [`sub_mod_slice`],
 //!   [`mac_mod_slice`]) use the same conditional-subtract formula per
 //!   lane. [`mul_mod_slice`] is the one kernel where the backends use
-//!   different *internal* reductions (Barrett on the portable path,
-//!   limb-split approximate Shoup folds on AVX2, a 52-bit Barrett on
-//!   IFMA); all return the unique canonical residue in `[0, q)`, so
-//!   outputs are still identical. `mul`/`mac` accept *lazy
-//!   multiplicands* in `[0, 2q)` on every backend (the `mac`
-//!   accumulator stays canonical).
+//!   different *internal* reductions (full-width Barrett on the
+//!   portable path, a 52-bit Barrett on IFMA); both return the unique
+//!   canonical residue in `[0, q)`, so outputs are still identical.
+//!   `mul`/`mac` accept *lazy multiplicands* in `[0, 2q)` on every
+//!   backend (the `mac` accumulator stays canonical).
 //!
 //! Tail elements past the last full lane group are always handled by
 //! the scalar arithmetic of the portable backends, on every path.
@@ -72,7 +73,8 @@
 //!
 //! `UFC_SIMD_DISABLE` (read once per process) force-disables vector
 //! backends for A/B runs and for tests that simulate missing hardware:
-//! `avx2` (AVX2 off), `ifma` (AVX-512 IFMA off) or `all`. Unknown
+//! `avx2` (AVX2 off), `ifma` (AVX-512 IFMA off) or `all`. Turning a
+//! backend off sends the ops the rule gives it to the portable path. Unknown
 //! values warn once on stderr and are otherwise ignored.
 //!
 //! This is the **only** module in the workspace that uses `unsafe`
@@ -179,7 +181,7 @@ pub fn ifma_available() -> bool {
     })
 }
 
-/// The element-wise slice ops routed by the per-op dispatch table.
+/// The element-wise slice ops routed by [`ew_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EwOp {
     /// [`add_mod_slice`].
@@ -215,7 +217,7 @@ impl EwOp {
 pub enum EwBackend {
     /// Scalar lanes (always available).
     Portable,
-    /// 4-wide AVX2 lanes (limb-split multiply).
+    /// 4-wide AVX2 lanes (`add`/`sub`/`scale`).
     Avx2,
     /// 8-wide AVX-512 IFMA 52-bit lanes.
     Ifma,
@@ -232,205 +234,22 @@ impl EwBackend {
     }
 }
 
-/// How a dispatch route was decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteSource {
-    /// Fixed by feature probes and the modulus width alone.
-    Static,
-    /// Chosen by the one-shot on-host calibration race.
-    Measured,
-}
-
-impl RouteSource {
-    /// Stable lowercase name (bench tables, logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            RouteSource::Static => "static",
-            RouteSource::Measured => "measured",
-        }
-    }
-}
-
-/// One row of the per-op dispatch table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EwRoute {
-    /// The routed op.
-    pub op: EwOp,
-    /// Where it runs for this modulus on this host.
-    pub backend: EwBackend,
-    /// Whether the route is static or measured.
-    pub source: RouteSource,
-}
-
-/// One-shot calibration for the ops where AVX2 is not a structural
-/// win: races the limb-split `mul`/`mac` kernels against scalar
-/// Barrett on this host and caches `(mul_wins, mac_wins)`.
+/// Routes one element-wise op for modulus `q` on this host — the one
+/// static dispatch rule every element-wise slice kernel follows:
 ///
-/// The race is instruction-bound, not value-bound, so one
-/// representative 59-bit modulus stands in for all Barrett-range
-/// moduli. Ties go to the vector path (equal speed, and it keeps the
-/// port pressure off the scalar ALUs for the surrounding code).
-#[cfg(target_arch = "x86_64")]
-fn limbsplit_wins() -> (bool, bool) {
-    use std::sync::OnceLock;
-    static WINS: OnceLock<(bool, bool)> = OnceLock::new();
-    *WINS.get_or_init(|| {
-        if !avx2_available() {
-            return (false, false);
-        }
-        // Odd 59-bit modulus; primality is irrelevant to timing and
-        // Barrett only needs q in [2, 2^62).
-        const Q: u64 = (1u64 << 59) - 55;
-        const N: usize = 4096;
-        // Both kernels keep canonical inputs canonical, so the timed
-        // region iterates the kernel back-to-back on its own output —
-        // no resets or copies diluting the difference under test.
-        let run = |slot: usize, scratch: &mut [u64], a0: &[u64], b0: &[u64]| match slot {
-            // SAFETY: avx2_available() returned true above.
-            0 => unsafe { avx2::mul_mod_slice(scratch, b0, Q) },
-            1 => portable::mul_mod_slice(scratch, b0, Q),
-            // SAFETY: avx2_available() returned true above.
-            2 => unsafe { avx2::mac_mod_slice(scratch, a0, b0, Q) },
-            _ => portable::mac_mod_slice(scratch, a0, b0, Q),
-        };
-        let a0: Vec<u64> = (0..N as u64)
-            .map(|i| (i * 0x9e37_79b9 + 12345) % Q)
-            .collect();
-        let b0: Vec<u64> = (0..N as u64).map(|i| (i * 0x517c_c1b7 + 999) % Q).collect();
-        let mut best = [u128::MAX; 4]; // [mul_avx2, mul_portable, mac_avx2, mac_portable]
-        let mut scratch = a0.clone();
-        for (slot, which) in best.iter_mut().enumerate() {
-            run(slot, &mut scratch, &a0, &b0); // warmup (page-in, ramp)
-            for _ in 0..3 {
-                let t = std::time::Instant::now();
-                for _ in 0..8 {
-                    run(slot, &mut scratch, &a0, &b0);
-                }
-                let dt = t.elapsed().as_nanos();
-                if dt < *which {
-                    *which = dt;
-                }
-                std::hint::black_box(&scratch);
-            }
-        }
-        (best[0] <= best[1], best[2] <= best[3])
-    })
-}
-
-/// Routes one element-wise op for modulus `q` on this host.
+/// * `add`/`sub`/`scale` take AVX2 when the host has it (no 64-bit
+///   multiply involved, so the vector win is structural: 1.6–2.2x);
+/// * `mul`/`mac` take the IFMA 52-bit Barrett lanes when the host has
+///   them *and* `q < 2^50`;
+/// * everything else runs the portable unroll.
 ///
-/// The static tier: `add`/`sub`/`scale` take AVX2 whenever it exists
-/// (no 64-bit multiply involved — the vector win is structural, and
-/// measured at 1.6–2.1x). `mul`/`mac` take the IFMA 52-bit Barrett
-/// path when the hardware is present *and* `q < 2^50`. The measured
-/// tier: otherwise `mul`/`mac` go to AVX2 limb-split only if the
-/// one-shot calibration race says it beats scalar Barrett on this
-/// host, which is what makes "SIMD never loses to scalar" a dispatch
-/// invariant rather than a hope.
+/// The answer depends only on the feature probes (each cached for the
+/// process) and `q`, so it never changes between calls or processes.
 pub fn ew_backend(op: EwOp, q: u64) -> EwBackend {
-    ew_route(op, q).backend
-}
-
-/// Routes one element-wise op and reports how the route was decided.
-pub fn ew_route(op: EwOp, q: u64) -> EwRoute {
-    let backend_source = match op {
-        EwOp::Add | EwOp::Sub | EwOp::Scale => {
-            if avx2_available() {
-                (EwBackend::Avx2, RouteSource::Static)
-            } else {
-                (EwBackend::Portable, RouteSource::Static)
-            }
-        }
-        EwOp::Mul | EwOp::Mac => {
-            if ifma_available() && ifma_modulus_ok(q) {
-                (EwBackend::Ifma, RouteSource::Static)
-            } else {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if avx2_available() && limbsplit_modulus_ok(q) {
-                        let (mul_wins, mac_wins) = limbsplit_wins();
-                        let wins = if op == EwOp::Mul { mul_wins } else { mac_wins };
-                        if wins {
-                            (EwBackend::Avx2, RouteSource::Measured)
-                        } else {
-                            (EwBackend::Portable, RouteSource::Measured)
-                        }
-                    } else {
-                        (EwBackend::Portable, RouteSource::Static)
-                    }
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    (EwBackend::Portable, RouteSource::Static)
-                }
-            }
-        }
-    };
-    EwRoute {
-        op,
-        backend: backend_source.0,
-        source: backend_source.1,
-    }
-}
-
-/// The full per-op dispatch table for modulus `q` on this host, in
-/// [`EwOp::ALL`] order — the `ew_dispatch` block `bench_math` emits
-/// and the xtask validator checks.
-pub fn ew_dispatch_table(q: u64) -> Vec<EwRoute> {
-    EwOp::ALL.iter().map(|&op| ew_route(op, q)).collect()
-}
-
-/// Runs the hadamard kernel on one *specific* backend, bypassing
-/// dispatch — the benchmarking/conformance seam that lets `bench_math`
-/// time each backend honestly instead of inferring from the route.
-/// Returns `false` (leaving `a` untouched) when the backend cannot run
-/// on this host or modulus.
-pub fn mul_mod_slice_on(backend: EwBackend, a: &mut [u64], b: &[u64], q: u64) -> bool {
-    assert_eq!(a.len(), b.len(), "slice length mismatch");
-    match backend {
-        EwBackend::Portable => {
-            portable::mul_mod_slice(a, b, q);
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        EwBackend::Avx2 if avx2_available() && limbsplit_modulus_ok(q) => {
-            // SAFETY: availability verified just above.
-            unsafe { avx2::mul_mod_slice(a, b, q) };
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        EwBackend::Ifma if ifma_available() && ifma_modulus_ok(q) => {
-            // SAFETY: availability verified just above.
-            unsafe { ifma::mul_mod_slice(a, b, q) };
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Runs the multiply-accumulate kernel on one specific backend —
-/// see [`mul_mod_slice_on`].
-pub fn mac_mod_slice_on(backend: EwBackend, acc: &mut [u64], a: &[u64], b: &[u64], q: u64) -> bool {
-    assert_eq!(acc.len(), a.len(), "slice length mismatch");
-    assert_eq!(acc.len(), b.len(), "slice length mismatch");
-    match backend {
-        EwBackend::Portable => {
-            portable::mac_mod_slice(acc, a, b, q);
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        EwBackend::Avx2 if avx2_available() && limbsplit_modulus_ok(q) => {
-            // SAFETY: availability verified just above.
-            unsafe { avx2::mac_mod_slice(acc, a, b, q) };
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        EwBackend::Ifma if ifma_available() && ifma_modulus_ok(q) => {
-            // SAFETY: availability verified just above.
-            unsafe { ifma::mac_mod_slice(acc, a, b, q) };
-            true
-        }
-        _ => false,
+    match op {
+        EwOp::Add | EwOp::Sub | EwOp::Scale if avx2_available() => EwBackend::Avx2,
+        EwOp::Mul | EwOp::Mac if ifma_available() && ifma_modulus_ok(q) => EwBackend::Ifma,
+        _ => EwBackend::Portable,
     }
 }
 
@@ -461,13 +280,12 @@ pub struct FusedTwiddles<'a> {
 /// Panics if the slices differ in length.
 pub fn add_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     assert_eq!(a.len(), b.len(), "slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::add_mod_slice(a, b, q) };
-        return;
+    match ew_backend(EwOp::Add, q) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: ew_backend only routes here after avx2_available().
+        EwBackend::Avx2 => unsafe { avx2::add_mod_slice(a, b, q) },
+        _ => portable::add_mod_slice(a, b, q),
     }
-    portable::add_mod_slice(a, b, q);
 }
 
 /// `a[i] ← (a[i] - b[i]) mod q`, canonical inputs and outputs.
@@ -477,24 +295,22 @@ pub fn add_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
 /// Panics if the slices differ in length.
 pub fn sub_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     assert_eq!(a.len(), b.len(), "slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::sub_mod_slice(a, b, q) };
-        return;
+    match ew_backend(EwOp::Sub, q) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: ew_backend only routes here after avx2_available().
+        EwBackend::Avx2 => unsafe { avx2::sub_mod_slice(a, b, q) },
+        _ => portable::sub_mod_slice(a, b, q),
     }
-    portable::sub_mod_slice(a, b, q);
 }
 
 /// Hadamard product `a[i] ← a[i]·b[i] mod q`.
 ///
 /// Multiplicands may be *lazy* representatives in `[0, 2q)`; the
 /// output is always the canonical residue. Routed per op
-/// ([`ew_backend`]): the portable path reduces with Barrett (as the
-/// scalar plane kernel always did), the AVX2 path runs the limb-split
-/// multiply with approximate Shoup folds, the IFMA path (moduli below
-/// `2^50`) a 52-bit Barrett on `vpmadd52` lanes. All return the
-/// canonical residue, so outputs are bit-identical.
+/// ([`ew_backend`]): the IFMA path (moduli below `2^50`) runs a 52-bit
+/// Barrett on `vpmadd52` lanes, the portable path a full-width Barrett
+/// (as the scalar plane kernel always did). Both return the canonical
+/// residue, so outputs are bit-identical.
 ///
 /// # Panics
 ///
@@ -503,9 +319,6 @@ pub fn sub_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
 pub fn mul_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
     assert_eq!(a.len(), b.len(), "slice length mismatch");
     match ew_backend(EwOp::Mul, q) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: ew_backend only routes here after avx2_available().
-        EwBackend::Avx2 => unsafe { avx2::mul_mod_slice(a, b, q) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: ew_backend only routes here after ifma_available().
         EwBackend::Ifma => unsafe { ifma::mul_mod_slice(a, b, q) },
@@ -528,9 +341,6 @@ pub fn mac_mod_slice(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
     assert_eq!(acc.len(), b.len(), "slice length mismatch");
     match ew_backend(EwOp::Mac, q) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: ew_backend only routes here after avx2_available().
-        EwBackend::Avx2 => unsafe { avx2::mac_mod_slice(acc, a, b, q) },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: ew_backend only routes here after ifma_available().
         EwBackend::Ifma => unsafe { ifma::mac_mod_slice(acc, a, b, q) },
         _ => portable::mac_mod_slice(acc, a, b, q),
@@ -542,13 +352,12 @@ pub fn mac_mod_slice(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
 /// 64-bit values (lazy representatives included), the output is
 /// canonical — the exact contract of [`crate::modops::mul_shoup`].
 pub fn scale_shoup_slice(a: &mut [u64], s: u64, s_shoup: u64, q: u64) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { avx2::scale_shoup_slice(a, s, s_shoup, q) };
-        return;
+    match ew_backend(EwOp::Scale, q) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: ew_backend only routes here after avx2_available().
+        EwBackend::Avx2 => unsafe { avx2::scale_shoup_slice(a, s, s_shoup, q) },
+        _ => portable::scale_shoup_slice(a, s, s_shoup, q),
     }
-    portable::scale_shoup_slice(a, s, s_shoup, q);
 }
 
 /// Element-wise lazy 52-bit Shoup twist `a[i] ← a[i]·w[i] mod q` as a
@@ -690,7 +499,7 @@ pub fn harvey_fused_pair52(
 /// every architecture) and always used for tail elements, so the AVX2
 /// backend's conformance target is in the same binary.
 mod portable {
-    use super::{add_mod, mul_shoup_lazy, reduce_4q, Barrett, LANES};
+    use super::{add_mod, mul_shoup_lazy, Barrett, LANES};
 
     #[inline(always)]
     fn csub(v: u64, m: u64) -> u64 {
@@ -749,77 +558,6 @@ mod portable {
         for (x, &y) in ac.into_remainder().iter_mut().zip(bc.remainder()) {
             *x = mul(*x, y);
         }
-    }
-
-    /// The modulus ceiling of the limb-split multiply: its remainder
-    /// band is `[0, 5q)` (one `q` of exact-scheme slack plus up to
-    /// four from the approximate high word — see the bound proof
-    /// below), which must fit 64-bit lanes, so `q < 2^61`. Dispatch
-    /// falls back to scalar Barrett above it.
-    pub const LIMBSPLIT_MAX_MODULUS_BITS: u32 = 61;
-
-    /// Whether modulus `q` fits the limb-split AVX2 multiply.
-    #[inline]
-    pub fn limbsplit_modulus_ok(q: u64) -> bool {
-        (2..(1u64 << LIMBSPLIT_MAX_MODULUS_BITS)).contains(&q)
-    }
-
-    /// Left shift matching the vector `sllv` semantics: counts of 64
-    /// or more yield zero instead of Rust's overflow panic.
-    #[inline(always)]
-    fn shl64(x: u64, s: u32) -> u64 {
-        if s >= 64 {
-            0
-        } else {
-            x << s
-        }
-    }
-
-    /// Scalar transliteration of the AVX2 limb-split multiply — the
-    /// exact per-lane formula of `avx2::mul_mod_slice`, runnable
-    /// everywhere (including under Miri, which cannot execute the
-    /// intrinsics). The conformance and property tests pin this
-    /// against Barrett; the vector path evaluates the identical
-    /// integer formula, so agreement here transfers to the lanes.
-    ///
-    /// The scheme is a generalized Barrett with an *approximate* high
-    /// word, `n = bits(q)`, `μ = ⌊2^{2n}/q⌋ < 2^{n+1}`:
-    ///
-    /// ```text
-    /// p  = x·y < 2^{2n}            (x, y canonical after a csub)
-    /// d  = ⌊p / 2^{n−2}⌋ < 2^{n+2} (spliced from p_hi, p_lo)
-    /// q̂  = hi_approx(d·2^{62−n}, μ)
-    ///    = ⌊d·μ / 2^{n+2}⌋ − ε,  ε ∈ [0, 2]
-    /// r  = (p − q̂·q) mod 2^64 < 5q (then three csubs to canonical)
-    /// ```
-    ///
-    /// `⌊d·μ/2^{n+2}⌋` undershoots `⌊p/q⌋` by at most 2 (same algebra
-    /// as `portable52::mul_mod_barrett52`); `hi_approx` — the three
-    /// high 32×32 partials without the `ll` term or the middle-column
-    /// carry — undershoots an exact high word by at most 2 more.
-    /// Hence `⌊p/q⌋ − q̂ ≤ 4` and `r < 5q`, which is why the path
-    /// requires `q < 2^61` ([`limbsplit_modulus_ok`]).
-    ///
-    /// Accepts lazy multiplicands `x, y < 2q`; returns the canonical
-    /// residue.
-    pub fn mul_mod_limbsplit(x: u64, y: u64, q: u64) -> u64 {
-        debug_assert!(limbsplit_modulus_ok(q));
-        let hi_approx = |a: u64, c: u64| -> u64 {
-            let (a_hi, a_lo) = (a >> 32, a & 0xFFFF_FFFF);
-            let (c_hi, c_lo) = (c >> 32, c & 0xFFFF_FFFF);
-            a_hi * c_hi + ((a_lo * c_hi) >> 32) + ((a_hi * c_lo) >> 32)
-        };
-        let x = csub(x, q);
-        let y = csub(y, q);
-        let n = 64 - q.leading_zeros();
-        let mu = ((1u128 << (2 * n)) / q as u128) as u64;
-        let p = x as u128 * y as u128;
-        let (p_hi, p_lo) = ((p >> 64) as u64, p as u64);
-        let d = shl64(p_hi, 66 - n) | (p_lo >> (n - 2));
-        let qhat = hi_approx(shl64(d, 62 - n), mu);
-        let r = p_lo.wrapping_sub(qhat.wrapping_mul(q));
-        debug_assert!(r < 5 * q);
-        reduce_4q(csub(r, 2 * q), q)
     }
 
     pub(super) fn mac_mod_slice(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
@@ -979,12 +717,6 @@ mod portable52 {
     }
 }
 
-/// Scalar reference for the AVX2 limb-split multiply formula — see
-/// `portable::mul_mod_limbsplit`. Exported for the conformance and
-/// property suites (and Miri), which pin it against Barrett on every
-/// host, AVX2 or not.
-pub use portable::{limbsplit_modulus_ok, mul_mod_limbsplit, LIMBSPLIT_MAX_MODULUS_BITS};
-
 /// Scalar reference for the IFMA 52-bit Barrett multiply formula —
 /// see `portable52::mul_mod_barrett52`. Exported for the conformance
 /// and property suites (and Miri).
@@ -1027,14 +759,6 @@ mod avx2 {
     unsafe fn csub(v: __m256i, m: __m256i) -> __m256i {
         // andnot(lt, m) keeps `m` exactly in the lanes where v ≥ m.
         _mm256_sub_epi64(v, _mm256_andnot_si256(cmp_lt(v, m), m))
-    }
-
-    /// Brings lazy `< 4q` lanes back to `[0, q)`: two conditional
-    /// subtractions, matching `modops::reduce_4q` per lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce_4q_vec(v: __m256i, q: __m256i, two_q: __m256i) -> __m256i {
-        csub(csub(v, two_q), q)
     }
 
     /// Low 64 bits of the per-lane product `a·b`, from three
@@ -1082,28 +806,6 @@ mod avx2 {
     unsafe fn shoup_lazy(a: __m256i, w: __m256i, ws: __m256i, q: __m256i) -> __m256i {
         let hi = mul_hi(a, ws);
         _mm256_sub_epi64(mul_lo(a, w), mul_lo(hi, q))
-    }
-
-    /// *Approximate* high 64 bits of the per-lane product `a·c`: only
-    /// the three high partials (`hh + (lh≫32) + (hl≫32)`), three
-    /// `vpmuludq` instead of [`mul_hi`]'s four — the `ll` partial and
-    /// the middle-column carry are dropped, undershooting the exact
-    /// high word by at most 2 (the carry's range).
-    ///
-    /// This is the engine of the limb-split multiply: the Barrett
-    /// quotient estimate tolerates the undershoot — each missing unit
-    /// just leaves one more `q` in the remainder, caught by the `< 5q`
-    /// correction band. Mirrored exactly by
-    /// `portable::mul_mod_limbsplit`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_hi_approx(a: __m256i, c: __m256i) -> __m256i {
-        let a_hi = _mm256_srli_epi64(a, 32);
-        let c_hi = _mm256_srli_epi64(c, 32);
-        let hh = _mm256_mul_epu32(a_hi, c_hi);
-        let lh = _mm256_srli_epi64(_mm256_mul_epu32(a, c_hi), 32);
-        let hl = _mm256_srli_epi64(_mm256_mul_epu32(a_hi, c), 32);
-        _mm256_add_epi64(hh, _mm256_add_epi64(lh, hl))
     }
 
     /// Unaligned 4-lane load from `s[i..i + 4]`.
@@ -1159,105 +861,6 @@ mod avx2 {
             store(a, i, _mm256_add_epi64(_mm256_sub_epi64(x, y), add_q));
         }
         portable::sub_mod_slice(&mut a[n4..], &b[n4..], q);
-    }
-
-    /// Exact 128-bit per-lane product `(lo, hi)` from the four 32×32
-    /// partials computed once and shared between both words — 4
-    /// `vpmuludq` total, versus 7 for separate [`mul_lo`] +
-    /// [`mul_hi`] calls.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_lohi(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-        let lo32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-        let a_hi = _mm256_srli_epi64(a, 32);
-        let b_hi = _mm256_srli_epi64(b, 32);
-        let ll = _mm256_mul_epu32(a, b);
-        let lh = _mm256_mul_epu32(a, b_hi);
-        let hl = _mm256_mul_epu32(a_hi, b);
-        let hh = _mm256_mul_epu32(a_hi, b_hi);
-        let cross = _mm256_add_epi64(lh, hl);
-        let lo = _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32));
-        // Middle column: (ll >> 32) + lo32(lh) + lo32(hl) ≤ 3·(2³²−1),
-        // no 64-bit overflow; its high word is the carry into `hh`.
-        let mid = _mm256_add_epi64(
-            _mm256_srli_epi64(ll, 32),
-            _mm256_add_epi64(_mm256_and_si256(lh, lo32), _mm256_and_si256(hl, lo32)),
-        );
-        let hi = _mm256_add_epi64(
-            _mm256_add_epi64(hh, _mm256_srli_epi64(mid, 32)),
-            _mm256_add_epi64(_mm256_srli_epi64(lh, 32), _mm256_srli_epi64(hl, 32)),
-        );
-        (lo, hi)
-    }
-
-    /// The limb-split multiply: canonical `x·y mod q` in 10 `vpmuludq`
-    /// per 4 lanes, down from 27 for the old synthesized 64×64 path
-    /// (whose loss to scalar Barrett was the dispatch bug this module
-    /// fixes). Shared 32×32 partials give the exact product
-    /// `p = p_hi·2⁶⁴ + p_lo` (4 multiplies); then one generalized
-    /// Barrett fold with an approximate high word: splice
-    /// `d = ⌊p/2^{n−2}⌋`, estimate `q̂ = hi_approx(d≪(62−n), μ)` (3),
-    /// subtract `q̂·q` from `p_lo` (3), leaving `r < 5q`, and correct
-    /// with three conditional subtracts. Bit-identical to
-    /// `portable::mul_mod_limbsplit` per lane (see its bound proof),
-    /// and (canonical residues being unique) to the portable Barrett
-    /// backend.
-    ///
-    /// Accepts lazy multiplicands `x, y < 2q` like every `mul`/`mac`
-    /// backend; requires `q < 2^61` (`limbsplit_modulus_ok`, enforced
-    /// by dispatch).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_mod_slice(a: &mut [u64], b: &[u64], q: u64) {
-        debug_assert!(portable::limbsplit_modulus_ok(q));
-        let n = 64 - q.leading_zeros() as i64;
-        let muv = splat(((1u128 << (2 * n)) / q as u128) as u64);
-        let sh_d_hi = _mm256_set1_epi64x(66 - n);
-        let sh_d_lo = _mm256_set1_epi64x(n - 2);
-        let sh_dq = _mm256_set1_epi64x(62 - n);
-        let qv = splat(q);
-        let two_qv = splat(2 * q);
-        let n4 = full(a.len());
-        for i in (0..n4).step_by(LANES) {
-            let x = csub(load(a, i), qv);
-            let y = csub(load(b, i), qv);
-            let (p_lo, p_hi) = mul_lohi(x, y);
-            let d = _mm256_or_si256(
-                _mm256_sllv_epi64(p_hi, sh_d_hi),
-                _mm256_srlv_epi64(p_lo, sh_d_lo),
-            );
-            let qhat = mul_hi_approx(_mm256_sllv_epi64(d, sh_dq), muv);
-            let r = _mm256_sub_epi64(p_lo, mul_lo(qhat, qv));
-            store(a, i, reduce_4q_vec(csub(r, two_qv), qv, two_qv));
-        }
-        portable::mul_mod_slice(&mut a[n4..], &b[n4..], q);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac_mod_slice(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
-        debug_assert!(portable::limbsplit_modulus_ok(q));
-        let n = 64 - q.leading_zeros() as i64;
-        let muv = splat(((1u128 << (2 * n)) / q as u128) as u64);
-        let sh_d_hi = _mm256_set1_epi64x(66 - n);
-        let sh_d_lo = _mm256_set1_epi64x(n - 2);
-        let sh_dq = _mm256_set1_epi64x(62 - n);
-        let qv = splat(q);
-        let two_qv = splat(2 * q);
-        let n4 = full(acc.len());
-        for i in (0..n4).step_by(LANES) {
-            let x = csub(load(a, i), qv);
-            let y = csub(load(b, i), qv);
-            let (p_lo, p_hi) = mul_lohi(x, y);
-            let d = _mm256_or_si256(
-                _mm256_sllv_epi64(p_hi, sh_d_hi),
-                _mm256_srlv_epi64(p_lo, sh_d_lo),
-            );
-            let qhat = mul_hi_approx(_mm256_sllv_epi64(d, sh_dq), muv);
-            let r = _mm256_sub_epi64(p_lo, mul_lo(qhat, qv));
-            let prod = reduce_4q_vec(csub(r, two_qv), qv, two_qv);
-            let s = _mm256_add_epi64(load(acc, i), prod);
-            store(acc, i, csub(s, qv));
-        }
-        portable::mac_mod_slice(&mut acc[n4..], &a[n4..], &b[n4..], q);
     }
 
     #[target_feature(enable = "avx2")]
@@ -1379,8 +982,7 @@ mod ifma {
     }
 
     /// The 52-bit Barrett multiply behind the `mul`/`mac` IFMA route:
-    /// five fused multiplies per 8 lanes (the limb-split AVX2 path
-    /// needs 19 `vpmuludq` per 4). Per-lane it evaluates exactly
+    /// five fused multiplies per 8 lanes. Per-lane it evaluates exactly
     /// `portable52::mul_mod_barrett52` — see that function for the
     /// `q̂` undershoot proof (`r < 3q < 2^52`).
     #[target_feature(enable = "avx512f,avx512ifma")]
@@ -1648,9 +1250,9 @@ mod tests {
         }
     }
 
-    /// On vector hosts, the dispatched backend (AVX2 limb-split at 59
-    /// bits, IFMA 52-bit Barrett at 30/45/50) must agree word-for-word
-    /// with the always-compiled portable backend (on other hosts this
+    /// On IFMA hosts, the dispatched backend (IFMA 52-bit Barrett at
+    /// 30/45/50 bits, portable at 59) must agree word-for-word with the
+    /// always-compiled portable backend (on other hosts this
     /// degenerates to portable-vs-portable and trivially passes, which
     /// is exactly the fallback contract).
     #[test]
@@ -1668,40 +1270,6 @@ mod tests {
             let mut y = b.clone();
             portable::mac_mod_slice(&mut y, &a, &b, q);
             assert_eq!(x, y, "mac backends diverge at {bits} bits");
-        }
-    }
-
-    /// The limb-split scalar mirror (the exact per-lane formula of the
-    /// AVX2 `mul`/`mac` path) against Barrett, over several modulus
-    /// widths up to the 61-bit top of the range, on canonical *and*
-    /// denormal `[q, 2q)` operands. Runs on every host and under Miri
-    /// — formula coverage does not depend on AVX2 being present.
-    #[test]
-    fn limbsplit_scalar_mirror_matches_barrett() {
-        for bits in [30u32, 45, 59, 61] {
-            let q = generate_ntt_prime(64, bits).unwrap();
-            let mut s = 0x11b5 ^ u64::from(bits);
-            for i in 0..200 {
-                // Even i: canonical operands; odd i: denormal [q, 2q).
-                let (x, y) = if i % 2 == 0 {
-                    (lcg(&mut s) % q, lcg(&mut s) % q)
-                } else {
-                    (q + lcg(&mut s) % q, q + lcg(&mut s) % q)
-                };
-                assert_eq!(
-                    mul_mod_limbsplit(x, y, q),
-                    mul_mod(x % q, y % q, q),
-                    "bits={bits} x={x} y={y}"
-                );
-            }
-            for (x, y) in [
-                (0, 0),
-                (q - 1, q - 1),
-                (2 * q - 1, 2 * q - 1),
-                (1, 2 * q - 1),
-            ] {
-                assert_eq!(mul_mod_limbsplit(x, y, q), mul_mod(x % q, y % q, q));
-            }
         }
     }
 
@@ -1744,31 +1312,42 @@ mod tests {
         }
     }
 
-    /// Dispatched `mul`/`mac` slices on denormal `[q, 2q)`
-    /// multiplicands — the lazy-operand half of the slice contract —
-    /// against the reduced-operand oracle, at both a limb-split-width
-    /// and an IFMA-width modulus.
+    /// `mul`/`mac` slices on denormal `[q, 2q)` multiplicands — the
+    /// lazy-operand half of the slice contract — against the
+    /// reduced-operand oracle, at IFMA-width and wider moduli. Both
+    /// the dispatched kernels and the portable ones run: on IFMA hosts
+    /// dispatch sends the sub-2^50 moduli to the vector lanes, so the
+    /// direct portable calls keep the portable path's lazy-operand
+    /// handling covered there too.
     #[test]
     fn mul_mac_slices_accept_lazy_multiplicands() {
-        for bits in [50u32, 59] {
+        type Mul = fn(&mut [u64], &[u64], u64);
+        type Mac = fn(&mut [u64], &[u64], &[u64], u64);
+        let kernels: [(&str, Mul, Mac); 2] = [
+            ("dispatched", mul_mod_slice, mac_mod_slice),
+            ("portable", portable::mul_mod_slice, portable::mac_mod_slice),
+        ];
+        for bits in [31u32, 50, 59] {
             let q = generate_ntt_prime(64, bits).unwrap();
             for len in [0usize, 1, 7, 8, 9, 64, 67] {
                 let mut s = 0xdeb0 ^ (u64::from(bits) << 8) ^ len as u64;
                 let a: Vec<u64> = (0..len).map(|_| q + lcg(&mut s) % q).collect();
                 let b: Vec<u64> = (0..len).map(|_| q + lcg(&mut s) % q).collect();
                 let acc0: Vec<u64> = (0..len).map(|_| lcg(&mut s) % q).collect();
-                let mut mul = a.clone();
-                mul_mod_slice(&mut mul, &b, q);
-                let mut mac = acc0.clone();
-                mac_mod_slice(&mut mac, &a, &b, q);
-                for j in 0..len {
-                    let p = mul_mod(a[j] % q, b[j] % q, q);
-                    assert_eq!(mul[j], p, "mul bits={bits} len={len} j={j}");
-                    assert_eq!(
-                        mac[j],
-                        add_mod(acc0[j], p, q),
-                        "mac bits={bits} len={len} j={j}"
-                    );
+                for (path, mul_k, mac_k) in kernels {
+                    let mut mul = a.clone();
+                    mul_k(&mut mul, &b, q);
+                    let mut mac = acc0.clone();
+                    mac_k(&mut mac, &a, &b, q);
+                    for j in 0..len {
+                        let p = mul_mod(a[j] % q, b[j] % q, q);
+                        assert_eq!(mul[j], p, "{path} mul bits={bits} len={len} j={j}");
+                        assert_eq!(
+                            mac[j],
+                            add_mod(acc0[j], p, q),
+                            "{path} mac bits={bits} len={len} j={j}"
+                        );
+                    }
                 }
             }
         }
@@ -1853,51 +1432,34 @@ mod tests {
         }
     }
 
-    /// Structural invariants of the per-op dispatch table: IFMA routes
-    /// require the hardware and a sub-2^50 modulus, nothing routes to
-    /// a vector backend the host lacks, and the table covers every op
-    /// in declaration order.
+    /// The dispatch rule as a table: at 31/36/49/50/59/60-bit primes,
+    /// every op routes exactly where the static rule says, computed
+    /// from the feature probes and `ifma_modulus_ok` alone, and asking
+    /// again gives the same answer.
     #[test]
-    fn ew_dispatch_table_is_sound() {
-        for q in [
-            generate_ntt_prime(64, 50).unwrap(),
-            generate_ntt_prime(64, 59).unwrap(),
-        ] {
-            let table = ew_dispatch_table(q);
-            assert_eq!(table.len(), EwOp::ALL.len());
-            for (row, &op) in table.iter().zip(EwOp::ALL.iter()) {
-                assert_eq!(row.op, op);
-                match row.backend {
-                    EwBackend::Avx2 => assert!(avx2_available(), "{}", op.name()),
-                    EwBackend::Ifma => {
-                        assert!(ifma_available(), "{}", op.name());
-                        assert!(ifma_modulus_ok(q), "{}", op.name());
-                        assert!(
-                            matches!(op, EwOp::Mul | EwOp::Mac),
-                            "only mul/mac route to IFMA"
-                        );
-                    }
-                    EwBackend::Portable => {}
-                }
-                match op {
-                    // The structural-win ops are always static routes.
-                    EwOp::Add | EwOp::Sub | EwOp::Scale => {
-                        assert_eq!(row.source, RouteSource::Static, "{}", op.name());
-                    }
-                    // mul/mac are measured exactly when the choice was
-                    // the avx2-vs-scalar race.
-                    EwOp::Mul | EwOp::Mac => {
-                        if row.backend == EwBackend::Ifma {
-                            assert_eq!(row.source, RouteSource::Static);
-                        }
-                    }
+    fn ew_backend_follows_static_rule() {
+        // (prime bits, inside the IFMA window)
+        let table = [
+            (31u32, true),
+            (36, true),
+            (49, true),
+            (50, true),
+            (59, false),
+            (60, false),
+        ];
+        for (bits, ifma_window) in table {
+            let q = generate_ntt_prime(64, bits).unwrap();
+            assert_eq!(ifma_modulus_ok(q), ifma_window, "{bits}-bit q={q}");
+            for op in EwOp::ALL {
+                let want = match op {
+                    EwOp::Add | EwOp::Sub | EwOp::Scale if avx2_available() => EwBackend::Avx2,
+                    EwOp::Mul | EwOp::Mac if ifma_available() && ifma_window => EwBackend::Ifma,
+                    _ => EwBackend::Portable,
+                };
+                for _ in 0..3 {
+                    assert_eq!(ew_backend(op, q), want, "{} at {bits} bits", op.name());
                 }
             }
-        }
-        // Ifma must never be routed for a modulus over the ceiling.
-        let wide = generate_ntt_prime(64, 59).unwrap();
-        for row in ew_dispatch_table(wide) {
-            assert_ne!(row.backend, EwBackend::Ifma, "59-bit modulus on IFMA");
         }
     }
 }

@@ -25,7 +25,7 @@ use ufc_math::plane::RnsPlane;
 use ufc_math::poly::{Form, Poly};
 use ufc_math::prime::{generate_ntt_prime, generate_ntt_primes};
 use ufc_math::simd;
-use ufc_math::simd::{mul_mod_barrett52, mul_mod_limbsplit, EwBackend};
+use ufc_math::simd::mul_mod_barrett52;
 
 /// Ring dimensions covered by the differential sweeps. 2^13 and 2^14
 /// exercise the genuinely blocked radix-4 schedule (dimension above
@@ -259,17 +259,17 @@ proptest! {
         }
     }
 
-    /// The limb-split (AVX2) and 52-bit Barrett (IFMA) hadamard/mac
-    /// kernels on *denormal* `[q, 2q)` multiplicands, across generated
-    /// prime widths spanning both windows: every lane must be
-    /// bit-identical to the scalar Barrett oracle on the canonicalized
-    /// inputs. The scalar mirrors (`mul_mod_limbsplit`,
-    /// `mul_mod_barrett52`) are pinned unconditionally — they evaluate
-    /// the exact per-lane integer formula, so their agreement transfers
-    /// to the vector lanes on any host; the vector backends are pinned
-    /// additionally whenever this host can run them.
+    /// The dispatched hadamard/mac kernels on *denormal* `[q, 2q)`
+    /// multiplicands, across generated prime widths on both sides of
+    /// the 2^50 IFMA ceiling: every lane must be bit-identical to the
+    /// scalar Barrett oracle on the canonicalized inputs. On IFMA hosts
+    /// dispatch runs the vector lanes below 2^50 and portable Barrett
+    /// above it. The 52-bit scalar mirror (`mul_mod_barrett52`) is
+    /// pinned unconditionally — it evaluates the exact per-lane integer
+    /// formula of the IFMA kernels, so its agreement transfers to the
+    /// vector lanes on any host.
     #[test]
-    fn prop_limbsplit_hadamard_mac_match_barrett_on_denormal_inputs(
+    fn prop_hadamard_mac_match_barrett_on_denormal_inputs(
         seed in any::<u64>(), len in 1usize..67, bits in 30u32..=60
     ) {
         let q = generate_ntt_prime(1 << 10, bits).unwrap();
@@ -285,12 +285,8 @@ proptest! {
         let mac_want: Vec<u64> =
             (0..len).map(|i| add_mod(c[i], mul_want[i], q)).collect();
 
-        for i in 0..len {
-            prop_assert_eq!(
-                mul_mod_limbsplit(a[i], b[i], q), mul_want[i],
-                "limb-split mirror lane {} at {} bits", i, bits
-            );
-            if ifma_modulus_ok(q) {
+        if ifma_modulus_ok(q) {
+            for i in 0..len {
                 prop_assert_eq!(
                     mul_mod_barrett52(a[i], b[i], q), mul_want[i],
                     "barrett52 mirror lane {} at {} bits", i, bits
@@ -298,22 +294,12 @@ proptest! {
             }
         }
 
-        for backend in [EwBackend::Avx2, EwBackend::Ifma] {
-            let mut got = a.clone();
-            if simd::mul_mod_slice_on(backend, &mut got, &b, q) {
-                prop_assert_eq!(
-                    &got, &mul_want,
-                    "{} hadamard on denormal inputs at {} bits", backend.name(), bits
-                );
-            }
-            let mut got = c.clone();
-            if simd::mac_mod_slice_on(backend, &mut got, &a, &b, q) {
-                prop_assert_eq!(
-                    &got, &mac_want,
-                    "{} mac on denormal inputs at {} bits", backend.name(), bits
-                );
-            }
-        }
+        let mut got = a.clone();
+        simd::mul_mod_slice(&mut got, &b, q);
+        prop_assert_eq!(&got, &mul_want, "hadamard on denormal inputs at {} bits", bits);
+        let mut got = c.clone();
+        simd::mac_mod_slice(&mut got, &a, &b, q);
+        prop_assert_eq!(&got, &mac_want, "mac on denormal inputs at {} bits", bits);
     }
 
     /// Whole-transform conformance under proptest: the IFMA generation

@@ -17,10 +17,12 @@
 //! * `bench-math [--quick]` — build the release `bench_math` harness,
 //!   run it writing `BENCH_math.json` at the workspace root, and
 //!   validate the report shape (experiment tag, numeric headline
-//!   speedup, non-empty tables, host topology block) and, on full
-//!   runs, the dispatch floors: every element-wise row at speedup
-//!   ≥ 1.0 and every `ntt_kernels` row with the auto-selected NTT
-//!   kernel within 1.10x of the fastest one.
+//!   speedup, non-empty tables, host topology block), that every
+//!   `ew_kernels` row ran on the backend the static element-wise rule
+//!   gives for its kernel, prime width and the report's host features,
+//!   and, on full runs, the dispatch floors: every element-wise row at
+//!   speedup ≥ 1.0 and every `ntt_kernels` row with the auto-selected
+//!   NTT kernel within 1.10x of the fastest one.
 //! * `bench-switch [--quick]` — build the release `bench_switch`
 //!   harness, run it writing `BENCH_switch.json` at the workspace
 //!   root, and validate the report shape (experiment tag, `extract`
@@ -675,10 +677,6 @@ fn bench_math(quick: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Per-op dispatch contract: the report must carry the dispatch
-    // table (which backend each element-wise op routed to, and
-    // whether the route was static or measured) on every host — the
-    // portable-only route is a dispatch decision too.
     let table_rows = |name: &str| -> Vec<serde::Value> {
         tables
             .iter()
@@ -754,10 +752,6 @@ fn bench_math(quick: bool) -> ExitCode {
             }
         }
     }
-    if table_rows("ew_dispatch").is_empty() {
-        eprintln!("xtask bench-math: report has no populated `ew_dispatch` table");
-        return ExitCode::FAILURE;
-    }
     // Routing regression gate: dispatch guarantees SIMD (or its
     // portable fallback) never loses to the scalar loop, so every
     // element-wise row must hold speedup >= 1.0 on committed full
@@ -769,12 +763,25 @@ fn bench_math(quick: bool) -> ExitCode {
         .and_then(|h| h.get("ifma"))
         .and_then(serde::Value::as_bool)
         .unwrap_or(false);
-    let (Some(k_col), Some(s_col)) = (
+    let (Some(k_col), Some(s_col), Some(bits_col), Some(b_col)) = (
         col_index("ew_kernels", "kernel"),
         col_index("ew_kernels", "speedup"),
+        col_index("ew_kernels", "bits"),
+        col_index("ew_kernels", "backend"),
     ) else {
-        eprintln!("xtask bench-math: `ew_kernels` lacks kernel/speedup columns");
+        eprintln!("xtask bench-math: `ew_kernels` lacks kernel/speedup/bits/backend columns");
         return ExitCode::FAILURE;
+    };
+    // The static element-wise dispatch rule, from the report's own host
+    // features: add/sub/scale on AVX2 when present; hadamard/mac on
+    // IFMA when present and q < 2^50 (a `bits`-bit prime lies below
+    // 2^bits); portable otherwise. It is deterministic, so it gates
+    // --quick runs too.
+    let ifma_max_bits = u64::from(ufc_math::modops::IFMA_MAX_MODULUS_BITS);
+    let rule = |kernel: &str, bits: u64| match kernel {
+        "add" | "sub" | "scale" if avx2 => "avx2",
+        "hadamard" | "mac" if ifma && bits <= ifma_max_bits => "ifma",
+        _ => "portable",
     };
     let mut best_hadamard = 0.0f64;
     let mut best_mac = 0.0f64;
@@ -791,6 +798,23 @@ fn bench_math(quick: bool) -> ExitCode {
             eprintln!("xtask bench-math: `ew_kernels` row has no numeric speedup");
             return ExitCode::FAILURE;
         };
+        let bits = cells
+            .get(bits_col)
+            .and_then(serde::Value::as_u64)
+            .unwrap_or(0);
+        let backend = cells
+            .get(b_col)
+            .and_then(serde::Value::as_str)
+            .unwrap_or("");
+        let want = rule(kernel, bits);
+        if backend != want {
+            eprintln!(
+                "xtask bench-math: element-wise `{kernel}` at {bits} bits ran on \
+                 `{backend}`, but the dispatch rule gives `{want}` \
+                 (host avx2={avx2}, ifma={ifma})"
+            );
+            return ExitCode::FAILURE;
+        }
         if sp < ew_floor {
             eprintln!(
                 "xtask bench-math: element-wise `{kernel}` dispatched at {sp:.2}x vs \

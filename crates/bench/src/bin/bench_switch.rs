@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use ufc_bench::{cell, JsonReport};
 use ufc_ckks::{CkksContext, Evaluator as CkksEvaluator, KeySet, SecretKey};
-use ufc_math::ntt::NttKernel;
 use ufc_switch::extract::encode_coefficients;
 use ufc_switch::{CkksToLwe, LweToCkks};
 use ufc_tfhe::{LweCiphertext, TfheContext, TfheKeys};
@@ -68,11 +67,6 @@ fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 
 fn main() {
     let opts = parse_opts();
-    // Fail fast on a typo'd kernel override: the library would only
-    // warn and fall back, silently benchmarking the wrong kernel.
-    if let Err(e) = NttKernel::from_env() {
-        usage_error(&e.to_string());
-    }
     let mut rng = StdRng::seed_from_u64(0x5317c4);
     let mut json = JsonReport::new("bench_switch");
 

@@ -315,22 +315,17 @@ impl CkksContext {
         Ok(())
     }
 
-    /// Panicking [`Self::try_set_ntt_kernel`], for tests and benches
-    /// whose moduli are known to fit the requested generation.
+    /// Builder-style [`Self::try_set_ntt_kernel`], for tests and
+    /// benches whose moduli are known to fit the requested generation.
     ///
     /// # Panics
     ///
     /// Panics when some chain modulus is too wide for `kernel`.
-    pub fn set_ntt_kernel(&mut self, kernel: NttKernel) {
-        if let Err(e) = self.try_set_ntt_kernel(kernel) {
-            panic!("set_ntt_kernel: {e}");
-        }
-    }
-
-    /// Builder-style [`Self::set_ntt_kernel`].
     #[must_use]
     pub fn with_ntt_kernel(mut self, kernel: NttKernel) -> Self {
-        self.set_ntt_kernel(kernel);
+        if let Err(e) = self.try_set_ntt_kernel(kernel) {
+            panic!("with_ntt_kernel: {e}");
+        }
         self
     }
 

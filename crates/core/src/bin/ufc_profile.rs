@@ -337,13 +337,6 @@ fn print_host_report(profile: &HostProfile, top: usize) {
 }
 
 fn main() -> ExitCode {
-    // Validate the kernel override once, up front: inside the run the
-    // library would only warn and fall back, and a profiling session
-    // under the wrong kernel is worse than no session.
-    if let Err(e) = ufc_math::ntt::NttKernel::from_env() {
-        eprintln!("ufc-profile: {e}");
-        return ExitCode::from(2);
-    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
         Ok(a) => a,

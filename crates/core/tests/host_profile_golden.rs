@@ -4,16 +4,17 @@
 //!
 //! The host pipeline is fully seeded and single-path, so the *shape*
 //! of a recording — which spans fire and how often — is reproducible
-//! bit for bit even though the latencies are not. The NTT kernel is
-//! forced to `radix4` so the kernel tags don't vary with the host CPU,
-//! and the test scale sits below the `par_limbs` threading threshold
+//! bit for bit even though the latencies are not. Its rings (N = 64
+//! and 256) sit below the IFMA crossover, so the dispatch rule picks
+//! `radix4` on every host and the kernel tags don't vary with the
+//! CPU; the test scale sits below the `par_limbs` threading threshold
 //! so no `math/par_worker` spans appear. If you intentionally change
 //! the instrumentation or the workload, update the table below.
 
 use std::process::Command;
 
 /// `(span key, count)` pinned for the default `HostRunConfig` (seed 7,
-/// six candidates, six gates) under `UFC_NTT_KERNEL=radix4`.
+/// six candidates, six gates).
 const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/add", 1),
     ("ckks/decrypt", 1),
@@ -54,7 +55,6 @@ fn host_top_spans_table_matches_golden() {
         .arg(fixture)
         .args(["--top", "64"])
         .arg("--host")
-        .env("UFC_NTT_KERNEL", "radix4")
         .output()
         .expect("run ufc-profile --host");
     assert!(

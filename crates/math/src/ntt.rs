@@ -15,7 +15,7 @@
 //! correction pass at the end of the transform brings everything back
 //! to `[0, q)`. This removes the 128-bit `%` division the seed
 //! butterfly paid per multiply. The seed kernels are retained as
-//! `*_reference` methods so equivalence tests and the
+//! [`NttKernel::Reference`] so equivalence tests and the
 //! `cargo xtask bench-math` harness can measure old vs. new on the
 //! same tables.
 //!
@@ -46,25 +46,18 @@
 //!   the identical per-lane formulas, so IFMA legs are bit-identical
 //!   whether or not the host has the hardware.
 //!
-//! Each [`NttContext`] picks a kernel at construction: the
-//! `UFC_NTT_KERNEL` environment variable (`auto` / `reference` /
-//! `radix4` / `ifma`) wins if set and well-formed, otherwise the one
-//! dispatch rule [`NttKernel::auto_for`] applies — IFMA when the host
-//! has AVX-512 IFMA, the modulus is below 2⁵⁰ and `N ≥`
-//! [`RADIX4_MIN_DIM`], radix-4 otherwise (`BENCH_math.json`'s
-//! `ntt_kernels` table shows IFMA losing to radix-4 below that size).
-//! A malformed value no longer panics library consumers:
-//! [`NttKernel::select_for`] warns once on stderr and falls back to
-//! the rule, while CLIs validate the variable at startup via
-//! [`NttKernel::from_env`] and fail fast. Forcing `ifma` is strict,
-//! not best-effort: a host without AVX-512 IFMA gets
-//! [`NttError::IfmaUnavailable`] (unless `UFC_IFMA_PORTABLE=1`
-//! explicitly opts into the portable mirror lanes, the CI-runner
-//! escape hatch) and a modulus at or above 2⁵⁰ bits gets
-//! [`NttError::IfmaPrimeTooWide`] — never a silent fallback. Tests
-//! and benches can override per context via
-//! [`NttContext::try_set_kernel`] or call a specific kernel directly
-//! via [`NttContext::forward_with`].
+//! Each [`NttContext`] takes its kernel from the one dispatch rule
+//! [`NttKernel::auto_for`], which depends only on `(n, q)` and the
+//! host: IFMA when the host has AVX-512 IFMA, the modulus is below
+//! 2⁵⁰ and `N ≥` [`RADIX4_MIN_DIM`], radix-4 otherwise
+//! (`BENCH_math.json`'s `ntt_kernels` table shows IFMA losing to
+//! radix-4 below that size). Tests and benches choose a kernel
+//! explicitly, per table via [`NttContext::try_set_kernel`] /
+//! [`NttContext::with_kernel`] or per call via
+//! [`NttContext::forward_with`] / [`NttContext::inverse_with`]. An
+//! explicit [`NttKernel::Ifma`] runs the portable mirror lanes on
+//! hosts without the hardware; a modulus at or above 2⁵⁰ is a typed
+//! [`NttError::IfmaPrimeTooWide`], never a silent fallback.
 
 use crate::modops::{
     add_mod, ifma_modulus_ok, inv_mod, mul_mod, mul_shoup_lazy, pow_mod, shoup52_precompute,
@@ -73,21 +66,6 @@ use crate::modops::{
 use crate::poly::Poly;
 use crate::prime::{is_prime, primitive_root_of_unity};
 use crate::simd;
-
-/// Environment variable that overrides NTT kernel selection for every
-/// subsequently built [`NttContext`]: `auto`, `reference`, `radix4` or
-/// `ifma` (case-insensitive). Any other value, including the retired
-/// `radix2` and `simd`, is a [`KernelEnvError`].
-pub const KERNEL_ENV: &str = "UFC_NTT_KERNEL";
-
-/// Environment variable that lets a forced `UFC_NTT_KERNEL=ifma` run
-/// on the portable mirror lanes when the host lacks AVX-512 IFMA
-/// (`1`/`true` to opt in). Without it, forcing `ifma` on such a host
-/// is a typed [`NttError::IfmaUnavailable`] — the CI kernel matrix
-/// sets this variable so GitHub runners exercise the generation's
-/// arithmetic bit-identically, while still making accidental
-/// hardware-less forcing loud everywhere else.
-pub const IFMA_PORTABLE_ENV: &str = "UFC_IFMA_PORTABLE";
 
 /// Elements per cache block of the radix-4 schedule: `2^12` × 8 bytes
 /// = 32 KiB, sized to a typical L1 data cache.
@@ -123,27 +101,16 @@ pub enum NttKernel {
 
 impl NttKernel {
     /// Every kernel, in oracle-to-fastest order — the iteration set of
-    /// the conformance suite and the CI kernel matrix.
+    /// the conformance suites.
     pub const ALL: [NttKernel; 3] = [NttKernel::Reference, NttKernel::Radix4, NttKernel::Ifma];
 
-    /// The canonical lowercase name (what `UFC_NTT_KERNEL` accepts).
+    /// The canonical lowercase name, as spans and bench reports print
+    /// it.
     pub fn name(self) -> &'static str {
         match self {
             NttKernel::Reference => "reference",
             NttKernel::Radix4 => "radix4",
             NttKernel::Ifma => "ifma",
-        }
-    }
-
-    /// Parses a kernel name (case-insensitive). `None` for unknown
-    /// names — note `auto` is *not* a kernel; it is handled by
-    /// [`NttKernel::select_for`].
-    pub fn parse(s: &str) -> Option<NttKernel> {
-        match s.to_ascii_lowercase().as_str() {
-            "reference" => Some(NttKernel::Reference),
-            "radix4" => Some(NttKernel::Radix4),
-            "ifma" => Some(NttKernel::Ifma),
-            _ => None,
         }
     }
 
@@ -167,122 +134,7 @@ impl NttKernel {
             NttKernel::Radix4
         }
     }
-
-    /// Parses an observed `UFC_NTT_KERNEL` value without touching the
-    /// process environment (the pure seam under [`NttKernel::from_env`],
-    /// directly unit-testable). `None`, the empty string and `auto`
-    /// all mean "no override"; anything else must name a kernel.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelEnvError`] when the value names no known kernel.
-    pub fn parse_env_value(value: Option<&str>) -> Result<Option<NttKernel>, KernelEnvError> {
-        match value {
-            None => Ok(None),
-            Some(v) if v.is_empty() || v.eq_ignore_ascii_case("auto") => Ok(None),
-            Some(v) => match Self::parse(v) {
-                Some(k) => Ok(Some(k)),
-                None => Err(KernelEnvError {
-                    value: v.to_string(),
-                }),
-            },
-        }
-    }
-
-    /// Reads the `UFC_NTT_KERNEL` override from the environment:
-    /// `Ok(Some(kernel))` for a forced kernel, `Ok(None)` when unset
-    /// (or `auto`/empty).
-    ///
-    /// CLIs call this once at startup and fail fast on `Err`; library
-    /// paths go through [`NttKernel::select_for`], which degrades to
-    /// [`NttKernel::auto_for`] with a one-shot warning instead of
-    /// panicking deep inside table construction.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelEnvError`] when the variable is set to an unrecognized
-    /// value.
-    pub fn from_env() -> Result<Option<NttKernel>, KernelEnvError> {
-        match std::env::var(KERNEL_ENV) {
-            Ok(v) => Self::parse_env_value(Some(&v)),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Kernel selection for ring dimension `n` over modulus `q`: the
-    /// `UFC_NTT_KERNEL` environment variable if set (and not `auto`),
-    /// otherwise [`NttKernel::auto_for`].
-    ///
-    /// A malformed variable does **not** panic or error here: contexts
-    /// are built deep inside scheme and simulator code, where aborting
-    /// on a typo'd environment would take the whole consumer down. The
-    /// malformed value is reported once on stderr and selection falls
-    /// back to [`NttKernel::auto_for`]. Binaries that want the hard failure
-    /// (bench runners, the CI kernel matrix via `xtask`) validate with
-    /// [`NttKernel::from_env`] before building anything.
-    ///
-    /// A *well-formed* but unsatisfiable `ifma` override is different:
-    /// silently falling back would hand a CI leg or a bench run a
-    /// kernel it did not ask for, so it is a typed error instead.
-    ///
-    /// # Errors
-    ///
-    /// With `UFC_NTT_KERNEL=ifma` set: [`NttError::IfmaPrimeTooWide`]
-    /// when `q ≥ 2^50`, and [`NttError::IfmaUnavailable`] when the
-    /// host lacks AVX-512 IFMA and `UFC_IFMA_PORTABLE` does not opt
-    /// into the portable mirror lanes.
-    pub fn select_for(n: usize, q: u64) -> Result<NttKernel, NttError> {
-        match Self::from_env() {
-            Ok(Some(NttKernel::Ifma)) => {
-                if !ifma_modulus_ok(q) {
-                    return Err(NttError::IfmaPrimeTooWide { q });
-                }
-                if !simd::ifma_available() && !ifma_portable_requested() {
-                    return Err(NttError::IfmaUnavailable);
-                }
-                Ok(NttKernel::Ifma)
-            }
-            Ok(Some(k)) => Ok(k),
-            Ok(None) => Ok(Self::auto_for(n, q)),
-            Err(e) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("warning: {e}; falling back to automatic kernel selection");
-                });
-                Ok(Self::auto_for(n, q))
-            }
-        }
-    }
 }
-
-/// Whether `UFC_IFMA_PORTABLE` opts a forced `ifma` kernel into the
-/// portable mirror lanes on hardware without AVX-512 IFMA.
-fn ifma_portable_requested() -> bool {
-    matches!(
-        std::env::var(IFMA_PORTABLE_ENV).ok().as_deref(),
-        Some("1") | Some("true")
-    )
-}
-
-/// An unrecognized `UFC_NTT_KERNEL` value, reported by
-/// [`NttKernel::from_env`] / [`NttKernel::parse_env_value`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelEnvError {
-    /// The offending environment value, verbatim.
-    pub value: String,
-}
-
-impl std::fmt::Display for KernelEnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{KERNEL_ENV} must be one of auto|reference|radix4|ifma, got `{}`",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for KernelEnvError {}
 
 /// Why a set of NTT parameters cannot back an [`NttContext`], from
 /// [`NttContext::try_new`] / [`NttContext::try_with_psi`].
@@ -319,20 +171,13 @@ pub enum NttError {
         /// The modulus it was checked against.
         q: u64,
     },
-    /// The IFMA kernel was requested for a modulus at or above 2⁵⁰,
+    /// The IFMA kernel was requested (via
+    /// [`NttContext::try_set_kernel`]) for a modulus at or above 2⁵⁰,
     /// where lazy values no longer fit the 52-bit product window.
-    /// Raised by a forced `UFC_NTT_KERNEL=ifma` and by
-    /// [`NttContext::try_set_kernel`] alike — width is a hard
-    /// correctness bound, never subject to a portable escape.
     IfmaPrimeTooWide {
         /// The rejected modulus.
         q: u64,
     },
-    /// `UFC_NTT_KERNEL=ifma` was forced on a host without AVX-512
-    /// IFMA, and `UFC_IFMA_PORTABLE` did not opt into the portable
-    /// mirror lanes. Silent fallback here would hand CI legs and
-    /// bench runs a kernel they did not ask for.
-    IfmaUnavailable,
 }
 
 impl std::fmt::Display for NttError {
@@ -357,23 +202,11 @@ impl std::fmt::Display for NttError {
                 f,
                 "modulus {q} is too wide for the IFMA kernel (requires q < 2^{IFMA_MAX_MODULUS_BITS})"
             ),
-            NttError::IfmaUnavailable => write!(
-                f,
-                "UFC_NTT_KERNEL=ifma requires AVX-512 IFMA hardware; set {IFMA_PORTABLE_ENV}=1 to run the portable mirror lanes"
-            ),
         }
     }
 }
 
 impl std::error::Error for NttError {}
-
-impl std::str::FromStr for NttKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| format!("unknown NTT kernel `{s}`"))
-    }
-}
 
 impl std::fmt::Display for NttKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -420,8 +253,6 @@ pub struct NttContext {
     omega_inv_stage_shoup52: Vec<u64>,
     /// N^{-1} mod q.
     n_inv: u64,
-    /// Shoup companion of `n_inv`.
-    n_inv_shoup: u64,
     /// Fused post-twist ψ^{-i}·N^{-1} for the negacyclic inverse.
     psi_inv_n_pows: Vec<u64>,
     /// Shoup companions of `psi_inv_n_pows`.
@@ -477,43 +308,6 @@ impl NttContext {
         Self::try_with_psi(n, q, psi)
     }
 
-    /// [`Self::try_new`] with the kernel pinned explicitly, never
-    /// consulting `UFC_NTT_KERNEL`. This is the construction seam for
-    /// conformance suites and benches that must behave identically
-    /// under every leg of the CI kernel matrix — including legs whose
-    /// forced kernel could not legally run over this modulus.
-    ///
-    /// Like [`Self::try_set_kernel`], an explicit [`NttKernel::Ifma`]
-    /// does not require the hardware (the portable mirror lanes are
-    /// bit-identical), but the 50-bit width bound is always enforced.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Self::try_new`] parameter error, or
-    /// [`NttError::IfmaPrimeTooWide`] when `kernel` cannot run over
-    /// `q`.
-    pub fn try_new_with_kernel(n: usize, q: u64, kernel: NttKernel) -> Result<Self, NttError> {
-        if !kernel.supports_modulus(q) {
-            return Err(NttError::IfmaPrimeTooWide { q });
-        }
-        if n == 0 || !n.is_power_of_two() {
-            return Err(NttError::DimNotPowerOfTwo { n });
-        }
-        if !(2..1u64 << 62).contains(&q) {
-            return Err(NttError::ModulusOutOfRange { q });
-        }
-        if !is_prime(q) {
-            return Err(NttError::ModulusNotPrime { q });
-        }
-        if !(q - 1).is_multiple_of(2 * n as u64) {
-            return Err(NttError::NotNttFriendly { n, q });
-        }
-        let psi = primitive_root_of_unity(2 * n as u64, q);
-        let mut ctx = Self::build_with_psi(n, q, psi)?;
-        ctx.kernel = kernel;
-        Ok(ctx)
-    }
-
     /// Builds tables using a caller-chosen 2N-th root `psi`.
     ///
     /// Used by the automorphism-via-NTT trick (§IV-C2), which swaps ψ
@@ -532,22 +326,12 @@ impl NttContext {
     /// *not* re-check primality, so the automorphism path can re-derive
     /// contexts from an already-validated modulus cheaply.
     ///
+    /// The kernel is [`NttKernel::auto_for`]`(n, q)`.
+    ///
     /// # Errors
     ///
-    /// [`NttError`] describing the first failing check, including the
-    /// strict `UFC_NTT_KERNEL=ifma` selection errors of
-    /// [`NttKernel::select_for`].
+    /// [`NttError`] describing the first failing check.
     pub fn try_with_psi(n: usize, q: u64, psi: u64) -> Result<Self, NttError> {
-        let mut ctx = Self::build_with_psi(n, q, psi)?;
-        ctx.kernel = NttKernel::select_for(n, q)?;
-        Ok(ctx)
-    }
-
-    /// Table construction shared by the ambient-selection and
-    /// pinned-kernel constructors. Never consults the environment;
-    /// the kernel field is left at [`NttKernel::Reference`] for the
-    /// caller to overwrite.
-    fn build_with_psi(n: usize, q: u64, psi: u64) -> Result<Self, NttError> {
         if n == 0 || !n.is_power_of_two() {
             return Err(NttError::DimNotPowerOfTwo { n });
         }
@@ -642,12 +426,11 @@ impl NttContext {
             omega_inv_stage_shoup,
             omega_inv_stage_shoup52,
             n_inv,
-            n_inv_shoup: shoup_precompute(n_inv, q),
             psi_inv_n_pows,
             psi_inv_n_shoup,
             psi_inv_n_shoup52,
             barrett: Barrett::new(q),
-            kernel: NttKernel::Reference,
+            kernel: NttKernel::auto_for(n, q),
         })
     }
 
@@ -660,8 +443,7 @@ impl NttContext {
     /// Fallible kernel override (tests, benches, and scheme contexts
     /// that re-pin all their tables at once).
     ///
-    /// Unlike the strict `UFC_NTT_KERNEL=ifma` environment path, an
-    /// explicit [`NttKernel::Ifma`] here does *not* require the
+    /// An explicit [`NttKernel::Ifma`] does *not* require the
     /// hardware: the portable mirror lanes evaluate the identical
     /// per-lane formulas, which is exactly what conformance suites on
     /// non-IFMA hosts need. The 50-bit width bound is a correctness
@@ -680,18 +462,7 @@ impl NttContext {
         Ok(())
     }
 
-    /// Forces a specific kernel for this context.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the kernel cannot run over this context's modulus
-    /// (see [`Self::try_set_kernel`]).
-    pub fn set_kernel(&mut self, kernel: NttKernel) {
-        self.try_set_kernel(kernel)
-            .unwrap_or_else(|e| panic!("cannot set NTT kernel: {e}"));
-    }
-
-    /// Builder-style [`Self::set_kernel`].
+    /// Builder-style [`Self::try_set_kernel`].
     ///
     /// # Panics
     ///
@@ -699,7 +470,8 @@ impl NttContext {
     /// (see [`Self::try_set_kernel`]).
     #[must_use]
     pub fn with_kernel(mut self, kernel: NttKernel) -> Self {
-        self.set_kernel(kernel);
+        self.try_set_kernel(kernel)
+            .unwrap_or_else(|e| panic!("cannot set NTT kernel: {e}"));
         self
     }
 
@@ -830,7 +602,6 @@ impl NttContext {
         }
         if 2 * len == n {
             match tail {
-                Radix4Tail::Lazy => self.fused_pair(a, len, twiddles, twiddles_shoup),
                 Radix4Tail::Reduce => self.fused_pair_reduce(a, len, twiddles, twiddles_shoup),
                 Radix4Tail::Twist { pows, shoup } => {
                     // Folding the twist into this fused pass would
@@ -843,36 +614,12 @@ impl NttContext {
             }
         } else if len == n {
             match tail {
-                Radix4Tail::Lazy => self.single_stage(a, len, twiddles, twiddles_shoup),
                 Radix4Tail::Reduce => self.single_stage_reduce(a, len, twiddles, twiddles_shoup),
                 Radix4Tail::Twist { pows, shoup } => {
                     self.single_stage_twist(a, len, twiddles, twiddles_shoup, pows, shoup);
                 }
             }
         }
-    }
-
-    /// The cyclic radix-4 entry: plain bit-reversal, then the blocked
-    /// walk. Defers to [`Self::lazy_stages`] when the transform fits
-    /// one block (the blocked schedule would be the plain walk).
-    fn lazy_stages_radix4(
-        &self,
-        a: &mut [u64],
-        twiddles: &[u64],
-        twiddles_shoup: &[u64],
-        reduce_output: bool,
-    ) {
-        if self.n <= RADIX4_BLOCK {
-            self.lazy_stages(a, twiddles, twiddles_shoup, reduce_output);
-            return;
-        }
-        bit_reverse_permute(a);
-        let tail = if reduce_output {
-            Radix4Tail::Reduce
-        } else {
-            Radix4Tail::Lazy
-        };
-        self.radix4_stage_walk(a, twiddles, twiddles_shoup, tail);
     }
 
     /// One radix-2 stage with block length `len`, lazy outputs.
@@ -1170,68 +917,21 @@ impl NttContext {
         }
     }
 
-    /// In-place cyclic NTT (natural order in and out), ω = ψ².
+    /// In-place cyclic NTT (natural order in and out), ω = ψ², on the
+    /// reference loop — the classical oracle of [`crate::cgntt`].
     ///
-    /// Input must be reduced (`< q`); output is reduced. Dispatches on
-    /// the context's kernel.
+    /// Input must be reduced (`< q`); output is reduced.
     pub fn forward_cyclic(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
-        match self.kernel {
-            NttKernel::Reference => self.cyclic_stages_reference(a, false),
-            NttKernel::Radix4 => {
-                self.lazy_stages_radix4(a, &self.omega_stage, &self.omega_stage_shoup, true);
-            }
-            NttKernel::Ifma => {
-                self.assert_ifma_tables();
-                bit_reverse_permute(a);
-                self.ifma_stage_walk(
-                    a,
-                    &self.omega_stage,
-                    &self.omega_stage_shoup,
-                    &self.omega_stage_shoup52,
-                    true,
-                );
-            }
-        }
+        self.cyclic_stages_reference(a, false);
     }
 
     /// In-place cyclic inverse NTT (natural order in and out).
     pub fn inverse_cyclic(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
-        match self.kernel {
-            NttKernel::Reference => {
-                self.cyclic_stages_reference(a, true);
-                for x in a.iter_mut() {
-                    *x = mul_mod(*x, self.n_inv, self.q);
-                }
-                return;
-            }
-            NttKernel::Radix4 => {
-                self.lazy_stages_radix4(
-                    a,
-                    &self.omega_inv_stage,
-                    &self.omega_inv_stage_shoup,
-                    false,
-                );
-            }
-            NttKernel::Ifma => {
-                self.assert_ifma_tables();
-                bit_reverse_permute(a);
-                self.ifma_stage_walk(
-                    a,
-                    &self.omega_inv_stage,
-                    &self.omega_inv_stage_shoup,
-                    &self.omega_inv_stage_shoup52,
-                    false,
-                );
-            }
-        }
-        let q = self.q;
+        self.cyclic_stages_reference(a, true);
         for x in a.iter_mut() {
-            // Lazy inputs < 4q are fine for the Shoup scale; one
-            // conditional subtraction fully reduces.
-            let r = mul_shoup_lazy(*x, self.n_inv, self.n_inv_shoup, q);
-            *x = if r >= q { r - q } else { r };
+            *x = mul_mod(*x, self.n_inv, self.q);
         }
     }
 
@@ -1282,7 +982,7 @@ impl NttContext {
     /// ([`Self::fused_pair_first`]), and the final correction folds
     /// into the last stage's stores. Both paths give bit-identical
     /// outputs.
-    pub fn forward_radix4(&self, a: &mut [u64]) {
+    fn forward_radix4(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         if self.n <= RADIX4_BLOCK {
             // Lazy ψ pre-twist: reduced inputs come back < 2q, which
@@ -1309,7 +1009,7 @@ impl NttContext {
     /// fused radix-2 walk and then the `ψ^{-i}·N^{-1}` post-twist
     /// sweep; blocked transforms fold that post-twist into the last
     /// stage's stores instead of making their own trip over the array.
-    pub fn inverse_radix4(&self, a: &mut [u64]) {
+    fn inverse_radix4(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         if self.n <= RADIX4_BLOCK {
             self.lazy_stages(a, &self.omega_inv_stage, &self.omega_inv_stage_shoup, false);
@@ -1352,7 +1052,7 @@ impl NttContext {
     /// requires, and the lazy representatives it produces are the same
     /// on hardware and portable legs, preserving leg-for-leg bit
     /// identity.
-    pub fn forward_ifma(&self, a: &mut [u64]) {
+    fn forward_ifma(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         self.assert_ifma_tables();
         if self.n > RADIX4_BLOCK {
@@ -1374,7 +1074,7 @@ impl NttContext {
     ///
     /// Lazy stage walk, then the fused `ψ^{-i}·N^{-1}` post-twist as
     /// one 52-bit lane sweep with the `[0, q)` correction folded in.
-    pub fn inverse_ifma(&self, a: &mut [u64]) {
+    fn inverse_ifma(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         self.assert_ifma_tables();
         bit_reverse_permute(a);
@@ -1494,7 +1194,7 @@ impl NttContext {
     ///
     /// Kept as the measured baseline for `cargo xtask bench-math` and
     /// as the oracle for old-vs-new equivalence tests.
-    pub fn forward_reference(&self, a: &mut [u64]) {
+    fn forward_reference(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         for (i, x) in a.iter_mut().enumerate() {
             *x = mul_mod(*x, self.psi_pows[i], self.q);
@@ -1503,7 +1203,7 @@ impl NttContext {
     }
 
     /// Seed inverse kernel (pre-Shoup). See [`Self::forward_reference`].
-    pub fn inverse_reference(&self, a: &mut [u64]) {
+    fn inverse_reference(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         self.cyclic_stages_reference(a, true);
         for x in a.iter_mut() {
@@ -1598,12 +1298,11 @@ impl NttContext {
     }
 }
 
-/// How the radix-4 stage walker finishes its last pass: leave lazy
-/// (`< 4q`) values, fold the `[0, q)` correction in, or fold a
-/// per-element Shoup twist (e.g. the inverse's `ψ^{-i}·N^{-1}`) plus
-/// the correction into the final stores.
+/// How the radix-4 stage walker finishes its last pass: fold the
+/// `[0, q)` correction in, or fold a per-element Shoup twist (the
+/// inverse's `ψ^{-i}·N^{-1}`) plus the correction into the final
+/// stores.
 enum Radix4Tail<'a> {
-    Lazy,
     Reduce,
     Twist { pows: &'a [u64], shoup: &'a [u64] },
 }
@@ -1671,18 +1370,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_parse_roundtrip() {
+    fn kernel_names_display() {
         for k in NttKernel::ALL {
-            assert_eq!(NttKernel::parse(k.name()), Some(k));
-            assert_eq!(k.name().parse::<NttKernel>().ok(), Some(k));
             assert_eq!(format!("{k}"), k.name());
         }
-        assert_eq!(NttKernel::parse("RADIX4"), Some(NttKernel::Radix4));
-        assert_eq!(NttKernel::parse("radix8"), None);
-        // Retired generations are unknown names, not aliases.
-        assert_eq!(NttKernel::parse("radix2"), None);
-        assert_eq!(NttKernel::parse("simd"), None);
-        assert!("auto".parse::<NttKernel>().is_err());
     }
 
     #[test]
@@ -1781,26 +1472,6 @@ mod tests {
             assert_eq!(rv, iv, "inverse mismatch at n={n}");
             assert_eq!(iv, orig, "roundtrip mismatch at n={n}");
         }
-    }
-
-    #[test]
-    fn env_value_parsing_is_total() {
-        assert_eq!(NttKernel::parse_env_value(None), Ok(None));
-        assert_eq!(NttKernel::parse_env_value(Some("")), Ok(None));
-        assert_eq!(NttKernel::parse_env_value(Some("auto")), Ok(None));
-        assert_eq!(NttKernel::parse_env_value(Some("AUTO")), Ok(None));
-        assert_eq!(
-            NttKernel::parse_env_value(Some("ifma")),
-            Ok(Some(NttKernel::Ifma))
-        );
-        assert_eq!(
-            NttKernel::parse_env_value(Some("Radix4")),
-            Ok(Some(NttKernel::Radix4))
-        );
-        let err = NttKernel::parse_env_value(Some("radix16")).unwrap_err();
-        assert_eq!(err.value, "radix16");
-        let msg = err.to_string();
-        assert!(msg.contains("radix16") && msg.contains(KERNEL_ENV), "{msg}");
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //! iterate [`kernels_for`] — every generation the modulus supports —
 //! rather than `NttKernel::ALL`.
 //!
-//! Every test selects kernels explicitly (`try_new_with_kernel`,
-//! `forward_with`, `with_kernel`, `ntt_forward_with`), never through
-//! the ambient `UFC_NTT_KERNEL` environment, so the suite passes
-//! unchanged under each leg of the CI kernel matrix — including the
-//! forced-`ifma` leg, whose ambient selection would reject this
-//! suite's 59-bit primes outright.
+//! Every test selects kernels explicitly (`with_kernel`,
+//! `forward_with`, `ntt_forward_with`). An explicit IFMA kernel runs
+//! the bit-identical portable mirror lanes on hosts without the
+//! hardware, so every generation is exercised on every host.
 
 use proptest::prelude::*;
 use ufc_math::modops::{add_mod, ifma_modulus_ok, mul_mod, mul_shoup, shoup_precompute, sub_mod};
@@ -51,15 +49,14 @@ fn kernels_for(q: u64) -> Vec<NttKernel> {
 }
 
 /// Every context the sweep runs over: each generated prime at each
-/// dimension. Construction pins the reference kernel so the suite is
-/// immune to the ambient `UFC_NTT_KERNEL`; tests then pick kernels
-/// explicitly.
+/// dimension. Construction pins the reference kernel; tests then pick
+/// kernels explicitly.
 fn contexts_for(log_n: usize) -> Vec<NttContext> {
     let n = 1 << log_n;
     PRIME_BITS
         .iter()
         .flat_map(|&bits| generate_ntt_primes(n, bits, PRIMES_PER_BITS))
-        .map(|q| NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap())
+        .map(|q| NttContext::new(n, q).with_kernel(NttKernel::Reference))
         .collect()
 }
 
@@ -172,7 +169,7 @@ fn negacyclic_mul_matches_schoolbook_oracle() {
     for log_n in [4usize, 5, 6, 7, 8] {
         let n = 1 << log_n;
         for q in generate_ntt_primes(n, 40, 2) {
-            let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap();
+            let ctx = NttContext::new(n, q).with_kernel(NttKernel::Reference);
             let a = Poly::pseudorandom(n, q, 7 + log_n as u64);
             let b = Poly::pseudorandom(n, q, 13 + log_n as u64);
             let want = schoolbook_negacyclic(a.coeffs(), b.coeffs(), q);
@@ -313,21 +310,21 @@ proptest! {
     ) {
         let n = 1 << log_n;
         let q = generate_ntt_prime(n, 49).unwrap();
-        let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap();
+        let ctx = NttContext::new(n, q).with_kernel(NttKernel::Reference);
         let (lo, hi) = if denormal { (q, 2 * q) } else { (0, q) };
         let data = fill(seed, n, lo, hi);
 
         let mut f = data.clone();
-        ctx.forward_ifma(&mut f);
+        ctx.forward_with(NttKernel::Ifma, &mut f);
         let mut r = data.clone();
-        ctx.forward_radix4(&mut r);
+        ctx.forward_with(NttKernel::Radix4, &mut r);
         prop_assert_eq!(&f, &r, "forward diverged at n=2^{}", log_n);
 
         // Inverse operates on reduced evaluation-form vectors.
         let mut fi = f.clone();
-        ctx.inverse_ifma(&mut fi);
+        ctx.inverse_with(NttKernel::Ifma, &mut fi);
         let mut ri = r.clone();
-        ctx.inverse_radix4(&mut ri);
+        ctx.inverse_with(NttKernel::Radix4, &mut ri);
         prop_assert_eq!(&fi, &ri, "inverse diverged at n=2^{}", log_n);
     }
 }
@@ -336,9 +333,7 @@ proptest! {
 /// reference oracle on both sides of the IFMA crossover
 /// (`RADIX4_MIN_DIM` = 2^13) and at every prime-width class the
 /// schemes use: 31-bit TFHE, 36-bit CKKS, 49-bit inside the IFMA
-/// window, 59-bit outside it. The context is built with the
-/// `auto_for` choice pinned, so the ambient `UFC_NTT_KERNEL` of a CI
-/// leg cannot substitute another kernel.
+/// window, 59-bit outside it.
 #[test]
 fn auto_kernel_bit_identical_to_reference() {
     for log_n in [12usize, 13] {
@@ -346,18 +341,18 @@ fn auto_kernel_bit_identical_to_reference() {
         for bits in [31u32, 36, 49, 59] {
             let q = generate_ntt_prime(n, bits).unwrap();
             let auto = NttKernel::auto_for(n, q);
-            let ctx = NttContext::try_new_with_kernel(n, q, auto).unwrap();
+            let ctx = NttContext::new(n, q);
             let data = Poly::pseudorandom(n, q, 0xA070 ^ u64::from(bits)).into_coeffs();
             let mut got = data.clone();
             ctx.forward(&mut got);
             let mut want = data.clone();
-            ctx.forward_reference(&mut want);
+            ctx.forward_with(NttKernel::Reference, &mut want);
             assert_eq!(
                 got, want,
                 "forward {auto} diverged from reference at n=2^{log_n}, {bits}-bit q"
             );
             ctx.inverse(&mut got);
-            ctx.inverse_reference(&mut want);
+            ctx.inverse_with(NttKernel::Reference, &mut want);
             assert_eq!(
                 got, want,
                 "inverse {auto} diverged from reference at n=2^{log_n}, {bits}-bit q"
@@ -377,7 +372,7 @@ fn rns_plane_transforms_bit_identical_across_kernels() {
         let moduli = generate_ntt_primes(n, 50, 3);
         let tables: Vec<NttContext> = moduli
             .iter()
-            .map(|&q| NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap())
+            .map(|&q| NttContext::new(n, q).with_kernel(NttKernel::Reference))
             .collect();
         let table_refs: Vec<&NttContext> = tables.iter().collect();
         let polys: Vec<Poly> = moduli

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use ufc_math::gadget::Gadget;
 use ufc_math::modops::from_signed;
-use ufc_math::ntt::NttContext;
+use ufc_math::ntt::{NttContext, NttKernel};
 use ufc_math::par::set_max_threads;
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::{Form, Poly};
@@ -278,7 +278,7 @@ fn harvey_roundtrip_for_every_generated_prime() {
                 // The lazy kernels must agree with the seed-faithful
                 // textbook chain on the same prime.
                 let mut reference = original.clone();
-                ctx.forward_reference(&mut reference);
+                ctx.forward_with(NttKernel::Reference, &mut reference);
                 let mut lazy = original.clone();
                 ctx.forward(&mut lazy);
                 assert_eq!(lazy, reference, "lazy vs reference for q={q} n={n}");

@@ -10,16 +10,14 @@
 //!   `repack_naive` within the existing 0.02 slot tolerance (hoisted
 //!   rotations differ from plain ones only by key-switching noise).
 //!
-//! When `UFC_NTT_KERNEL` is set (the CI kernel matrix), the sweep runs
-//! once under that ambient kernel; otherwise it iterates all five
-//! kernels itself (the 31/36-bit moduli here sit inside the IFMA
-//! window, so the fifth generation runs everywhere — portable mirror
-//! lanes on hosts without AVX-512 IFMA).
+//! The sweep iterates all three kernels (the 31/36-bit moduli here sit
+//! inside the IFMA window, so the IFMA generation runs everywhere —
+//! portable mirror lanes on hosts without AVX-512 IFMA).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ufc_ckks::{CkksContext, Evaluator as CkksEvaluator, KeySet, SecretKey};
-use ufc_math::ntt::{NttKernel, KERNEL_ENV};
+use ufc_math::ntt::NttKernel;
 use ufc_switch::{CkksToLwe, LweToCkks};
 use ufc_tfhe::{LweCiphertext, TfheContext, TfheKeys};
 
@@ -121,16 +119,6 @@ fn repack_sweep(kernel: NttKernel) {
 
 #[test]
 fn switch_paths_conform_under_every_kernel() {
-    // Under the CI kernel matrix the ambient kernel is forced via the
-    // environment and the matrix legs jointly cover all kernels.
-    if std::env::var_os(KERNEL_ENV).is_some() {
-        let ambient = NttKernel::from_env()
-            .expect("kernel matrix leg set a malformed UFC_NTT_KERNEL")
-            .expect("KERNEL_ENV is set on this branch");
-        extract_sweep(ambient);
-        repack_sweep(ambient);
-        return;
-    }
     for kernel in NttKernel::ALL {
         extract_sweep(kernel);
         repack_sweep(kernel);

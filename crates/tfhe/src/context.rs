@@ -140,21 +140,16 @@ impl TfheContext {
         Arc::make_mut(&mut self.ntt).try_set_kernel(kernel)
     }
 
-    /// Panicking [`Self::try_set_ntt_kernel`].
+    /// Builder-style [`Self::try_set_ntt_kernel`].
     ///
     /// # Panics
     ///
     /// Panics when the RLWE modulus is too wide for `kernel`.
-    pub fn set_ntt_kernel(&mut self, kernel: NttKernel) {
-        if let Err(e) = self.try_set_ntt_kernel(kernel) {
-            panic!("set_ntt_kernel: {e}");
-        }
-    }
-
-    /// Builder-style [`Self::set_ntt_kernel`].
     #[must_use]
     pub fn with_ntt_kernel(mut self, kernel: NttKernel) -> Self {
-        self.set_ntt_kernel(kernel);
+        if let Err(e) = self.try_set_ntt_kernel(kernel) {
+            panic!("with_ntt_kernel: {e}");
+        }
         self
     }
 

@@ -6,17 +6,14 @@
 //! RNG stream, the *ciphertexts* — not just the decrypted booleans —
 //! must match exactly across kernels.
 //!
-//! When `UFC_NTT_KERNEL` is set (the CI kernel matrix), the sweep
-//! runs once under that ambient kernel: the matrix provides the
-//! cross-kernel coverage. When it is unset, the test iterates all
-//! three kernels itself and additionally asserts ciphertext equality —
-//! the 31-bit TFHE primes sit inside the IFMA window, so the IFMA
-//! generation runs everywhere (portable mirror lanes on hosts
+//! The test iterates all three kernels and asserts ciphertext
+//! equality — the 31-bit TFHE primes sit inside the IFMA window, so
+//! the IFMA generation runs everywhere (portable mirror lanes on hosts
 //! without AVX-512 IFMA).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ufc_math::ntt::{NttKernel, KERNEL_ENV};
+use ufc_math::ntt::NttKernel;
 use ufc_tfhe::context::TfheContext;
 use ufc_tfhe::gates::{apply_gate, decrypt_bool, encrypt_bool, Gate};
 use ufc_tfhe::keys::TfheKeys;
@@ -50,20 +47,6 @@ fn gate_sweep(kernel: NttKernel, seed: u64) -> Vec<ufc_tfhe::lwe::LweCiphertext>
 
 #[test]
 fn all_gates_exhaustive_under_every_kernel() {
-    // Under the CI kernel matrix the ambient kernel is forced via the
-    // environment; the matrix legs jointly cover all kernels, so one
-    // sweep each suffices. A typo'd matrix value cannot silently skip
-    // coverage: `NttKernel::from_env` rejects it, and the matrix legs
-    // validate the variable through `xtask` before running anything
-    // (library-side `select` would only warn and fall back).
-    if std::env::var_os(KERNEL_ENV).is_some() {
-        NttKernel::from_env().expect("kernel matrix leg set a malformed UFC_NTT_KERNEL");
-        let ambient = TfheContext::new(64, 256, 7, 3, 6, 4).ntt_kernel();
-        for seed in SEEDS {
-            gate_sweep(ambient, seed);
-        }
-        return;
-    }
     for seed in SEEDS {
         let reference = gate_sweep(NttKernel::Reference, seed);
         for kernel in [NttKernel::Radix4, NttKernel::Ifma] {

@@ -8,19 +8,16 @@
 //! kernels; the decrypted state is additionally checked against the
 //! plaintext reference compression.
 //!
-//! When `UFC_NTT_KERNEL` is set (the CI kernel matrix), the round
-//! runs once under that ambient kernel — the matrix legs jointly
-//! cover all kernels. When unset, the test iterates all three kernels
-//! itself and asserts cross-kernel ciphertext equality (the 31-bit
-//! TFHE primes sit inside the IFMA window, so the IFMA generation
-//! runs everywhere — portable mirror lanes without the hardware).
-//! `#[ignore]`d
-//! like the rest of the homomorphic suite: hundreds of host
-//! bootstraps per kernel, run by the release-mode `sha256-smoke` job.
+//! The test iterates all three kernels and asserts cross-kernel
+//! ciphertext equality (the 31-bit TFHE primes sit inside the IFMA
+//! window, so the IFMA generation runs everywhere — portable mirror
+//! lanes without the hardware). `#[ignore]`d like the rest of the
+//! homomorphic suite: hundreds of host bootstraps per kernel, run by
+//! the release-mode `sha256-smoke` job.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ufc_math::ntt::{NttKernel, KERNEL_ENV};
+use ufc_math::ntt::NttKernel;
 use ufc_tfhe::gates::{decrypt_bool, encrypt_bool};
 use ufc_tfhe::{LweCiphertext, TfheContext, TfheKeys};
 use ufc_workloads::sha256::{circuit, reference, AdderKind, ShaParams};
@@ -70,16 +67,6 @@ fn round_sweep(kernel: NttKernel) -> Vec<LweCiphertext> {
 #[test]
 #[ignore = "hundreds of host bootstraps per kernel; release-mode sha256-smoke CI job"]
 fn hom_round_bit_identical_across_kernels() {
-    // Under the CI kernel matrix the ambient kernel is forced via the
-    // environment and the matrix legs jointly cover all kernels, so
-    // one decrypt-checked sweep suffices; `from_env` rejects a typo'd
-    // matrix value instead of silently falling back.
-    if std::env::var_os(KERNEL_ENV).is_some() {
-        NttKernel::from_env().expect("kernel matrix leg set a malformed UFC_NTT_KERNEL");
-        let ambient = TfheContext::new(64, 256, 7, 3, 6, 4).ntt_kernel();
-        round_sweep(ambient);
-        return;
-    }
     let reference_cts = round_sweep(NttKernel::Reference);
     for kernel in [NttKernel::Radix4, NttKernel::Ifma] {
         assert_eq!(

@@ -43,24 +43,20 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
+use serde::Value;
+
 fn main() -> ExitCode {
-    // The CI kernel matrix forces kernels through `UFC_NTT_KERNEL`; a
-    // typo'd value must kill the matrix leg, not be silently absorbed
-    // by the library's warn-and-fall-back path somewhere downstream.
-    if let Err(e) = ufc_math::ntt::NttKernel::from_env() {
-        eprintln!("xtask: {e}");
-        return ExitCode::from(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("fixtures") => fixtures(),
         Some("unsafe-surface") => unsafe_surface(),
         Some("profile-smoke") => profile_smoke(),
         Some("trace-smoke") => trace_smoke(),
-        Some("bench-math") => bench_math(args.iter().any(|a| a == "--quick")),
-        Some("bench-switch") => bench_switch(args.iter().any(|a| a == "--quick")),
-        Some("bench-sha256") => bench_sha256(args.iter().any(|a| a == "--quick")),
+        Some("bench-math") => bench_report("math", quick, math_gate),
+        Some("bench-switch") => bench_report("switch", quick, switch_gate),
+        Some("bench-sha256") => bench_report("sha256", quick, sha256_gate),
         Some("-h") | Some("--help") | None => {
             eprintln!(
                 "usage: cargo xtask \
@@ -362,11 +358,11 @@ fn profile_smoke() -> ExitCode {
     };
     let slices = trace
         .get("traceEvents")
-        .and_then(serde::Value::as_array)
+        .and_then(Value::as_array)
         .map(|events| {
             events
                 .iter()
-                .filter(|e| e.get("ph").and_then(serde::Value::as_str) == Some("X"))
+                .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
                 .count()
         })
         .unwrap_or(0);
@@ -444,7 +440,7 @@ fn trace_smoke() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace: serde::Value = match serde_json::from_str(&text) {
+    let trace: Value = match serde_json::from_str(&text) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("xtask trace-smoke: Perfetto file is not valid JSON: {e}");
@@ -453,15 +449,14 @@ fn trace_smoke() -> ExitCode {
     };
     let events = trace
         .get("traceEvents")
-        .and_then(serde::Value::as_array)
-        .map(<[serde::Value]>::to_vec)
+        .and_then(Value::as_array)
+        .map(<[Value]>::to_vec)
         .unwrap_or_default();
-    let on_host = |e: &serde::Value| {
-        e.get("pid").and_then(serde::Value::as_u64) == Some(ufc_telemetry::perfetto::HOST_PID)
-    };
+    let on_host =
+        |e: &Value| e.get("pid").and_then(Value::as_u64) == Some(ufc_telemetry::perfetto::HOST_PID);
     let host_slices = events
         .iter()
-        .filter(|e| e.get("ph").and_then(serde::Value::as_str) == Some("X") && on_host(e))
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X") && on_host(e))
         .count();
     if host_slices == 0 {
         eprintln!("xtask trace-smoke: merged Perfetto file has no host slices");
@@ -469,9 +464,7 @@ fn trace_smoke() -> ExitCode {
     }
     let host_tracks = events
         .iter()
-        .filter(|e| {
-            e.get("name").and_then(serde::Value::as_str) == Some("thread_name") && on_host(e)
-        })
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name") && on_host(e))
         .count();
     if host_tracks == 0 {
         eprintln!("xtask trace-smoke: merged Perfetto file has no host thread_name metadata");
@@ -489,7 +482,7 @@ fn trace_smoke() -> ExitCode {
     let mut span_lines = 0usize;
     let mut gauge_lines = 0usize;
     for (i, line) in lines.lines().enumerate() {
-        let v: serde::Value = match serde_json::from_str(line) {
+        let v: Value = match serde_json::from_str(line) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!(
@@ -499,7 +492,7 @@ fn trace_smoke() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match v.get("event").and_then(serde::Value::as_str) {
+        match v.get("event").and_then(Value::as_str) {
             Some("span") => span_lines += 1,
             Some("gauge") => gauge_lines += 1,
             other => {
@@ -527,7 +520,7 @@ fn trace_smoke() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let report: serde::Value = match serde_json::from_str(&text) {
+    let report: Value = match serde_json::from_str(&text) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("xtask trace-smoke: JSON summary is not valid JSON: {e}");
@@ -553,11 +546,19 @@ fn trace_smoke() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds the release `bench_math` harness, runs it writing
-/// `BENCH_math.json` at the workspace root, and validates the report
-/// shape — the same contract the CI bench-smoke job enforces.
-fn bench_math(quick: bool) -> ExitCode {
-    let root = workspace_root();
+/// A bench report's own gates: given a report that already carries its
+/// `experiment` tag and host topology block, either the summary line
+/// printed on success or the first failed gate. `quick` is the
+/// `--quick` flag the harness ran with; timing gates apply only to full
+/// runs.
+type Gate = fn(&Value, bool) -> Result<String, String>;
+
+/// Builds the release `bench_<name>` harness, runs it writing
+/// `BENCH_<name>.json` at the workspace root, and validates the report
+/// with [`check_report`] — the same contract the CI bench jobs enforce.
+fn bench_report(name: &str, quick: bool, gate: Gate) -> ExitCode {
+    let task = format!("xtask bench-{name}");
+    let bin_name = format!("bench_{name}");
     if !cargo(&[
         "build",
         "-q",
@@ -565,13 +566,14 @@ fn bench_math(quick: bool) -> ExitCode {
         "-p",
         "ufc-bench",
         "--bin",
-        "bench_math",
+        &bin_name,
     ]) {
-        eprintln!("xtask bench-math: building bench_math failed");
+        eprintln!("{task}: building {bin_name} failed");
         return ExitCode::FAILURE;
     }
-    let out = root.join("BENCH_math.json");
-    let bin = root.join("target/release/bench_math");
+    let root = workspace_root();
+    let out = root.join(format!("BENCH_{name}.json"));
+    let bin = root.join("target/release").join(&bin_name);
     let mut cmd = Command::new(&bin);
     cmd.arg("--out").arg(&out);
     if quick {
@@ -584,171 +586,184 @@ fn bench_math(quick: bool) -> ExitCode {
         if quick { " --quick" } else { "" }
     );
     if !cmd.status().map(|s| s.success()).unwrap_or(false) {
-        eprintln!("xtask bench-math: bench_math failed");
+        eprintln!("{task}: {bin_name} failed");
         return ExitCode::FAILURE;
     }
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench-math: {}: {e}", out.display());
-            return ExitCode::FAILURE;
+    let checked = std::fs::read_to_string(&out)
+        .map_err(|e| format!("{}: {e}", out.display()))
+        .and_then(|text| {
+            serde_json::from_str(&text).map_err(|e| format!("report is not valid JSON: {e}"))
+        })
+        .and_then(|report| check_report(&bin_name, &report, quick, gate));
+    match checked {
+        Ok(summary) => {
+            println!("bench-{name} ok: {summary} in {}", out.display());
+            ExitCode::SUCCESS
         }
-    };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask bench-math: report is not valid JSON: {e}");
-            return ExitCode::FAILURE;
+        Err(msg) => {
+            eprintln!("{task}: {msg}");
+            ExitCode::FAILURE
         }
-    };
-    if report.get("experiment").and_then(serde::Value::as_str) != Some("bench_math") {
-        eprintln!("xtask bench-math: report is missing `experiment: \"bench_math\"`");
-        return ExitCode::FAILURE;
     }
-    let speedup = report
-        .get("headline")
-        .and_then(|h| h.get("speedup"))
-        .and_then(serde::Value::as_f64);
-    let Some(speedup) = speedup else {
-        eprintln!("xtask bench-math: report headline has no numeric `speedup`");
-        return ExitCode::FAILURE;
-    };
-    let tables = report
+}
+
+/// The checks every bench report shares — the `experiment` tag and
+/// the host-topology contract (committed numbers must say what they
+/// ran on: core count and the limb-parallel worker count) — followed
+/// by the report's own `gate`.
+fn check_report(
+    experiment: &str,
+    report: &Value,
+    quick: bool,
+    gate: Gate,
+) -> Result<String, String> {
+    if report.get("experiment").and_then(Value::as_str) != Some(experiment) {
+        return Err(format!("report is missing `experiment: \"{experiment}\"`"));
+    }
+    for field in ["available_parallelism", "par_threads"] {
+        if host_field(report, field).and_then(Value::as_u64).is_none() {
+            return Err(format!("report host has no numeric `{field}` field"));
+        }
+    }
+    gate(report, quick)
+}
+
+fn host_field<'a>(report: &'a Value, field: &str) -> Option<&'a Value> {
+    report.get("host")?.get(field)
+}
+
+fn headline_field<'a>(report: &'a Value, field: &str) -> Option<&'a Value> {
+    report.get("headline")?.get(field)
+}
+
+fn tables(report: &Value) -> &[Value] {
+    report
         .get("tables")
-        .and_then(serde::Value::as_array)
-        .map(<[serde::Value]>::to_vec)
-        .unwrap_or_default();
-    if tables.is_empty() {
-        eprintln!("xtask bench-math: report has no tables");
-        return ExitCode::FAILURE;
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+}
+
+fn table<'a>(report: &'a Value, name: &str) -> Option<&'a Value> {
+    tables(report)
+        .iter()
+        .find(|t| t.get("name").and_then(Value::as_str) == Some(name))
+}
+
+fn table_rows<'a>(report: &'a Value, name: &str) -> &'a [Value] {
+    table(report, name)
+        .and_then(|t| t.get("rows"))
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+}
+
+fn col_index(report: &Value, name: &str, col: &str) -> Option<usize> {
+    table(report, name)?
+        .get("columns")?
+        .as_array()?
+        .iter()
+        .position(|c| c.as_str() == Some(col))
+}
+
+/// Table `name` must exist, carry column `axis`, and hold at least
+/// `min_rows` rows.
+fn require_table(report: &Value, name: &str, axis: &str, min_rows: usize) -> Result<(), String> {
+    if table(report, name).is_none() {
+        return Err(format!("report has no `{name}` table"));
+    }
+    if col_index(report, name, axis).is_none() {
+        return Err(format!("`{name}` table has no `{axis}` column"));
+    }
+    let rows = table_rows(report, name).len();
+    if rows < min_rows {
+        return Err(format!(
+            "`{name}` table has {rows} rows, needs at least {min_rows}"
+        ));
+    }
+    Ok(())
+}
+
+/// `BENCH_math.json`: numeric headline speedup, non-empty tables, the
+/// 2% disabled-recorder tracing budget, every `ew_kernels` row on the
+/// backend the static element-wise rule gives for its kernel, prime
+/// width and the report's host features, and, on full runs, the
+/// dispatch floors — every element-wise row at speedup ≥ 1.0 and every
+/// `ntt_kernels` row with the auto-selected NTT kernel within 1.10x of
+/// the fastest one.
+fn math_gate(report: &Value, quick: bool) -> Result<String, String> {
+    let speedup = headline_field(report, "speedup")
+        .and_then(Value::as_f64)
+        .ok_or("report headline has no numeric `speedup`")?;
+    if tables(report).is_empty() {
+        return Err("report has no tables".into());
+    }
+    let avx2 = host_field(report, "avx2")
+        .and_then(Value::as_bool)
+        .ok_or("report host has no boolean `avx2` field")?;
+    let ifma = host_field(report, "ifma")
+        .and_then(Value::as_bool)
+        .unwrap_or(false);
+    let overhead = host_field(report, "trace_overhead_pct")
+        .and_then(Value::as_f64)
+        .ok_or("report host has no numeric `trace_overhead_pct` field")?;
+    if overhead >= 2.0 {
+        return Err(format!(
+            "disabled-recorder tracing overhead {overhead:.2}% breaches the 2% budget"
+        ));
     }
     // SIMD-lane coverage: on AVX2 hosts the report must carry the
     // element-wise lane-kernel table. Non-AVX2 hosts still run the
     // portable lanes, but the committed report is only held to the
     // vector contract where vectors exist.
-    let avx2 = report
-        .get("host")
-        .and_then(|h| h.get("avx2"))
-        .and_then(serde::Value::as_bool);
-    let Some(avx2) = avx2 else {
-        eprintln!("xtask bench-math: report host has no boolean `avx2` field");
-        return ExitCode::FAILURE;
-    };
-    // Host-topology contract: the report must say what it ran on —
-    // core count and the limb-parallel worker count — so committed
-    // numbers are interpretable across machines. (Which NTT kernel
-    // dispatch picks depends on the ring size, so it is the `auto`
-    // column of `ntt_kernels`, not a host field.)
-    let host = report.get("host");
-    for field in ["available_parallelism", "par_threads"] {
-        if host
-            .and_then(|h| h.get(field))
-            .and_then(serde::Value::as_u64)
-            .is_none()
-        {
-            eprintln!("xtask bench-math: report host has no numeric `{field}` field");
-            return ExitCode::FAILURE;
-        }
+    if avx2 && table_rows(report, "ew_kernels").is_empty() {
+        return Err("AVX2 host but no populated `ew_kernels` table".into());
     }
-    let overhead = host
-        .and_then(|h| h.get("trace_overhead_pct"))
-        .and_then(serde::Value::as_f64);
-    let Some(overhead) = overhead else {
-        eprintln!("xtask bench-math: report host has no numeric `trace_overhead_pct` field");
-        return ExitCode::FAILURE;
-    };
-    if overhead >= 2.0 {
-        eprintln!(
-            "xtask bench-math: disabled-recorder tracing overhead {overhead:.2}% \
-             breaches the 2% budget"
-        );
-        return ExitCode::FAILURE;
-    }
-    if avx2 {
-        let ew_rows = tables
-            .iter()
-            .find(|t| t.get("name").and_then(serde::Value::as_str) == Some("ew_kernels"))
-            .and_then(|t| t.get("rows"))
-            .and_then(serde::Value::as_array)
-            .map(<[serde::Value]>::len)
-            .unwrap_or(0);
-        if ew_rows == 0 {
-            eprintln!("xtask bench-math: AVX2 host but no populated `ew_kernels` table");
-            return ExitCode::FAILURE;
-        }
-    }
-    let table_rows = |name: &str| -> Vec<serde::Value> {
-        tables
-            .iter()
-            .find(|t| t.get("name").and_then(serde::Value::as_str) == Some(name))
-            .and_then(|t| t.get("rows"))
-            .and_then(serde::Value::as_array)
-            .map(<[serde::Value]>::to_vec)
-            .unwrap_or_default()
-    };
-    let col_index = |name: &str, col: &str| -> Option<usize> {
-        tables
-            .iter()
-            .find(|t| t.get("name").and_then(serde::Value::as_str) == Some(name))
-            .and_then(|t| t.get("columns"))
-            .and_then(serde::Value::as_array)
-            .and_then(|cols| cols.iter().position(|c| c.as_str() == Some(col)))
-    };
     // NTT dispatch floor: in every `ntt_kernels` row and direction,
     // the kernel `auto_for` picked must run within 1.10x of the
     // fastest kernel measured. --quick runs only check the shape:
     // their few repetitions make close kernels' ratios noisy.
-    let kernel_rows = table_rows("ntt_kernels");
+    let kernel_rows = table_rows(report, "ntt_kernels");
     if kernel_rows.is_empty() {
-        eprintln!("xtask bench-math: report has no populated `ntt_kernels` table");
-        return ExitCode::FAILURE;
+        return Err("report has no populated `ntt_kernels` table".into());
     }
-    let Some(auto_col) = col_index("ntt_kernels", "auto") else {
-        eprintln!("xtask bench-math: `ntt_kernels` has no `auto` column");
-        return ExitCode::FAILURE;
-    };
-    let n_col = col_index("ntt_kernels", "n");
-    let bits_col = col_index("ntt_kernels", "q_bits");
+    let auto_col =
+        col_index(report, "ntt_kernels", "auto").ok_or("`ntt_kernels` has no `auto` column")?;
+    let n_col = col_index(report, "ntt_kernels", "n");
+    let bits_col = col_index(report, "ntt_kernels", "q_bits");
     let mut worst_auto_ratio = 1.0f64;
-    for row in &kernel_rows {
+    for row in kernel_rows {
         let cells = row.as_array().unwrap_or_default();
-        let cell_u64 = |col: Option<usize>| {
-            col.and_then(|c| cells.get(c))
-                .and_then(serde::Value::as_u64)
-        };
+        let cell_u64 = |col: Option<usize>| col.and_then(|c| cells.get(c)).and_then(Value::as_u64);
         let (n, bits) = (
             cell_u64(n_col).unwrap_or(0),
             cell_u64(bits_col).unwrap_or(0),
         );
-        let Some(auto) = cells.get(auto_col).and_then(serde::Value::as_str) else {
-            eprintln!("xtask bench-math: `ntt_kernels` row n={n} has no `auto` kernel name");
-            return ExitCode::FAILURE;
-        };
+        let auto = cells
+            .get(auto_col)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("`ntt_kernels` row n={n} has no `auto` kernel name"))?;
         for dir in ["forward", "inverse"] {
             // Null cells are kernels that cannot run over this prime.
             let times: Vec<(&str, f64)> = ["radix4", "ifma"]
                 .into_iter()
                 .filter_map(|k| {
-                    let col = col_index("ntt_kernels", &format!("{dir}_{k}_ns"))?;
+                    let col = col_index(report, "ntt_kernels", &format!("{dir}_{k}_ns"))?;
                     Some((k, cells.get(col)?.as_f64()?))
                 })
                 .collect();
             let fastest = times.iter().map(|&(_, t)| t).fold(f64::INFINITY, f64::min);
-            let Some(&(_, auto_t)) = times.iter().find(|&&(k, _)| k == auto) else {
-                eprintln!(
-                    "xtask bench-math: `ntt_kernels` row n={n}, {bits}-bit q picks `{auto}` \
-                     but has no {dir} time for it"
-                );
-                return ExitCode::FAILURE;
-            };
+            let &(_, auto_t) = times.iter().find(|&&(k, _)| k == auto).ok_or_else(|| {
+                format!(
+                    "`ntt_kernels` row n={n}, {bits}-bit q picks `{auto}` but has no {dir} \
+                     time for it"
+                )
+            })?;
             let ratio = auto_t / fastest;
             worst_auto_ratio = worst_auto_ratio.max(ratio);
             if !quick && ratio > 1.10 {
-                eprintln!(
-                    "xtask bench-math: {dir} NTT at n={n}, {bits}-bit q: auto kernel \
-                     `{auto}` runs {ratio:.2}x the fastest kernel (gate: 1.10x)"
-                );
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "{dir} NTT at n={n}, {bits}-bit q: auto kernel `{auto}` runs \
+                     {ratio:.2}x the fastest kernel (gate: 1.10x)"
+                ));
             }
         }
     }
@@ -758,19 +773,13 @@ fn bench_math(quick: bool) -> ExitCode {
     // runs. --quick smoke runs keep a jitter allowance: their few
     // repetitions make equal-code-path ratios noisy.
     let ew_floor = if quick { 0.90 } else { 1.0 };
-    let ifma = report
-        .get("host")
-        .and_then(|h| h.get("ifma"))
-        .and_then(serde::Value::as_bool)
-        .unwrap_or(false);
     let (Some(k_col), Some(s_col), Some(bits_col), Some(b_col)) = (
-        col_index("ew_kernels", "kernel"),
-        col_index("ew_kernels", "speedup"),
-        col_index("ew_kernels", "bits"),
-        col_index("ew_kernels", "backend"),
+        col_index(report, "ew_kernels", "kernel"),
+        col_index(report, "ew_kernels", "speedup"),
+        col_index(report, "ew_kernels", "bits"),
+        col_index(report, "ew_kernels", "backend"),
     ) else {
-        eprintln!("xtask bench-math: `ew_kernels` lacks kernel/speedup/bits/backend columns");
-        return ExitCode::FAILURE;
+        return Err("`ew_kernels` lacks kernel/speedup/bits/backend columns".into());
     };
     // The static element-wise dispatch rule, from the report's own host
     // features: add/sub/scale on AVX2 when present; hadamard/mac on
@@ -783,44 +792,30 @@ fn bench_math(quick: bool) -> ExitCode {
         "hadamard" | "mac" if ifma && bits <= ifma_max_bits => "ifma",
         _ => "portable",
     };
+    let ew_rows = table_rows(report, "ew_kernels");
     let mut best_hadamard = 0.0f64;
     let mut best_mac = 0.0f64;
-    for row in table_rows("ew_kernels") {
-        let cells = row
-            .as_array()
-            .map(<[serde::Value]>::to_vec)
-            .unwrap_or_default();
-        let kernel = cells
-            .get(k_col)
-            .and_then(serde::Value::as_str)
-            .unwrap_or("");
-        let Some(sp) = cells.get(s_col).and_then(serde::Value::as_f64) else {
-            eprintln!("xtask bench-math: `ew_kernels` row has no numeric speedup");
-            return ExitCode::FAILURE;
-        };
-        let bits = cells
-            .get(bits_col)
-            .and_then(serde::Value::as_u64)
-            .unwrap_or(0);
-        let backend = cells
-            .get(b_col)
-            .and_then(serde::Value::as_str)
-            .unwrap_or("");
+    for row in ew_rows {
+        let cells = row.as_array().unwrap_or_default();
+        let kernel = cells.get(k_col).and_then(Value::as_str).unwrap_or("");
+        let sp = cells
+            .get(s_col)
+            .and_then(Value::as_f64)
+            .ok_or("`ew_kernels` row has no numeric speedup")?;
+        let bits = cells.get(bits_col).and_then(Value::as_u64).unwrap_or(0);
+        let backend = cells.get(b_col).and_then(Value::as_str).unwrap_or("");
         let want = rule(kernel, bits);
         if backend != want {
-            eprintln!(
-                "xtask bench-math: element-wise `{kernel}` at {bits} bits ran on \
-                 `{backend}`, but the dispatch rule gives `{want}` \
-                 (host avx2={avx2}, ifma={ifma})"
-            );
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "element-wise `{kernel}` at {bits} bits ran on `{backend}`, but the dispatch \
+                 rule gives `{want}` (host avx2={avx2}, ifma={ifma})"
+            ));
         }
         if sp < ew_floor {
-            eprintln!(
-                "xtask bench-math: element-wise `{kernel}` dispatched at {sp:.2}x vs \
-                 scalar — below the {ew_floor:.2} routing floor"
-            );
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "element-wise `{kernel}` dispatched at {sp:.2}x vs scalar — below the \
+                 {ew_floor:.2} routing floor"
+            ));
         }
         match kernel {
             "hadamard" => best_hadamard = best_hadamard.max(sp),
@@ -831,343 +826,219 @@ fn bench_math(quick: bool) -> ExitCode {
     // Vector-multiply contract: with an IFMA-capable host the 50-bit
     // rows must show a real hadamard/mac win, not a dispatch no-op.
     if !quick && ifma && (best_hadamard < 1.3 || best_mac < 1.3) {
-        eprintln!(
-            "xtask bench-math: IFMA host but best hadamard {best_hadamard:.2}x / \
-             mac {best_mac:.2}x below the 1.3x vector-multiply gate"
-        );
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "IFMA host but best hadamard {best_hadamard:.2}x / mac {best_mac:.2}x below the \
+             1.3x vector-multiply gate"
+        ));
     }
-    println!(
-        "bench-math ok: {} tables ({} ntt_kernels rows, auto kernel within \
-         {worst_auto_ratio:.2}x of the fastest; {} ew rows, best hadamard \
-         {best_hadamard:.2}x / mac {best_mac:.2}x), headline speedup {speedup:.2}x in {}",
-        tables.len(),
+    Ok(format!(
+        "{} tables ({} ntt_kernels rows, auto kernel within {worst_auto_ratio:.2}x of the \
+         fastest; {} ew rows, best hadamard {best_hadamard:.2}x / mac {best_mac:.2}x), \
+         headline speedup {speedup:.2}x",
+        tables(report).len(),
         kernel_rows.len(),
-        table_rows("ew_kernels").len(),
-        out.display()
-    );
-    ExitCode::SUCCESS
+        ew_rows.len(),
+    ))
 }
 
-/// Builds the release `bench_switch` harness, runs it writing
-/// `BENCH_switch.json` at the workspace root, and validates the report
-/// shape — the same contract the CI bench-switch smoke job enforces.
-fn bench_switch(quick: bool) -> ExitCode {
-    let root = workspace_root();
-    if !cargo(&[
-        "build",
-        "-q",
-        "--release",
-        "-p",
-        "ufc-bench",
-        "--bin",
-        "bench_switch",
-    ]) {
-        eprintln!("xtask bench-switch: building bench_switch failed");
-        return ExitCode::FAILURE;
-    }
-    let out = root.join("BENCH_switch.json");
-    let bin = root.join("target/release/bench_switch");
-    let mut cmd = Command::new(&bin);
-    cmd.arg("--out").arg(&out);
-    if quick {
-        cmd.arg("--quick");
-    }
-    println!(
-        "+ {} --out {}{}",
-        bin.display(),
-        out.display(),
-        if quick { " --quick" } else { "" }
-    );
-    if !cmd.status().map(|s| s.success()).unwrap_or(false) {
-        eprintln!("xtask bench-switch: bench_switch failed");
-        return ExitCode::FAILURE;
-    }
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench-switch: {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask bench-switch: report is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.get("experiment").and_then(serde::Value::as_str) != Some("bench_switch") {
-        eprintln!("xtask bench-switch: report is missing `experiment: \"bench_switch\"`");
-        return ExitCode::FAILURE;
-    }
-    // Both boundary directions must report, and every row must carry
-    // the batch-size axis — a report without it cannot answer the
-    // question the fast path exists for (how throughput scales with
-    // the number of switched ciphertexts).
-    let tables = report
-        .get("tables")
-        .and_then(serde::Value::as_array)
-        .map(<[serde::Value]>::to_vec)
-        .unwrap_or_default();
+/// `BENCH_switch.json`: both boundary directions report with the
+/// batch-size axis — a report without it cannot answer the question
+/// the fast path exists for (how throughput scales with the number of
+/// switched ciphertexts) — plus the O(√n) rotation-key headline and,
+/// on full runs, batched extraction at least as fast as per-index.
+fn switch_gate(report: &Value, quick: bool) -> Result<String, String> {
     for name in ["extract", "repack"] {
-        let table = tables
-            .iter()
-            .find(|t| t.get("name").and_then(serde::Value::as_str) == Some(name));
-        let Some(table) = table else {
-            eprintln!("xtask bench-switch: report has no `{name}` table");
-            return ExitCode::FAILURE;
-        };
-        let has_batch_col = table
-            .get("columns")
-            .and_then(serde::Value::as_array)
-            .is_some_and(|cols| cols.iter().any(|c| c.as_str() == Some("batch")));
-        if !has_batch_col {
-            eprintln!("xtask bench-switch: `{name}` table has no `batch` column");
-            return ExitCode::FAILURE;
-        }
-        let rows = table
-            .get("rows")
-            .and_then(serde::Value::as_array)
-            .map(<[serde::Value]>::len)
-            .unwrap_or(0);
-        if rows == 0 {
-            eprintln!("xtask bench-switch: report has no populated `{name}` table");
-            return ExitCode::FAILURE;
-        }
+        require_table(report, name, "batch", 1)?;
     }
-    // Host-topology contract, same as bench-math: committed numbers
-    // must say what they ran on.
-    let host = report.get("host");
-    for field in ["available_parallelism", "par_threads"] {
-        if host
-            .and_then(|h| h.get(field))
-            .and_then(serde::Value::as_u64)
-            .is_none()
-        {
-            eprintln!("xtask bench-switch: report host has no numeric `{field}` field");
-            return ExitCode::FAILURE;
-        }
-    }
-    if host
-        .and_then(|h| h.get("ntt_kernel"))
-        .and_then(serde::Value::as_str)
+    if host_field(report, "ntt_kernel")
+        .and_then(Value::as_str)
         .is_none()
     {
-        eprintln!("xtask bench-switch: report host has no string `ntt_kernel` field");
-        return ExitCode::FAILURE;
+        return Err("report host has no string `ntt_kernel` field".into());
     }
     // Headline: the BSGS key-count claim is structural (independent of
     // runner noise), so it gates even --quick runs.
-    let headline = report.get("headline");
-    let bsgs_keys = headline
-        .and_then(|h| h.get("bsgs_rotation_keys"))
-        .and_then(serde::Value::as_u64);
-    let naive_keys = headline
-        .and_then(|h| h.get("naive_rotation_keys"))
-        .and_then(serde::Value::as_u64);
-    let (Some(bsgs_keys), Some(naive_keys)) = (bsgs_keys, naive_keys) else {
-        eprintln!("xtask bench-switch: report headline has no rotation-key counts");
-        return ExitCode::FAILURE;
+    let (Some(bsgs_keys), Some(naive_keys)) = (
+        headline_field(report, "bsgs_rotation_keys").and_then(Value::as_u64),
+        headline_field(report, "naive_rotation_keys").and_then(Value::as_u64),
+    ) else {
+        return Err("report headline has no rotation-key counts".into());
     };
     if bsgs_keys >= naive_keys {
-        eprintln!(
-            "xtask bench-switch: BSGS holds {bsgs_keys} rotation keys, not fewer than \
-             the naive path's {naive_keys}"
-        );
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "BSGS holds {bsgs_keys} rotation keys, not fewer than the naive path's {naive_keys}"
+        ));
     }
-    let speedup = headline
-        .and_then(|h| h.get("extract_speedup"))
-        .and_then(serde::Value::as_f64);
-    let Some(speedup) = speedup else {
-        eprintln!("xtask bench-switch: report headline has no numeric `extract_speedup`");
-        return ExitCode::FAILURE;
-    };
+    let speedup = headline_field(report, "extract_speedup")
+        .and_then(Value::as_f64)
+        .ok_or("report headline has no numeric `extract_speedup`")?;
     // Timing claims only gate full runs: --quick on a shared CI runner
     // is smoke (does the harness run end to end), not a perf contract.
     if !quick && speedup < 1.0 {
-        eprintln!(
-            "xtask bench-switch: batched extraction headline speedup {speedup:.2}x \
-             is below the per-index path on a full run"
-        );
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "batched extraction headline speedup {speedup:.2}x is below the per-index path \
+             on a full run"
+        ));
     }
-    println!(
-        "bench-switch ok: {} tables, extract headline {speedup:.2}x, rotation keys \
-         {bsgs_keys} BSGS vs {naive_keys} naive in {}",
-        tables.len(),
-        out.display()
-    );
-    ExitCode::SUCCESS
+    Ok(format!(
+        "{} tables, extract headline {speedup:.2}x, rotation keys {bsgs_keys} BSGS vs \
+         {naive_keys} naive",
+        tables(report).len()
+    ))
 }
 
-/// Builds the release `bench_sha256` harness, runs it writing
-/// `BENCH_sha256.json` at the workspace root, and validates the
-/// report — including the experiment's acceptance claims: the
-/// parallel-prefix circuit must have a strictly shorter bootstrap
-/// critical path AND strictly higher PLP utilization than
-/// ripple-carry on the same block, and every homomorphic digest must
-/// have matched the plaintext reference. All three claims come from
-/// deterministic pipelines (circuit generator, compiler, scheduler,
-/// seeded host run), so they gate `--quick` smoke runs too.
-fn bench_sha256(quick: bool) -> ExitCode {
-    let root = workspace_root();
-    if !cargo(&[
-        "build",
-        "-q",
-        "--release",
-        "-p",
-        "ufc-bench",
-        "--bin",
-        "bench_sha256",
-    ]) {
-        eprintln!("xtask bench-sha256: building bench_sha256 failed");
-        return ExitCode::FAILURE;
-    }
-    let out = root.join("BENCH_sha256.json");
-    let bin = root.join("target/release/bench_sha256");
-    let mut cmd = Command::new(&bin);
-    cmd.arg("--out").arg(&out);
-    if quick {
-        cmd.arg("--quick");
-    }
-    println!(
-        "+ {} --out {}{}",
-        bin.display(),
-        out.display(),
-        if quick { " --quick" } else { "" }
-    );
-    if !cmd.status().map(|s| s.success()).unwrap_or(false) {
-        eprintln!("xtask bench-sha256: bench_sha256 failed");
-        return ExitCode::FAILURE;
-    }
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench-sha256: {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask bench-sha256: report is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.get("experiment").and_then(serde::Value::as_str) != Some("bench_sha256") {
-        eprintln!("xtask bench-sha256: report is missing `experiment: \"bench_sha256\"`");
-        return ExitCode::FAILURE;
-    }
-    // Every layer must report, and every row must carry the adder
-    // axis — a table that cannot say which adder produced it cannot
-    // answer the depth-vs-gates question the workload exists to
-    // measure.
-    let tables = report
-        .get("tables")
-        .and_then(serde::Value::as_array)
-        .map(<[serde::Value]>::to_vec)
-        .unwrap_or_default();
+/// `BENCH_sha256.json`: `circuit`/`sim`/`host` tables each carrying
+/// the adder axis for both adders — a table that cannot say which
+/// adder produced it cannot answer the depth-vs-gates question the
+/// workload exists to measure — and the acceptance claims: the
+/// parallel-prefix circuit has a strictly shorter bootstrap critical
+/// path AND strictly higher PLP utilization than ripple-carry on the
+/// same block, and every homomorphic digest matched the plaintext
+/// reference. All three claims come from deterministic pipelines
+/// (circuit generator, compiler, scheduler, seeded host run), so they
+/// gate `--quick` smoke runs too.
+fn sha256_gate(report: &Value, _quick: bool) -> Result<String, String> {
     for name in ["circuit", "sim", "host"] {
-        let table = tables
-            .iter()
-            .find(|t| t.get("name").and_then(serde::Value::as_str) == Some(name));
-        let Some(table) = table else {
-            eprintln!("xtask bench-sha256: report has no `{name}` table");
-            return ExitCode::FAILURE;
-        };
-        let has_adder_col = table
-            .get("columns")
-            .and_then(serde::Value::as_array)
-            .is_some_and(|cols| cols.iter().any(|c| c.as_str() == Some("adder")));
-        if !has_adder_col {
-            eprintln!("xtask bench-sha256: `{name}` table has no `adder` column");
-            return ExitCode::FAILURE;
-        }
-        let rows = table
-            .get("rows")
-            .and_then(serde::Value::as_array)
-            .map(<[serde::Value]>::len)
-            .unwrap_or(0);
-        if rows < 2 {
-            eprintln!(
-                "xtask bench-sha256: `{name}` table has {rows} rows, needs both adder variants"
-            );
-            return ExitCode::FAILURE;
-        }
+        require_table(report, name, "adder", 2)?;
     }
-    // Host-topology contract, same as the other bench reports.
-    let host = report.get("host");
-    for field in ["available_parallelism", "par_threads"] {
-        if host
-            .and_then(|h| h.get(field))
-            .and_then(serde::Value::as_u64)
-            .is_none()
-        {
-            eprintln!("xtask bench-sha256: report host has no numeric `{field}` field");
-            return ExitCode::FAILURE;
-        }
-    }
-    if host
-        .and_then(|h| h.get("ntt_kernel"))
-        .and_then(serde::Value::as_str)
+    if host_field(report, "ntt_kernel")
+        .and_then(Value::as_str)
         .is_none()
     {
-        eprintln!("xtask bench-sha256: report host has no string `ntt_kernel` field");
-        return ExitCode::FAILURE;
+        return Err("report host has no string `ntt_kernel` field".into());
     }
-    // The acceptance claims. All deterministic, so no --quick waiver.
-    let headline = report.get("headline");
-    let field_u64 = |name: &str| {
-        headline
-            .and_then(|h| h.get(name))
-            .and_then(serde::Value::as_u64)
-    };
-    let field_f64 = |name: &str| {
-        headline
-            .and_then(|h| h.get(name))
-            .and_then(serde::Value::as_f64)
-    };
+    let field_u64 = |name: &str| headline_field(report, name).and_then(Value::as_u64);
+    let field_f64 = |name: &str| headline_field(report, name).and_then(Value::as_f64);
     let (Some(ripple_depth), Some(prefix_depth)) =
         (field_u64("ripple_depth"), field_u64("prefix_depth"))
     else {
-        eprintln!("xtask bench-sha256: report headline has no depth pair");
-        return ExitCode::FAILURE;
+        return Err("report headline has no depth pair".into());
     };
     if prefix_depth >= ripple_depth {
-        eprintln!(
-            "xtask bench-sha256: prefix critical path ({prefix_depth} levels) is not \
-             strictly shorter than ripple's ({ripple_depth})"
-        );
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "prefix critical path ({prefix_depth} levels) is not strictly shorter than \
+             ripple's ({ripple_depth})"
+        ));
     }
     let (Some(ripple_util), Some(prefix_util)) =
         (field_f64("ripple_plp_util"), field_f64("prefix_plp_util"))
     else {
-        eprintln!("xtask bench-sha256: report headline has no PLP utilization pair");
-        return ExitCode::FAILURE;
+        return Err("report headline has no PLP utilization pair".into());
     };
     if prefix_util <= ripple_util {
-        eprintln!(
-            "xtask bench-sha256: prefix PLP utilization ({prefix_util:.4}) is not \
-             strictly higher than ripple's ({ripple_util:.4})"
-        );
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "prefix PLP utilization ({prefix_util:.4}) is not strictly higher than ripple's \
+             ({ripple_util:.4})"
+        ));
     }
-    if headline
-        .and_then(|h| h.get("hom_ok"))
-        .and_then(serde::Value::as_bool)
-        != Some(true)
-    {
-        eprintln!("xtask bench-sha256: homomorphic digests did not match the reference");
-        return ExitCode::FAILURE;
+    if headline_field(report, "hom_ok").and_then(Value::as_bool) != Some(true) {
+        return Err("homomorphic digests did not match the reference".into());
     }
-    println!(
-        "bench-sha256 ok: {} tables, critical path {prefix_depth} vs {ripple_depth} levels, \
-         PLP util {prefix_util:.3} vs {ripple_util:.3}, digests match in {}",
-        tables.len(),
-        out.display()
-    );
-    ExitCode::SUCCESS
+    Ok(format!(
+        "{} tables, critical path {prefix_depth} vs {ripple_depth} levels, PLP util \
+         {prefix_util:.3} vs {ripple_util:.3}, digests match",
+        tables(report).len()
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Value {
+        serde_json::from_str(text).expect("committed report is valid JSON")
+    }
+
+    /// Mutable lookup of an object field.
+    fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Object(fields) => {
+                &mut fields
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("no field `{key}`"))
+                    .1
+            }
+            _ => panic!("not an object looking up `{key}`"),
+        }
+    }
+
+    fn elements_mut(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Array(items) => items,
+            _ => panic!("not an array"),
+        }
+    }
+
+    fn math() -> Value {
+        parse(include_str!("../../BENCH_math.json"))
+    }
+
+    fn switch() -> Value {
+        parse(include_str!("../../BENCH_switch.json"))
+    }
+
+    fn sha256() -> Value {
+        parse(include_str!("../../BENCH_sha256.json"))
+    }
+
+    #[test]
+    fn committed_bench_math_passes_full_gates() {
+        check_report("bench_math", &math(), false, math_gate).unwrap();
+    }
+
+    #[test]
+    fn committed_bench_switch_passes_full_gates() {
+        check_report("bench_switch", &switch(), false, switch_gate).unwrap();
+    }
+
+    #[test]
+    fn committed_bench_sha256_passes_full_gates() {
+        check_report("bench_sha256", &sha256(), false, sha256_gate).unwrap();
+    }
+
+    #[test]
+    fn bench_math_rejects_a_slow_auto_kernel() {
+        // In the first row where both kernels ran, claim the auto
+        // kernel is IFMA and make it twice as slow as radix-4.
+        let mut report = math();
+        let fwd_r4 = col_index(&report, "ntt_kernels", "forward_radix4_ns").unwrap();
+        let fwd_ifma = col_index(&report, "ntt_kernels", "forward_ifma_ns").unwrap();
+        let auto = col_index(&report, "ntt_kernels", "auto").unwrap();
+        let tables = elements_mut(field_mut(&mut report, "tables"));
+        let kernels = tables
+            .iter_mut()
+            .find(|t| t.get("name").and_then(Value::as_str) == Some("ntt_kernels"))
+            .unwrap();
+        let row = elements_mut(field_mut(kernels, "rows"))
+            .iter_mut()
+            .map(elements_mut)
+            .find(|cells| cells[fwd_ifma].as_f64().is_some())
+            .unwrap();
+        let r4 = row[fwd_r4].as_f64().unwrap();
+        row[fwd_ifma] = Value::F64(2.0 * r4);
+        row[auto] = Value::Str("ifma".into());
+        let err = check_report("bench_math", &report, false, math_gate).unwrap_err();
+        assert!(err.contains("auto kernel `ifma`"), "{err}");
+    }
+
+    #[test]
+    fn bench_switch_rejects_bsgs_without_fewer_keys() {
+        let mut report = switch();
+        let naive = headline_field(&report, "naive_rotation_keys")
+            .cloned()
+            .unwrap();
+        *field_mut(field_mut(&mut report, "headline"), "bsgs_rotation_keys") = naive;
+        let err = check_report("bench_switch", &report, false, switch_gate).unwrap_err();
+        assert!(err.contains("rotation keys"), "{err}");
+    }
+
+    #[test]
+    fn bench_sha256_rejects_prefix_no_shallower_than_ripple() {
+        let mut report = sha256();
+        let ripple = headline_field(&report, "ripple_depth").cloned().unwrap();
+        *field_mut(field_mut(&mut report, "headline"), "prefix_depth") = ripple;
+        let err = check_report("bench_sha256", &report, false, sha256_gate).unwrap_err();
+        assert!(err.contains("critical path"), "{err}");
+    }
 }

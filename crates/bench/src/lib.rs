@@ -3,9 +3,9 @@
 //!
 //! Each binary in `src/bin/` reproduces one experiment; run e.g.
 //! `cargo run -p ufc-bench --bin fig10a_ckks_comparison --release`.
-//! The Criterion benches in `benches/` measure the implementation
-//! itself (NTT kernels, scheme operations, compiler and simulator
-//! throughput).
+//! The implementation itself is timed by `bench_math`,
+//! `bench_switch` and `bench_sha256` (committed `BENCH_*.json` tables,
+//! validated by `cargo xtask bench-*`) and by the `benchmark/` probes.
 //!
 //! | binary | experiment |
 //! |---|---|

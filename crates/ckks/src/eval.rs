@@ -12,8 +12,8 @@ use crate::context::CkksContext;
 use crate::encoding::{Complex, Encoder};
 use crate::keys::{KeySet, SecretKey, SwitchingKey, NOISE_SIGMA};
 use crate::RnsPoly;
-use parking_lot::Mutex;
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::automorph;
 use ufc_math::plane::RnsPlane;
@@ -74,11 +74,15 @@ impl Evaluator {
 
     /// Takes the recorded trace, resetting the tracer.
     pub fn take_trace(&self) -> Trace {
-        std::mem::replace(&mut self.trace.lock(), Trace::new("ckks"))
+        let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *trace, Trace::new("ckks"))
     }
 
     fn record(&self, op: TraceOp) {
-        self.trace.lock().push(op);
+        self.trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(op);
     }
 
     /// Records an externally-generated trace op (used by the

@@ -1,8 +1,7 @@
 //! Side-by-side comparisons between UFC and the baselines (the rows
-//! of Figs. 10 and 11), with an optional parallel batch runner.
+//! of Figs. 10 and 11).
 
 use crate::runner::Ufc;
-use crossbeam::thread;
 use ufc_isa::trace::Trace;
 use ufc_sim::machines::Machine;
 use ufc_sim::SimReport;
@@ -49,26 +48,6 @@ pub fn compare(ufc: &Ufc, baseline: &dyn Machine, trace: &Trace) -> ComparisonRo
     }
 }
 
-/// Runs a batch of workloads against one baseline, one comparison per
-/// trace, using scoped threads (each simulation is independent).
-pub fn compare_batch<M: Machine + Sync>(
-    ufc: &Ufc,
-    baseline: &M,
-    traces: &[Trace],
-) -> Vec<ComparisonRow> {
-    thread::scope(|s| {
-        let handles: Vec<_> = traces
-            .iter()
-            .map(|t| s.spawn(move |_| compare(ufc, baseline, t)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sim thread"))
-            .collect()
-    })
-    .expect("thread scope")
-}
-
 /// Geometric mean of a positive series (the paper reports workload
 /// averages).
 pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
@@ -103,19 +82,5 @@ mod tests {
         // EDAP folds EDP and the area ratio together.
         let area_ratio = row.baseline.area_mm2 / row.ufc.area_mm2;
         assert!((row.edap_gain() / row.edp_gain() - area_ratio).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_runner_matches_sequential() {
-        let ufc = Ufc::paper_default();
-        let baseline = SharpMachine::new();
-        let traces = vec![
-            ufc_workloads::tfhe_apps::pbs_throughput("T1", 64),
-            ufc_workloads::tfhe_apps::pbs_throughput("T2", 64),
-        ];
-        let batch = compare_batch(&ufc, &baseline, &traces);
-        assert_eq!(batch.len(), 2);
-        let seq = compare(&ufc, &baseline, &traces[0]);
-        assert_eq!(batch[0].ufc.cycles, seq.ufc.cycles);
     }
 }

@@ -135,8 +135,13 @@ impl Phase {
     }
 }
 
+/// Largest `log_n` a [`PolyShape`] may carry. With `count` a `u32`,
+/// [`PolyShape::elems`] then always fits in a `u64`; the text parser
+/// rejects anything larger.
+pub const MAX_LOG_N: u32 = 32;
+
 /// Shape of the data an instruction processes: `count` polynomials of
-/// degree `2^log_n` each.
+/// degree `2^log_n` each (`log_n` at most [`MAX_LOG_N`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolyShape {
     /// log2 of the polynomial degree.

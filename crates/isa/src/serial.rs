@@ -9,7 +9,9 @@
 //! *deliberately malformed* content must still parse — validation is
 //! the verifier's job, not the parser's. The parser therefore accepts
 //! structurally well-formed but semantically invalid data (forward
-//! dependencies, out-of-range levels, unknown parameter-set ids).
+//! dependencies, out-of-range levels, unknown parameter-set ids). The
+//! one exception is a `log_n` above [`MAX_LOG_N`]: no ring that large
+//! has a representable element count, so it is a parse error.
 //!
 //! ```text
 //! # ufc trace v1
@@ -27,7 +29,7 @@
 //! instr id=1 kernel=Ewmm log_n=16 count=21 word=36 hbm=4096 phase=CkksKeySwitch pack=max deps=0
 //! ```
 
-use crate::instr::{InstrStream, Kernel, MacroInstr, Phase, PolyShape};
+use crate::instr::{InstrStream, Kernel, MacroInstr, Phase, PolyShape, MAX_LOG_N};
 use crate::trace::{Trace, TraceOp};
 
 /// A parse failure, with the 1-based line it occurred on.
@@ -356,10 +358,17 @@ fn parse_instr(rest: &str, line: usize) -> Result<MacroInstr, ParseError> {
             );
         }
     }
+    let log_n = fields.num("log_n")?;
+    if log_n > MAX_LOG_N {
+        return Err(ParseError::new(
+            line,
+            format!("field `log_n`: {log_n} exceeds the maximum {MAX_LOG_N}"),
+        ));
+    }
     Ok(MacroInstr {
         id: fields.num("id")?,
         kernel,
-        shape: PolyShape::new(fields.num("log_n")?, fields.num("count")?),
+        shape: PolyShape::new(log_n, fields.num("count")?),
         word_bits: fields.num("word")?,
         deps,
         hbm_bytes: fields.num("hbm")?,
@@ -506,5 +515,19 @@ mod tests {
         assert!(err.message.contains("Wat"));
         let err = stream_from_text("instr id=0\n").unwrap_err();
         assert!(err.message.contains("before `stream`"));
+    }
+
+    #[test]
+    fn stream_log_n_past_the_bound_is_a_parse_error() {
+        let line = |log_n: u32| {
+            format!("stream\ninstr id=0 kernel=Ntt log_n={log_n} count=1 word=36 hbm=0 phase=Other pack=max deps=\n")
+        };
+        let s = stream_from_text(&line(MAX_LOG_N)).unwrap();
+        assert_eq!(s.instrs()[0].shape.elems(), 1 << MAX_LOG_N);
+        for log_n in [MAX_LOG_N + 1, 64, 119657, u32::MAX] {
+            let err = stream_from_text(&line(log_n)).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("log_n"), "{err}");
+        }
     }
 }

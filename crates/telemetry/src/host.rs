@@ -9,11 +9,10 @@
 //!   view and basic run facts (thread count, wall span);
 //! * [`fold_into_registry`] — counters + log-bucketed latency
 //!   histograms + gauges folded into a [`MetricsRegistry`], the same
-//!   registry type the simulator sinks use, so host and sim metrics
+//!   registry type the simulator profiles use, so host and sim metrics
 //!   serialize through one deterministic path;
 //! * [`to_jsonl`] — one JSON line per span/gauge for offline
-//!   processing (`jq`, pandas), mirroring [`crate::JsonlSink`]'s
-//!   line-per-event format.
+//!   processing (`jq`, pandas).
 
 use crate::metrics::{Histogram, MetricsRegistry};
 use serde::Value;

@@ -14,10 +14,10 @@
 //! * [`perfetto`] — exports a recorded timeline as Chrome-trace-event
 //!   JSON: one track per [`ufc_sim::ResKind`], one slice per busy
 //!   interval, openable directly in `ui.perfetto.dev`.
-//! * [`JsonlSink`] — a structured JSON-lines event log plus a
-//!   [`MetricsRegistry`] of named counters (instruction counts per
-//!   kernel, HBM bytes per phase, stall totals); the registry is
-//!   reused by the scheme crates for op-count instrumentation.
+//! * [`MetricsRegistry`] — named counters, gauges and log-bucketed
+//!   latency histograms with one deterministic serialization, shared
+//!   by the workload builders' op counts, `ufc-core`'s profiled runs
+//!   and the host-span roll-up.
 //! * [`trace`] / [`host`] — the *runtime* side: `ufc-trace`'s
 //!   process-global span recorder (re-exported here as [`trace`])
 //!   instruments the real evaluator stack, and [`host`] aggregates a
@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub mod host;
-pub mod jsonl;
 pub mod metrics;
 pub mod perfetto;
 pub mod streaming;
@@ -57,7 +56,6 @@ pub mod timeline;
 pub use ufc_trace as trace;
 
 pub use host::{HostReport, SpanAgg};
-pub use jsonl::JsonlSink;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use streaming::StreamingStats;
 pub use timeline::{

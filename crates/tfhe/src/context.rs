@@ -1,7 +1,6 @@
 //! TFHE parameter context and the tracing evaluator façade.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::gadget::Gadget;
 use ufc_math::ntt::{NttContext, NttKernel};
@@ -204,12 +203,16 @@ impl TfheEvaluator {
 
     /// Records a trace op.
     pub fn record(&self, op: TraceOp) {
-        self.trace.lock().push(op);
+        self.trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(op);
     }
 
     /// Takes the accumulated trace, resetting the recorder.
     pub fn take_trace(&self) -> Trace {
-        std::mem::replace(&mut self.trace.lock(), Trace::new("tfhe"))
+        let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *trace, Trace::new("tfhe"))
     }
 }
 

@@ -221,6 +221,12 @@ mod tests {
     #[test]
     fn verify_text_propagates_parse_errors() {
         assert!(verify_text("garbage here\n", &VerifyOptions::default()).is_err());
+        // `1 << 119657` overflows: the parser must refuse the line
+        // before any check computes a shape size.
+        let text = "stream\n\
+            instr id=0 kernel=Ntt log_n=119657 count=2 word=36 hbm=0 phase=CkksEval pack=max deps=\n";
+        let err = verify_text(text, &VerifyOptions::default().with_noise()).unwrap_err();
+        assert_eq!(err.line, 2);
     }
 
     #[test]

@@ -627,7 +627,7 @@ pub fn check_stream_noise(stream: &InstrStream, opts: &NoiseOptions, report: &mu
             match instr.kernel {
                 Kernel::Intt => last_intt_count = Some(instr.shape.count),
                 Kernel::Ntt => {
-                    if last_intt_count == Some(instr.shape.count + 2) {
+                    if last_intt_count.and_then(|c| c.checked_sub(2)) == Some(instr.shape.count) {
                         rescales += 1;
                         if rescales > max_level && !budget_flagged {
                             budget_flagged = true;
@@ -866,6 +866,30 @@ mod tests {
         t.push(TraceOp::Extract { level: 3, count: 4 });
         let r = run(&t);
         assert!(r.has_code("noise/extract-degraded-precision"), "{r}");
+    }
+
+    #[test]
+    fn stream_rescale_match_survives_extreme_counts() {
+        use ufc_isa::instr::PolyShape;
+        let mut s = InstrStream::new();
+        for (kernel, count) in [
+            (Kernel::Intt, 1),
+            (Kernel::Ntt, u32::MAX),
+            (Kernel::Intt, u32::MAX),
+            (Kernel::Ntt, u32::MAX - 2),
+        ] {
+            s.push(
+                kernel,
+                PolyShape::new(16, count),
+                36,
+                vec![],
+                0,
+                Phase::CkksEval,
+            );
+        }
+        let mut r = Report::new();
+        check_stream_noise(&s, &noisy_opts(), &mut r);
+        assert!(r.is_clean(), "{r}");
     }
 
     #[test]

@@ -241,7 +241,7 @@ fn output_bytes(ins: &MacroInstr) -> u64 {
         // limbs), not resident polynomials; its result is bounded by
         // — and charged to — the consumer that reads it.
         Kernel::BconvMac => 0,
-        _ => ins.shape.elems() * word_bytes(ins.word_bits),
+        _ => ins.shape.elems().saturating_mul(word_bytes(ins.word_bits)),
     }
 }
 
@@ -267,13 +267,15 @@ fn check_scratchpad(stream: &InstrStream, opts: &VerifyOptions, report: &mut Rep
     let mut dying: Vec<Vec<u64>> = vec![Vec::new(); instrs.len()];
     for (pos, ins) in instrs.iter().enumerate() {
         dying[last_use[pos]].push(output_bytes(ins));
-        live += output_bytes(ins);
+        live = live.saturating_add(output_bytes(ins));
         if live > high_water {
             high_water = live;
             high_pos = pos;
         }
         for bytes in dying[pos].drain(..) {
-            live -= bytes;
+            // Once the sum has saturated it undercounts, so a
+            // buffer's death may take more than is left.
+            live = live.saturating_sub(bytes);
         }
     }
     if high_water > capacity {
@@ -292,7 +294,7 @@ fn check_scratchpad(stream: &InstrStream, opts: &VerifyOptions, report: &mut Rep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ufc_isa::instr::PolyShape;
+    use ufc_isa::instr::{PolyShape, MAX_LOG_N};
 
     fn opts() -> VerifyOptions {
         VerifyOptions::default()
@@ -502,5 +504,18 @@ mod tests {
         }
         // 2^12 * 8 * 8 B = 256 KiB per buffer, two live at a time.
         assert!(check_stream(&s, &tiny).is_clean());
+    }
+
+    #[test]
+    fn byte_totals_saturate_on_huge_shapes() {
+        // Each buffer's size alone overflows a u64; two of them live at
+        // once overflow the running sum too. Both saturate and flag.
+        let mut s = InstrStream::new();
+        let huge = PolyShape::new(MAX_LOG_N, u32::MAX);
+        let a = s.push(Kernel::Ntt, huge, 36, vec![], 0, Phase::CkksEval);
+        let b = s.push(Kernel::Ntt, huge, 36, vec![], 0, Phase::CkksEval);
+        s.push(Kernel::Ewma, huge, 36, vec![a, b], 0, Phase::CkksEval);
+        let r = check_stream(&s, &opts());
+        assert!(r.has_code("stream/scratchpad-overflow"), "{r}");
     }
 }

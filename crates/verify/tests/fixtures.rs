@@ -368,7 +368,9 @@ fn seeded_violations_stay_localized() {
 
 // ------------------------------------------------- ufc-lint end-to-end
 
-fn lint(args: &[&str]) -> (i32, String) {
+/// Runs `ufc-lint` from the fixture directory: `(exit code, stdout,
+/// stderr)`.
+fn lint(args: &[&str]) -> (i32, String, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ufc-lint"))
         .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures"))
         .args(args)
@@ -377,36 +379,37 @@ fn lint(args: &[&str]) -> (i32, String) {
     (
         out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
 #[test]
 fn lint_cli_passes_clean_fixtures() {
-    let (code, out) = lint(&["clean.trace", "clean.stream"]);
+    let (code, out, _) = lint(&["clean.trace", "clean.stream"]);
     assert_eq!(code, 0, "stdout:\n{out}");
     assert!(out.contains("clean"), "stdout:\n{out}");
 }
 
 #[test]
 fn lint_cli_fails_on_seeded_errors() {
-    let (code, out) = lint(&["rescale_at_zero.trace"]);
+    let (code, out, _) = lint(&["rescale_at_zero.trace"]);
     assert_eq!(code, 1, "stdout:\n{out}");
     assert!(out.contains("trace/rescale-at-zero"), "stdout:\n{out}");
 }
 
 #[test]
 fn lint_cli_deny_warnings_promotes_fixtures() {
-    let (code, _) = lint(&["dep_duplicate.stream"]);
+    let (code, _, _) = lint(&["dep_duplicate.stream"]);
     assert_eq!(code, 0, "warnings alone exit 0");
-    let (code, out) = lint(&["--deny-warnings", "dep_duplicate.stream"]);
+    let (code, out, _) = lint(&["--deny-warnings", "dep_duplicate.stream"]);
     assert_eq!(code, 1, "stdout:\n{out}");
 }
 
 #[test]
 fn lint_cli_target_gates_transfer_fixtures() {
-    let (code, _) = lint(&["transfer_on_unified.stream"]);
+    let (code, _, _) = lint(&["transfer_on_unified.stream"]);
     assert_eq!(code, 0);
-    let (code, out) = lint(&["--target", "ufc", "transfer_on_unified.stream"]);
+    let (code, out, _) = lint(&["--target", "ufc", "transfer_on_unified.stream"]);
     assert_eq!(code, 1, "stdout:\n{out}");
     assert!(out.contains("stream/transfer-on-unified"), "stdout:\n{out}");
 }
@@ -414,10 +417,10 @@ fn lint_cli_target_gates_transfer_fixtures() {
 #[test]
 fn lint_cli_noise_flag_fails_on_decryption_risk() {
     // Without --noise the fixture is structurally fine...
-    let (code, out) = lint(&["noise_redundant_rescale.trace"]);
+    let (code, out, _) = lint(&["noise_redundant_rescale.trace"]);
     assert_eq!(code, 0, "stdout:\n{out}");
     // ...with it, the decryption risk makes the exit code non-zero.
-    let (code, out) = lint(&["--noise", "noise_redundant_rescale.trace"]);
+    let (code, out, _) = lint(&["--noise", "noise_redundant_rescale.trace"]);
     assert_eq!(code, 1, "stdout:\n{out}");
     assert!(out.contains("noise/redundant-rescale"), "stdout:\n{out}");
     assert!(out.contains("noise/decryption-risk"), "stdout:\n{out}");
@@ -425,18 +428,40 @@ fn lint_cli_noise_flag_fails_on_decryption_risk() {
 
 #[test]
 fn lint_cli_params_flag_implies_noise() {
-    let (code, out) = lint(&["--params", "C1,T1", "noise_pbs_starved.trace"]);
+    let (code, out, _) = lint(&["--params", "C1,T1", "noise_pbs_starved.trace"]);
     assert_eq!(code, 1, "stdout:\n{out}");
     assert!(out.contains("noise/pbs-starved"), "stdout:\n{out}");
 }
 
 #[test]
 fn lint_cli_json_is_machine_readable() {
-    let (code, out) = lint(&["--json", "params_unknown.trace"]);
+    let (code, out, _) = lint(&["--json", "params_unknown.trace"]);
     assert_eq!(code, 1, "stdout:\n{out}");
     assert!(out.trim_start().starts_with('['), "stdout:\n{out}");
     assert!(
         out.contains("\"code\":\"trace/params-unknown\""),
         "stdout:\n{out}"
     );
+}
+
+#[test]
+fn lint_cli_exits_2_with_a_line_number_on_malformed_text() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("malformed_log_n.stream");
+    std::fs::write(
+        &path,
+        "stream\ninstr id=0 kernel=Ntt log_n=119657 count=2 word=36 hbm=0 \
+         phase=CkksEval pack=max deps=\n",
+    )
+    .expect("write malformed stream");
+    let (code, out, err) = lint(&[path.to_str().expect("utf-8 temp path")]);
+    assert_eq!(code, 2, "stdout:\n{out}\nstderr:\n{err}");
+    assert!(err.contains("line 2"), "stderr:\n{err}");
+    assert!(err.contains("log_n"), "stderr:\n{err}");
+}
+
+#[test]
+fn lint_cli_exits_2_on_a_missing_file() {
+    let (code, out, err) = lint(&["no_such_fixture.trace"]);
+    assert_eq!(code, 2, "stdout:\n{out}\nstderr:\n{err}");
+    assert!(err.contains("no_such_fixture.trace"), "stderr:\n{err}");
 }

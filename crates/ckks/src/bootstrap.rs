@@ -1,5 +1,5 @@
-//! CKKS bootstrapping building blocks: BSGS homomorphic linear
-//! transforms, Chebyshev polynomial evaluation, and the
+//! CKKS bootstrapping building blocks: the BSGS homomorphic linear
+//! transform, power-basis polynomial evaluation, and the
 //! ModRaise → CoeffToSlot → EvalMod → SlotToCoeff pipeline.
 
 use crate::ciphertext::Ciphertext;
@@ -9,35 +9,89 @@ use crate::keys::{KeySet, SecretKey};
 use rand::Rng;
 use ufc_isa::trace::TraceOp;
 
+/// The baby-step giant-step split of a transform spanning `span`
+/// diagonals: `(g, b)` with `g = ⌈√span⌉` baby steps and
+/// `b = ⌈span/g⌉` giant steps, so `g·b ≥ span`.
+///
+/// # Panics
+///
+/// Panics if `span` is zero.
+pub fn bsgs_split(span: usize) -> (usize, usize) {
+    assert!(span > 0, "transform span must be positive");
+    let root = span.isqrt();
+    let g = if root * root < span { root + 1 } else { root };
+    (g, span.div_ceil(g))
+}
+
+/// The rotation steps a BSGS transform over `span` diagonals needs, in
+/// key-generation order: baby steps `1..g`, then giant steps
+/// `g, 2g, …, (b−1)·g` (see [`bsgs_split`]). The set depends only on
+/// `span`, never on which diagonals are zero, so keys generated from
+/// it always cover [`LinearTransform::apply`].
+pub fn bsgs_steps(span: usize) -> Vec<isize> {
+    let (g, b) = bsgs_split(span);
+    let babies = 1..g;
+    let giants = (1..b).map(|k| k * g);
+    babies.chain(giants).map(|s| s as isize).collect()
+}
+
 /// A homomorphic linear transform `z ↦ M·z` on slot vectors, stored as
-/// its non-zero generalized diagonals (the BSGS-friendly layout).
+/// its non-zero generalized diagonals: the one slot mat-vec behind
+/// both bootstrapping (CoeffToSlot / SlotToCoeff) and LWE→CKKS
+/// repacking.
 #[derive(Debug, Clone)]
 pub struct LinearTransform {
     slots: usize,
+    /// Diagonal shifts lie in `0..span`; the BSGS split depends on it.
+    span: usize,
     /// `(shift, diagonal values)` pairs: `out[i] += diag[i] * in[(i+shift) mod slots]`.
     diagonals: Vec<(usize, Vec<Complex>)>,
 }
 
 impl LinearTransform {
     /// Builds the transform from a dense `slots × slots` complex
-    /// matrix, extracting non-zero diagonals.
+    /// matrix, extracting non-zero diagonals (`span = slots`).
     pub fn from_matrix(m: &[Vec<Complex>]) -> Self {
         let slots = m.len();
         assert!(
             slots > 0 && m.iter().all(|r| r.len() == slots),
             "square matrix"
         );
-        let mut diagonals = Vec::new();
-        for shift in 0..slots {
-            let diag: Vec<Complex> = (0..slots).map(|i| m[i][(i + shift) % slots]).collect();
-            if diag
-                .iter()
-                .any(|&(re, im)| re.abs() > 1e-12 || im.abs() > 1e-12)
-            {
-                diagonals.push((shift, diag));
-            }
+        let diags = (0..slots)
+            .map(|shift| {
+                let diag = (0..slots).map(|i| m[i][(i + shift) % slots]).collect();
+                (shift, diag)
+            })
+            .collect();
+        Self::from_diagonals(slots, slots, diags)
+    }
+
+    /// Builds the transform from explicit `(shift, diagonal)` pairs
+    /// with every shift below `span ≤ slots`, dropping all-zero
+    /// diagonals. Repacking uses `span` = the LWE dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` is zero or exceeds `slots`, a shift is outside
+    /// `0..span`, or a diagonal does not hold `slots` values.
+    pub fn from_diagonals(slots: usize, span: usize, diags: Vec<(usize, Vec<Complex>)>) -> Self {
+        assert!(0 < span && span <= slots, "span must lie in 1..=slots");
+        let diagonals = diags
+            .into_iter()
+            .inspect(|(shift, diag)| {
+                assert!(*shift < span, "shift {shift} outside span {span}");
+                assert_eq!(diag.len(), slots, "diagonal length");
+            })
+            .filter(|(_, diag)| {
+                diag.iter()
+                    .any(|&(re, im)| re.abs() > 1e-12 || im.abs() > 1e-12)
+            })
+            .collect();
+        Self {
+            slots,
+            span,
+            diagonals,
         }
-        Self { slots, diagonals }
     }
 
     /// Number of slots.
@@ -50,14 +104,10 @@ impl LinearTransform {
         &self.diagonals
     }
 
-    /// The rotation steps needed to evaluate this transform (one per
-    /// diagonal, plain method).
+    /// The rotation steps [`Self::apply`] needs: [`bsgs_steps`] of the
+    /// span.
     pub fn rotation_steps(&self) -> Vec<isize> {
-        self.diagonals
-            .iter()
-            .map(|&(s, _)| s as isize)
-            .filter(|&s| s != 0)
-            .collect()
+        bsgs_steps(self.span)
     }
 
     /// Reference (plaintext) application for validation.
@@ -75,63 +125,45 @@ impl LinearTransform {
         out
     }
 
-    /// The rotation steps needed by [`Self::apply_bsgs`] with the
-    /// given baby-step count: baby steps `1..bs` plus giant steps
-    /// `bs, 2·bs, …`.
-    pub fn bsgs_rotation_steps(&self, bs: usize) -> Vec<isize> {
-        let giants = self.slots.div_ceil(bs);
-        let mut steps: Vec<isize> = (1..bs as isize).collect();
-        steps.extend((1..giants as isize).map(|g| g * bs as isize));
-        steps.sort_unstable();
-        steps.dedup();
-        steps
-    }
-
-    /// Applies the transform with the **baby-step giant-step** method:
-    /// `Σ_g rot_{g·bs}( Σ_b rot_{-g·bs}(diag_{g·bs+b}) ∘ rot_b(ct) )`.
+    /// Applies the transform homomorphically with the **baby-step
+    /// giant-step** method, consuming one level:
+    /// `Σ_k rot_{kg}( Σ_j rot_{−kg}(diag_{kg+j}) ∘ rot_j(ct) )`.
     ///
-    /// Same result and depth as [`Self::apply`], but only
-    /// `bs + slots/bs` homomorphic rotations instead of one per
-    /// diagonal — the structure behind the paper's bootstrapping
-    /// rotation counts (§VI-D1's minimum-key method applies BSGS with
-    /// shared keys).
+    /// The `g − 1` baby rotations of `ct` share one hoisted
+    /// decomposition (`Evaluator::hoist` + `rotate_hoisted`); each
+    /// non-empty inner sum then takes one plain giant rotation, so a
+    /// dense transform costs `(g − 1) + (b − 1)` rotations instead of
+    /// one per diagonal — the structure behind the paper's
+    /// bootstrapping rotation counts (§VI-D1's minimum-key method).
     ///
     /// # Panics
     ///
-    /// Panics if `bs` is zero or a needed rotation key is missing.
-    pub fn apply_bsgs(
-        &self,
-        ev: &Evaluator,
-        ct: &Ciphertext,
-        keys: &KeySet,
-        bs: usize,
-    ) -> Ciphertext {
-        assert!(bs > 0, "baby-step count must be positive");
+    /// Panics if the transform has no diagonal, its slot count differs
+    /// from the context's, or a key from [`Self::rotation_steps`] is
+    /// missing.
+    pub fn apply(&self, ev: &Evaluator, ct: &Ciphertext, keys: &KeySet) -> Ciphertext {
         let s = self.slots;
-        // Dense diagonal table for O(1) lookup.
-        let mut table: Vec<Option<&Vec<Complex>>> = vec![None; s];
+        assert_eq!(s, ev.context().slots(), "transform size mismatch");
+        let (g, b) = bsgs_split(self.span);
+        let mut table: Vec<Option<&Vec<Complex>>> = vec![None; self.span];
         for (shift, diag) in &self.diagonals {
             table[*shift] = Some(diag);
         }
-        // Baby rotations (computed once, reused by every giant step).
-        let mut babies: Vec<Ciphertext> = Vec::with_capacity(bs);
-        babies.push(ct.clone());
-        for b in 1..bs {
-            babies.push(ev.rotate(ct, b as isize, keys));
-        }
-        let giants = s.div_ceil(bs);
+        let hoisted = ev.hoist(ct);
+        let babies: Vec<Ciphertext> = (1..g)
+            .map(|j| ev.rotate_hoisted(ct, &hoisted, j as isize, keys))
+            .collect();
         let mut acc: Option<Ciphertext> = None;
-        for g in 0..giants {
+        for k in 0..b {
             let mut inner: Option<Ciphertext> = None;
-            for (b, baby) in babies.iter().enumerate() {
-                let shift = g * bs + b;
-                if shift >= s {
-                    break;
-                }
-                let Some(diag) = table[shift] else { continue };
-                // rot_{-g·bs}(diag): entry i holds diag[(i − g·bs) mod s].
+            for j in 0..g {
+                let Some(diag) = table.get(k * g + j).copied().flatten() else {
+                    continue;
+                };
+                // rot_{−kg}(diag): entry i holds diag[(i − kg) mod s].
                 let twisted: Vec<Complex> =
-                    (0..s).map(|i| diag[(i + s - (g * bs) % s) % s]).collect();
+                    (0..s).map(|i| diag[(i + s - (k * g) % s) % s]).collect();
+                let baby = if j == 0 { ct } else { &babies[j - 1] };
                 let coeffs = ev.encoder().encode(&twisted);
                 let pt = ev.context().eval_from_signed(&coeffs, baby.level + 1);
                 let term = ev.mul_plain(baby, &pt);
@@ -141,36 +173,11 @@ impl LinearTransform {
                 });
             }
             let Some(inner) = inner else { continue };
-            let rotated = if g == 0 {
+            let term = if k == 0 {
                 inner
             } else {
-                ev.rotate(&inner, (g * bs) as isize, keys)
+                ev.rotate(&inner, (k * g) as isize, keys)
             };
-            acc = Some(match acc {
-                Some(a) => ev.add(&a, &rotated),
-                None => rotated,
-            });
-        }
-        ev.rescale(&acc.expect("transform has at least one diagonal"))
-    }
-
-    /// Applies the transform homomorphically (diagonal method):
-    /// `Σ_shift diag_shift ∘ rot_shift(ct)`, consuming one level.
-    ///
-    /// Requires rotation keys for every step in
-    /// [`Self::rotation_steps`].
-    pub fn apply(&self, ev: &Evaluator, ct: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        assert_eq!(self.slots, ev.context().slots(), "transform size mismatch");
-        let mut acc: Option<Ciphertext> = None;
-        for (shift, diag) in &self.diagonals {
-            let rotated = if *shift == 0 {
-                ct.clone()
-            } else {
-                ev.rotate(ct, *shift as isize, keys)
-            };
-            let coeffs = ev.encoder().encode(diag);
-            let pt = ev.context().eval_from_signed(&coeffs, rotated.level + 1);
-            let term = ev.mul_plain(&rotated, &pt);
             acc = Some(match acc {
                 Some(a) => ev.add(&a, &term),
                 None => term,
@@ -242,94 +249,11 @@ pub fn eval_poly(ev: &Evaluator, ct: &Ciphertext, coeffs: &[f64], keys: &KeySet)
     out
 }
 
-/// Evaluates a linear combination of Chebyshev polynomials
-/// `Σ c_k·T_k(x)` homomorphically via the recurrence
-/// `T_{k+1} = 2x·T_k − T_{k−1}` — the numerically stable basis
-/// production EvalMod uses (Han–Ki style) instead of raw powers.
-///
-/// Consumes one level per recurrence step plus one for the coefficient
-/// combination. `x` should carry values in `[-1, 1]`.
-///
-/// # Panics
-///
-/// Panics for degree 0 or degree > 8, or when the level budget runs
-/// out.
-pub fn eval_chebyshev(ev: &Evaluator, x: &Ciphertext, coeffs: &[f64], keys: &KeySet) -> Ciphertext {
-    let deg = coeffs.len().saturating_sub(1);
-    assert!((1..=8).contains(&deg), "degree 1..8 supported");
-    let slots = ev.context().slots();
-    // T_0 = 1 (handled as the plaintext constant at the end), T_1 = x.
-    let mut t_prev: Option<Ciphertext> = None; // T_{k-1}, None means T_0
-    let mut t_cur = x.clone(); // T_1
-    let mut terms: Vec<Ciphertext> = Vec::new();
-    let push_term = |terms: &mut Vec<Ciphertext>, ev: &Evaluator, t: &Ciphertext, c: f64| {
-        if c == 0.0 {
-            return;
-        }
-        let pt = ev.encode_real_at(&vec![c; slots], t.level, ev.context().scale());
-        let raw = ev.mul_plain_untraced(t, &pt, ev.context().scale());
-        terms.push(ev.rescale(&raw));
-    };
-    push_term(&mut terms, ev, &t_cur, coeffs[1]);
-    for (k, &c) in coeffs.iter().enumerate().skip(2) {
-        // T_k = 2x·T_{k-1} − T_{k-2}.
-        let two_x_t = {
-            let mut doubled = ev.mul(x, &t_cur, keys);
-            let (c0, c1) = (doubled.c0.clone(), doubled.c1.clone());
-            doubled.c0.add_assign(&c0);
-            doubled.c1.add_assign(&c1);
-            ev.rescale(&doubled)
-        };
-        let t_next = match &t_prev {
-            // T_0 = 1: subtract the constant 1 at the current scale.
-            None => {
-                let one = ev.encode_real_at(&vec![1.0; slots], two_x_t.level, two_x_t.scale);
-                let mut t = two_x_t;
-                t.c0.sub_assign(&one);
-                t
-            }
-            Some(prev) => {
-                let aligned = ev.adjust_scale(prev, two_x_t.scale, two_x_t.level);
-                ev.sub(&two_x_t, &aligned)
-            }
-        };
-        push_term(&mut terms, ev, &t_next, c);
-        t_prev = Some(t_cur);
-        t_cur = t_next;
-        let _ = k;
-    }
-    // Align and sum all terms, then add c_0·T_0 = c_0.
-    let target_level = terms.iter().map(|t| t.level).min().expect("non-trivial") - 1;
-    let target_scale = ev.context().scale();
-    let mut out = ev.adjust_scale(&terms[0], target_scale, target_level);
-    for t in &terms[1..] {
-        out = ev.add(&out, &ev.adjust_scale(t, target_scale, target_level));
-    }
-    if coeffs[0] != 0.0 {
-        let pt = ev.encode_real_at(&vec![coeffs[0]; slots], out.level, out.scale);
-        out = ev.add_plain(&out, &pt);
-    }
-    out
-}
-
-/// Reference Chebyshev evaluation on plaintext values.
-pub fn chebyshev_reference(coeffs: &[f64], x: f64) -> f64 {
-    let mut acc = coeffs[0];
-    let (mut t_prev, mut t_cur) = (1.0f64, x);
-    for &c in &coeffs[1..] {
-        acc += c * t_cur;
-        let t_next = 2.0 * x * t_cur - t_prev;
-        t_prev = t_cur;
-        t_cur = t_next;
-    }
-    acc
-}
-
 /// Bootstrapping configuration at test scale.
 #[derive(Debug, Clone)]
 pub struct BootstrapConfig {
     /// Degree-7 odd polynomial approximating `(q/2πΔ)·sin(2πx/q)`
-    /// on the reduced domain (precomputed Taylor/Chebyshev hybrid).
+    /// on the reduced domain (Taylor series).
     pub sine_coeffs: Vec<f64>,
 }
 
@@ -397,16 +321,13 @@ impl Bootstrapper {
         }
     }
 
-    /// All rotation steps the two transforms need (for key
-    /// generation — the "minimum-key method" the paper adopts from
-    /// ARK reuses keys across both transforms).
+    /// All rotation steps the two transforms need, for key
+    /// generation: both span the full slot vector, so this is the one
+    /// BSGS set [`bsgs_steps`]`(slots)` — the "minimum-key method" the
+    /// paper adopts from ARK, sharing keys across both transforms.
     pub fn required_rotations(&self) -> Vec<isize> {
-        let mut steps: Vec<isize> = self
-            .coeff_to_slot
-            .rotation_steps()
-            .into_iter()
-            .chain(self.slot_to_coeff.rotation_steps())
-            .collect();
+        let mut steps = self.coeff_to_slot.rotation_steps();
+        steps.extend(self.slot_to_coeff.rotation_steps());
         steps.sort_unstable();
         steps.dedup();
         steps
@@ -519,33 +440,46 @@ mod tests {
         );
     }
 
+    /// A repack-shaped sparse transform: only the first `span < slots`
+    /// shifts, some diagonals zero. BSGS `apply` must still match the
+    /// plaintext diagonal-method oracle `apply_plain`.
     #[test]
     fn bsgs_matches_plain_diagonal_method() {
         let (ev, sk, mut keys, mut rng) = setup(16, 3, 35);
         let slots = ev.context().slots(); // 8
-        let m: Vec<Vec<Complex>> = (0..slots)
-            .map(|i| {
-                (0..slots)
-                    .map(|j| (((i * 2 + j * 3) % 7) as f64 * 0.1 - 0.2, 0.0))
-                    .collect()
+        let span = 4;
+        let diags: Vec<(usize, Vec<Complex>)> = (0..span)
+            .map(|shift| {
+                let diag = (0..slots)
+                    .map(|i| {
+                        let v = if shift == 2 {
+                            0.0
+                        } else {
+                            ((i * 2 + shift * 3) % 7) as f64 * 0.1 - 0.2
+                        };
+                        (v, 0.0)
+                    })
+                    .collect();
+                (shift, diag)
             })
             .collect();
-        let lt = LinearTransform::from_matrix(&m);
+        let lt = LinearTransform::from_diagonals(slots, span, diags);
+        assert_eq!(lt.diagonals().len(), span - 1, "zero diagonal dropped");
+        assert_eq!(lt.rotation_steps(), bsgs_steps(span));
         let ctx = ev.context().clone();
-        let bs = 3usize;
         for step in lt.rotation_steps() {
-            keys.gen_rotation_key(&ctx, &sk, step, &mut rng);
-        }
-        for step in lt.bsgs_rotation_steps(bs) {
             keys.gen_rotation_key(&ctx, &sk, step, &mut rng);
         }
         let z: Vec<f64> = (0..slots).map(|i| 0.1 * i as f64 - 0.3).collect();
         let ct = ev.encrypt_real(&z, &keys, &mut rng);
-        let plain = lt.apply(&ev, &ct, &keys);
-        let bsgs = lt.apply_bsgs(&ev, &ct, &keys, bs);
-        let d1 = ev.decrypt_real(&plain, &sk);
-        let d2 = ev.decrypt_real(&bsgs, &sk);
-        assert!(max_err(&d1, &d2) < 0.02, "err {}", max_err(&d1, &d2));
+        let dec = ev.decrypt_real(&lt.apply(&ev, &ct, &keys), &sk);
+        let zc: Vec<Complex> = z.iter().map(|&v| (v, 0.0)).collect();
+        let expect: Vec<f64> = lt.apply_plain(&zc).into_iter().map(|c| c.0).collect();
+        assert!(
+            max_err(&dec, &expect) < 0.02,
+            "err {}",
+            max_err(&dec, &expect)
+        );
     }
 
     #[test]
@@ -557,27 +491,31 @@ mod tests {
             .map(|i| (0..slots).map(|j| ((i + j) as f64 * 0.01, 0.0)).collect())
             .collect();
         let lt = LinearTransform::from_matrix(&m);
+        assert_eq!(lt.diagonals().len(), slots);
         let ctx = ev.context().clone();
-        let bs = 3usize;
-        for step in lt
-            .rotation_steps()
-            .into_iter()
-            .chain(lt.bsgs_rotation_steps(bs))
-        {
+        for step in lt.rotation_steps() {
             keys.gen_rotation_key(&ctx, &sk, step, &mut rng);
         }
         let ct = ev.encrypt_real(&vec![0.1; slots], &keys, &mut rng);
         let _ = ev.take_trace();
         let _ = lt.apply(&ev, &ct, &keys);
-        let plain_rots = count_rotations(&ev.take_trace());
-        let _ = lt.apply_bsgs(&ev, &ct, &keys, bs);
-        let bsgs_rots = count_rotations(&ev.take_trace());
-        assert!(
-            bsgs_rots < plain_rots,
-            "BSGS {bsgs_rots} rotations vs plain {plain_rots}"
-        );
-        // bs−1 babies + ceil(s/bs)−1 giants = 2 + 2 = 4 < 7.
-        assert_eq!(bsgs_rots, 4);
+        let rots = count_rotations(&ev.take_trace());
+        // (g−1) babies + (⌈s/g⌉−1) giants = 2 + 2 = 4 < 7 diagonals.
+        let (g, b) = bsgs_split(slots);
+        assert_eq!((g, b), (3, 3));
+        assert_eq!(rots, (g - 1) + (slots.div_ceil(g) - 1));
+        assert_eq!(rots, 4);
+    }
+
+    #[test]
+    fn bsgs_step_set_depends_only_on_span() {
+        assert_eq!(bsgs_split(1), (1, 1));
+        assert_eq!(bsgs_split(16), (4, 4));
+        assert_eq!(bsgs_split(17), (5, 4));
+        assert_eq!(bsgs_steps(16), vec![1, 2, 3, 4, 8, 12]);
+        assert_eq!(bsgs_steps(8), vec![1, 2, 3, 6]);
+        let bs = Bootstrapper::new(8);
+        assert_eq!(bs.required_rotations(), bsgs_steps(8));
     }
 
     fn count_rotations(tr: &ufc_isa::Trace) -> usize {
@@ -598,35 +536,6 @@ mod tests {
         let expect: Vec<f64> = x.iter().map(|&v| 0.5 + v - 2.0 * v * v * v).collect();
         assert!(
             max_err(&dec, &expect) < 0.05,
-            "err {}",
-            max_err(&dec, &expect)
-        );
-    }
-
-    #[test]
-    fn chebyshev_reference_basics() {
-        // T_0=1, T_1=x, T_2=2x²−1, T_3=4x³−3x.
-        assert!((chebyshev_reference(&[0.0, 0.0, 1.0], 0.5) - (2.0 * 0.25 - 1.0)).abs() < 1e-12);
-        assert!(
-            (chebyshev_reference(&[0.0, 0.0, 0.0, 1.0], 0.3) - (4.0 * 0.027 - 0.9)).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn homomorphic_chebyshev_matches_reference() {
-        let (ev, sk, keys, mut rng) = setup(16, 9, 37);
-        let xs: Vec<f64> = (0..8).map(|i| -0.8 + 0.2 * i as f64).collect();
-        let ct = ev.encrypt_real(&xs, &keys, &mut rng);
-        // 0.3·T_0 + 0.5·T_1 − 0.2·T_2 + 0.1·T_3 + 0.05·T_4.
-        let coeffs = [0.3, 0.5, -0.2, 0.1, 0.05];
-        let out = eval_chebyshev(&ev, &ct, &coeffs, &keys);
-        let dec = ev.decrypt_real(&out, &sk);
-        let expect: Vec<f64> = xs
-            .iter()
-            .map(|&x| chebyshev_reference(&coeffs, x))
-            .collect();
-        assert!(
-            max_err(&dec, &expect) < 0.03,
             "err {}",
             max_err(&dec, &expect)
         );

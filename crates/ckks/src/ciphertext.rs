@@ -1,15 +1,15 @@
 //! CKKS ciphertexts: a pair of RNS polynomials plus level/scale
 //! bookkeeping.
 
-use crate::RnsPoly;
+use ufc_math::plane::RnsPlane;
 
 /// An RLWE ciphertext `(c0, c1)` with `c0 + c1·s ≈ Δ·m`.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
     /// Constant component (evaluation form).
-    pub c0: RnsPoly,
+    pub c0: RnsPlane,
     /// Linear component (evaluation form).
-    pub c1: RnsPoly,
+    pub c1: RnsPlane,
     /// Current level (index of the last active `Q` limb).
     pub level: usize,
     /// Current scale `Δ`.
@@ -22,7 +22,7 @@ impl Ciphertext {
     /// # Panics
     ///
     /// Panics if component limb counts disagree with `level`.
-    pub fn new(c0: RnsPoly, c1: RnsPoly, level: usize, scale: f64) -> Self {
+    pub fn new(c0: RnsPlane, c1: RnsPlane, level: usize, scale: f64) -> Self {
         assert_eq!(c0.limb_count(), level + 1, "c0 limb count != level+1");
         assert_eq!(c1.limb_count(), level + 1, "c1 limb count != level+1");
         Self {
@@ -53,8 +53,8 @@ mod tests {
     #[test]
     fn construction_checks_limbs() {
         let ctx = CkksContext::new(32, 4, 2, 2, 36, 26);
-        let a = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
-        let b = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
+        let a = RnsPlane::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
+        let b = RnsPlane::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
         let ct = Ciphertext::new(a, b, 2, 1024.0);
         assert_eq!(ct.limb_count(), 3);
         assert_eq!(ct.dim(), 32);
@@ -64,8 +64,8 @@ mod tests {
     #[should_panic(expected = "limb count")]
     fn mismatched_level_rejected() {
         let ctx = CkksContext::new(32, 4, 2, 2, 36, 26);
-        let a = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
-        let b = RnsPoly::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
+        let a = RnsPlane::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
+        let b = RnsPlane::zero(ctx.n(), &ctx.q_moduli()[..3], Form::Eval);
         let _ = Ciphertext::new(a, b, 3, 1024.0);
     }
 }

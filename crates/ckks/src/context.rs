@@ -226,11 +226,6 @@ impl CkksContext {
         &self.ntt[i]
     }
 
-    /// NTT tables for `P` limb `i`.
-    pub fn ntt_p(&self, i: usize) -> &NttContext {
-        &self.ntt[self.q_moduli.len() + i]
-    }
-
     /// NTT tables for an arbitrary modulus in the chain.
     ///
     /// # Panics

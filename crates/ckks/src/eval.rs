@@ -11,7 +11,6 @@ use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::{Complex, Encoder};
 use crate::keys::{KeySet, SecretKey, SwitchingKey, NOISE_SIGMA};
-use crate::RnsPoly;
 use rand::Rng;
 use std::sync::{Mutex, PoisonError};
 use ufc_isa::trace::{Trace, TraceOp};
@@ -29,7 +28,7 @@ use ufc_math::sample::{gaussian_poly, ternary_poly};
 /// instead of `r`.
 #[derive(Debug)]
 pub struct HoistedDigits {
-    digits: Vec<RnsPoly>,
+    digits: Vec<RnsPlane>,
     level: usize,
 }
 
@@ -95,7 +94,7 @@ impl Evaluator {
 
     /// Encodes real slot values into a plaintext RNS polynomial at
     /// `level` (evaluation form), at the context scale.
-    pub fn encode_real(&self, values: &[f64], level: usize) -> RnsPoly {
+    pub fn encode_real(&self, values: &[f64], level: usize) -> RnsPlane {
         let _span = ufc_trace::span("ckks", "encode");
         let coeffs = self.encoder.encode_real(values);
         self.ctx.eval_from_signed(&coeffs, level + 1)
@@ -116,7 +115,7 @@ impl Evaluator {
     /// Encrypts an already-encoded plaintext.
     pub fn encrypt_plaintext<R: Rng + ?Sized>(
         &self,
-        m: &RnsPoly,
+        m: &RnsPlane,
         keys: &KeySet,
         level: usize,
         rng: &mut R,
@@ -145,7 +144,7 @@ impl Evaluator {
         Ciphertext::new(c0, c1, level, self.ctx.scale())
     }
 
-    fn noise<R: Rng + ?Sized>(&self, level: usize, rng: &mut R) -> RnsPoly {
+    fn noise<R: Rng + ?Sized>(&self, level: usize, rng: &mut R) -> RnsPlane {
         let signed: Vec<i64> = {
             let p = gaussian_poly(rng, self.ctx.n(), 1 << 30, NOISE_SIGMA);
             p.coeffs()
@@ -229,7 +228,7 @@ impl Evaluator {
 
     /// Ciphertext × plaintext multiplication (plaintext in evaluation
     /// form at the same level, encoded at the context scale).
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &RnsPoly) -> Ciphertext {
+    pub fn mul_plain(&self, a: &Ciphertext, pt: &RnsPlane) -> Ciphertext {
         let _span = ufc_trace::span("ckks", "mul_plain");
         assert_eq!(pt.limb_count(), a.limb_count(), "plaintext level mismatch");
         self.record(TraceOp::CkksMulPlain {
@@ -244,7 +243,7 @@ impl Evaluator {
     pub(crate) fn mul_plain_untraced(
         &self,
         a: &Ciphertext,
-        pt: &RnsPoly,
+        pt: &RnsPlane,
         pt_scale: f64,
     ) -> Ciphertext {
         let mut c0 = a.c0.clone();
@@ -255,7 +254,7 @@ impl Evaluator {
     }
 
     /// Adds an encoded plaintext to the ciphertext (scales must match).
-    pub fn add_plain(&self, a: &Ciphertext, pt: &RnsPoly) -> Ciphertext {
+    pub fn add_plain(&self, a: &Ciphertext, pt: &RnsPlane) -> Ciphertext {
         assert_eq!(pt.limb_count(), a.limb_count(), "plaintext level mismatch");
         self.record(TraceOp::CkksAdd {
             level: a.level as u32,
@@ -295,7 +294,7 @@ impl Evaluator {
             level: a.level as u32,
         });
         let q_last = self.ctx.q_moduli()[a.level];
-        let rescaled = |c: &RnsPoly| {
+        let rescaled = |c: &RnsPlane| {
             let mut c = c.clone();
             self.ctx.to_coeff(&mut c);
             c.rescale_assign();
@@ -350,7 +349,7 @@ impl Evaluator {
 
     /// Encodes real slot values at an explicit scale (used for scale
     /// management in deep circuits).
-    pub fn encode_real_at(&self, values: &[f64], level: usize, scale: f64) -> RnsPoly {
+    pub fn encode_real_at(&self, values: &[f64], level: usize, scale: f64) -> RnsPlane {
         let enc = Encoder::new(self.ctx.n(), scale);
         let coeffs = enc.encode_real(values);
         self.ctx.eval_from_signed(&coeffs, level + 1)
@@ -409,7 +408,12 @@ impl Evaluator {
     /// key, and the ModDown division by `P` (§II-B3). Each extended
     /// digit is assembled directly into a flat limb-major buffer and
     /// MAC-accumulated in place — no per-digit limb vectors.
-    pub fn key_switch(&self, d: &RnsPoly, key: &SwitchingKey, level: usize) -> (RnsPoly, RnsPoly) {
+    pub fn key_switch(
+        &self,
+        d: &RnsPlane,
+        key: &SwitchingKey,
+        level: usize,
+    ) -> (RnsPlane, RnsPlane) {
         let _span = ufc_trace::span_n("ckks", "key_switch", level as u64);
         let digits = self.decompose_mod_up(d, level);
         self.mac_digits(&digits, key, level)
@@ -419,7 +423,7 @@ impl Evaluator {
     /// basis (active Q limbs ++ all P limbs, evaluation form) — the
     /// expensive front half of [`Evaluator::key_switch`], shared with
     /// [`Evaluator::hoist`].
-    fn decompose_mod_up(&self, d: &RnsPoly, level: usize) -> Vec<RnsPoly> {
+    fn decompose_mod_up(&self, d: &RnsPlane, level: usize) -> Vec<RnsPlane> {
         let ctx = &self.ctx;
         let active = level + 1;
         let n = ctx.n();
@@ -467,10 +471,10 @@ impl Evaluator {
     /// and ModDowns — the back half of [`Evaluator::key_switch`].
     fn mac_digits(
         &self,
-        digits: &[RnsPoly],
+        digits: &[RnsPlane],
         key: &SwitchingKey,
         level: usize,
-    ) -> (RnsPoly, RnsPoly) {
+    ) -> (RnsPlane, RnsPlane) {
         let ctx = &self.ctx;
         let active = level + 1;
         let n = ctx.n();
@@ -530,7 +534,7 @@ impl Evaluator {
             level: a.level as u32,
             step: step as i32,
         });
-        let permuted: Vec<RnsPoly> = hoisted
+        let permuted: Vec<RnsPlane> = hoisted
             .digits
             .iter()
             .map(|d| {
@@ -549,7 +553,7 @@ impl Evaluator {
     /// ModDown: divides an (active Q ++ P)-limb polynomial by `P` with
     /// rounding, consuming the input and returning active-Q limbs
     /// (evaluation form).
-    fn mod_down(&self, mut x: RnsPoly, level: usize) -> RnsPoly {
+    fn mod_down(&self, mut x: RnsPlane, level: usize) -> RnsPlane {
         let ctx = &self.ctx;
         let active = level + 1;
         ctx.to_coeff(&mut x);

@@ -7,7 +7,6 @@
 //! hardware (§IV-B5).
 
 use crate::context::CkksContext;
-use crate::RnsPoly;
 use rand::Rng;
 use ufc_math::automorph;
 use ufc_math::modops::mul_mod;
@@ -49,7 +48,7 @@ impl SecretKey {
     }
 
     /// The secret over the first `count` Q limbs, in evaluation form.
-    pub fn rns_eval(&self, ctx: &CkksContext, count: usize) -> RnsPoly {
+    pub fn rns_eval(&self, ctx: &CkksContext, count: usize) -> RnsPlane {
         ctx.eval_from_signed(&self.signed, count)
     }
 }
@@ -59,7 +58,7 @@ impl SecretKey {
 #[derive(Debug, Clone)]
 pub struct SwitchingKey {
     /// `per_level[level][digit] = (b_j, a_j)`.
-    per_level: Vec<Vec<(RnsPoly, RnsPoly)>>,
+    per_level: Vec<Vec<(RnsPlane, RnsPlane)>>,
 }
 
 impl SwitchingKey {
@@ -116,7 +115,7 @@ impl SwitchingKey {
     }
 
     /// The digit keys active at `level`.
-    pub fn at_level(&self, level: usize) -> &[(RnsPoly, RnsPoly)] {
+    pub fn at_level(&self, level: usize) -> &[(RnsPlane, RnsPlane)] {
         &self.per_level[level]
     }
 }
@@ -125,9 +124,9 @@ impl SwitchingKey {
 #[derive(Debug, Clone)]
 pub struct PublicKey {
     /// `b` component, evaluation form.
-    pub b: RnsPoly,
+    pub b: RnsPlane,
     /// `a` component, evaluation form.
-    pub a: RnsPoly,
+    pub a: RnsPlane,
 }
 
 /// A full key set: public, relinearization, conjugation and rotation
@@ -212,7 +211,7 @@ fn rlwe_sample<R: Rng + ?Sized>(
     moduli: &[u64],
     target: Option<(&[i64], &[u64])>,
     rng: &mut R,
-) -> (RnsPoly, RnsPoly) {
+) -> (RnsPlane, RnsPlane) {
     let n = ctx.n();
     let e_signed = gaussian_signed(rng, n);
     // Sized up front: keys keep this buffer, so no growth slack.

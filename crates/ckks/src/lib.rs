@@ -10,10 +10,12 @@
 //! * **hybrid key-switching** with `dnum` digits and a special modulus
 //!   `P` — the BConv-heavy kernel that dominates CKKS time on
 //!   accelerators (§II-B3),
-//! * slot rotation and conjugation via Galois automorphisms,
-//! * BSGS homomorphic linear transforms and Chebyshev polynomial
-//!   evaluation, composed into the bootstrapping pipeline
-//!   ([`bootstrap`]),
+//! * slot rotation and conjugation via Galois automorphisms, plain or
+//!   hoisted (one decomposition shared by many rotations),
+//! * one homomorphic linear transform (baby-step giant-step with
+//!   hoisted baby rotations, shared with the `ufc-switch` repacking)
+//!   and power-basis polynomial evaluation, composed into the
+//!   bootstrapping pipeline ([`bootstrap`]),
 //! * a ciphertext-granularity tracer: every evaluator call records a
 //!   [`ufc_isa::TraceOp`], reproducing the paper's tracing tool
 //!   (§VI-B),
@@ -40,9 +42,8 @@ pub use encoding::Encoder;
 pub use eval::{Evaluator, HoistedDigits};
 pub use keys::{KeySet, SecretKey};
 
-/// A polynomial over `Q = q_0 … q_level` (optionally extended by `P`)
-/// in RNS representation: the workspace's one polynomial container,
-/// shared with TFHE. Form conversions go through
-/// [`CkksContext::to_eval`] / [`CkksContext::to_coeff`], which own the
-/// NTT tables.
+/// Former name of [`ufc_math::plane::RnsPlane`], the workspace's one
+/// polynomial container. The workspace itself names `RnsPlane`
+/// directly; the alias stays only because the `benchmark/` harness
+/// still imports it, and goes with the next `[benchmark]` change.
 pub type RnsPoly = ufc_math::plane::RnsPlane;

@@ -11,7 +11,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ufc_ckks::{CkksContext, Evaluator, KeySet, RnsPoly, SecretKey};
+use ufc_ckks::{CkksContext, Evaluator, KeySet, SecretKey};
+use ufc_math::plane::RnsPlane;
 
 const SEED: u64 = 0x601D_C225;
 const ROT_STEP: isize = 1;
@@ -36,7 +37,7 @@ impl Fnv1a {
         }
     }
 
-    fn poly(&mut self, p: &RnsPoly) {
+    fn poly(&mut self, p: &RnsPlane) {
         self.word(p.limb_count() as u64);
         for i in 0..p.limb_count() {
             self.word(p.moduli()[i]);

@@ -12,5 +12,5 @@ fn public_types_are_send_sync() {
     assert_send_sync::<SecretKey>();
     assert_send_sync::<KeySet>();
     assert_send_sync::<ufc_ckks::Ciphertext>();
-    assert_send_sync::<ufc_ckks::RnsPoly>();
+    assert_send_sync::<ufc_math::plane::RnsPlane>();
 }

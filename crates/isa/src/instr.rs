@@ -194,12 +194,12 @@ pub struct MacroInstr {
 impl MacroInstr {
     /// Modular-multiplication work (in scalar multiplies) this
     /// instruction performs — the basis of the dynamic-energy model.
+    /// Saturates at `u64::MAX` for the widest parseable shapes.
     pub fn modmul_ops(&self) -> u64 {
-        let n = self.shape.n();
-        let c = self.shape.count as u64;
+        let elems = self.shape.elems();
         match self.kernel {
-            Kernel::Ntt | Kernel::Intt => c * n / 2 * self.shape.log_n as u64,
-            Kernel::Ewmm | Kernel::BconvMac => c * n,
+            Kernel::Ntt | Kernel::Intt => (elems / 2).saturating_mul(self.shape.log_n as u64),
+            Kernel::Ewmm | Kernel::BconvMac => elems,
             Kernel::Ewma => 0,
             Kernel::Auto => 0,
             Kernel::Rotate => 0,
@@ -334,12 +334,16 @@ impl InstrStream {
 
     /// Total HBM traffic of the stream in bytes.
     pub fn total_hbm_bytes(&self) -> u64 {
-        self.instrs.iter().map(|i| i.hbm_bytes).sum()
+        self.instrs
+            .iter()
+            .fold(0, |acc, i| acc.saturating_add(i.hbm_bytes))
     }
 
     /// Total modular-multiply work.
     pub fn total_modmul_ops(&self) -> u64 {
-        self.instrs.iter().map(MacroInstr::modmul_ops).sum()
+        self.instrs
+            .iter()
+            .fold(0, |acc, i| acc.saturating_add(i.modmul_ops()))
     }
 
     /// Counts instructions per kernel.

@@ -177,18 +177,20 @@ pub fn simulate_with<O: SimObserver + ?Sized>(
         let start = dep_ready.max(res_ready);
         let mut end = start;
         for &(r, c) in &cost.demands {
-            let r_end = start + c;
+            let r_end = start.saturating_add(c);
             res_free.insert(r, r_end);
             res_writer.insert(r, instr.id);
-            *busy.entry(r).or_insert(0) += c;
+            let b = busy.entry(r).or_insert(0);
+            *b = b.saturating_add(c);
             end = end.max(r_end);
         }
         finish[instr.id] = end;
         makespan = makespan.max(end);
         energy_pj += cost.energy_pj;
-        *phase_cycles
+        let p = phase_cycles
             .entry(format!("{:?}", instr.phase))
-            .or_insert(0) += end.saturating_sub(start);
+            .or_insert(0);
+        *p = p.saturating_add(end - start);
 
         // Stall attribution (module docs of `observe`): the start is
         // charged to whichever constraint class was binding. A

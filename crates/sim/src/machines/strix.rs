@@ -72,7 +72,7 @@ impl Machine for StrixMachine {
                 // (§III-B) — model as a crawling 1-butterfly fallback
                 // so SIMD-scheme misuse is visible.
                 if log_n > STRIX_FFT_STAGES {
-                    let c = elems * log_n as u64 / 2;
+                    let c = elems.saturating_mul(log_n as u64) / 2;
                     return InstrCost::free()
                         .with(ResKind::Fft, c)
                         .with_energy(elems as f64 * E_FFT_PJ);
@@ -80,7 +80,7 @@ impl Machine for StrixMachine {
                 // Fully-pipelined FFT: butterflies/cycle = 1792 but
                 // only logN of the 14 stages do useful work, so the
                 // effective rate scales by logN/14.
-                let useful = elems * log_n as u64 / 2;
+                let useful = elems.saturating_mul(log_n as u64) / 2;
                 let eff = (STRIX_BUTTERFLIES as f64 * Self::fft_utilization(log_n)) as u64;
                 let c = cdiv(useful, eff.max(1));
                 InstrCost::free()

@@ -163,7 +163,7 @@ impl UfcMachine {
             .saturating_mul(instr.shape.n())
             .min(self.cfg.ntt_words_per_cycle());
         let tput = usable.max(1);
-        let base = cdiv(words * log_n, tput);
+        let base = cdiv(words.saturating_mul(log_n), tput);
         if self.cfg.cg_networks > 1 {
             let per_network_words = self.cfg.ntt_words_per_cycle() / self.cfg.cg_networks as u64;
             if instr.shape.n() > per_network_words {
@@ -171,7 +171,7 @@ impl UfcMachine {
                 // crossbar (≈4× cost each).
                 let g_stages = (self.cfg.cg_networks as f64).log2() as u64;
                 let per_stage = cdiv(words, tput);
-                return base + 3 * g_stages * per_stage;
+                return base.saturating_add((3 * g_stages).saturating_mul(per_stage));
             }
         }
         base
@@ -253,8 +253,8 @@ impl Machine for UfcMachine {
                     // with ψ^k plus the iNTT back — two transform
                     // passes on the same lanes, no permutation
                     // network.
-                    let c = 2 * self.ntt_cycles(i);
-                    let muls = elems * i.shape.log_n as u64;
+                    let c = self.ntt_cycles(i).saturating_mul(2);
+                    let muls = elems.saturating_mul(i.shape.log_n as u64);
                     InstrCost::free()
                         .with(ResKind::Ntt, c)
                         .with(ResKind::Noc, self.noc_share(c, i.shape.log_n))

@@ -323,7 +323,11 @@ fn encrypt_lwe_at<R: Rng + ?Sized>(
 /// Encodes integer messages into CKKS *coefficients* at scale
 /// `q_0/space` — the payload layout extraction expects (what
 /// SlotToCoeff produces in a full pipeline).
-pub fn encode_coefficients(ctx: &CkksContext, messages: &[u64], space: u64) -> ufc_ckks::RnsPoly {
+pub fn encode_coefficients(
+    ctx: &CkksContext,
+    messages: &[u64],
+    space: u64,
+) -> ufc_math::plane::RnsPlane {
     let q0 = ctx.q_moduli()[0];
     let delta = q0 / space;
     let signed: Vec<i64> = (0..ctx.n())

@@ -10,44 +10,38 @@
 //! modular reduction (the "bootstrapping" of the repacking algorithm)
 //! removes the integer part.
 //!
-//! The mat-vec runs baby-step/giant-step over the `n` diagonals:
-//! with `n = g·b` (`g ≈ √n`), diagonal `k·g + j` becomes
-//! `rot_{kg}(diag′_{k,j} ∘ rot_j(key))`, so only the `g − 1` baby
-//! rotations of the repacking key (done **once**, via hoisting — one
-//! decompose+ModUp for all of them) and `b − 1` giant rotations of the
-//! inner sums are needed: `O(√n)` rotation keys instead of the naive
-//! `n − 1`. [`LweToCkks::repack_naive`] keeps the n-step reference
+//! The mat-vec is the one CKKS slot transform,
+//! [`ufc_ckks::bootstrap::LinearTransform`], over a span of `n`
+//! diagonals: baby-step/giant-step with `g − 1` hoisted baby
+//! rotations of the repacking key (`g = ⌈√n⌉`) and `⌈n/g⌉ − 1` giant
+//! rotations of the inner sums, so only `O(√n)` rotation keys instead
+//! of the naive `n − 1`. [`LweToCkks::repack_naive`] keeps the n-step reference
 //! path for conformance and benchmarking.
 
 use crate::batch_tag;
 use crate::error::SwitchError;
 use rand::Rng;
-use ufc_ckks::bootstrap::eval_poly;
+use ufc_ckks::bootstrap::{bsgs_split, bsgs_steps, eval_poly, LinearTransform};
 use ufc_ckks::{Ciphertext as CkksCiphertext, Evaluator as CkksEvaluator, KeySet, SecretKey};
 use ufc_isa::trace::TraceOp;
 use ufc_math::modops::to_signed;
 use ufc_tfhe::{LweCiphertext, TfheContext, TfheKeys};
 
-/// The repacking bridge: a CKKS encryption of the TFHE small key plus
-/// the BSGS split of the mat-vec transform.
+/// The repacking bridge: a CKKS encryption of the TFHE small key.
 #[derive(Debug)]
 pub struct LweToCkks {
     /// CKKS encryption of the TFHE key bits, one per slot (cycled to
     /// fill all slots so rotations wrap consistently).
     key_ct: CkksCiphertext,
-    /// TFHE LWE dimension `n`.
+    /// TFHE LWE dimension `n`, the span of the mat-vec transform.
     lwe_dim: usize,
-    /// Baby-step count `g ≈ √n` (rotations of the repacking key).
-    baby: usize,
-    /// Giant-step count `b = ⌈n/g⌉` (rotations of the inner sums).
-    giant: usize,
 }
 
 impl LweToCkks {
     /// Encrypts the TFHE key under CKKS (trusted setup step) and
-    /// generates the `O(√n)` BSGS rotation keys: baby steps `1..g`
-    /// plus giant steps `g, 2g, …` — not the naive per-diagonal
-    /// `1..n` set.
+    /// generates the `O(√n)` BSGS rotation keys [`bsgs_steps`]`(n)`:
+    /// baby steps `1..g`, then giant steps `g, 2g, …` — not the naive
+    /// per-diagonal `1..n` set.
     ///
     /// # Errors
     ///
@@ -74,25 +68,15 @@ impl LweToCkks {
         }
         let key_vals: Vec<f64> = (0..slots).map(|j| tfhe_keys.lwe_sk[j % n] as f64).collect();
         let key_ct = ev.encrypt_real(&key_vals, ckks_keys, rng);
-        let baby = (n as f64).sqrt().ceil() as usize;
-        let giant = n.div_ceil(baby);
-        for step in 1..baby {
-            ckks_keys.gen_rotation_key(ctx, ckks_sk, step as isize, rng);
+        for step in bsgs_steps(n) {
+            ckks_keys.gen_rotation_key(ctx, ckks_sk, step, rng);
         }
-        for k in 1..giant {
-            ckks_keys.gen_rotation_key(ctx, ckks_sk, (k * baby) as isize, rng);
-        }
-        Ok(Self {
-            key_ct,
-            lwe_dim: n,
-            baby,
-            giant,
-        })
+        Ok(Self { key_ct, lwe_dim: n })
     }
 
     /// The BSGS split `(baby steps g, giant steps b)` with `g·b ≥ n`.
     pub fn bsgs_split(&self) -> (usize, usize) {
-        (self.baby, self.giant)
+        bsgs_split(self.lwe_dim)
     }
 
     /// Generates the full naive per-diagonal rotation-key set
@@ -178,10 +162,9 @@ impl LweToCkks {
     /// units, with integer wrap `κ_j`). Call
     /// [`LweToCkks::mod_reduce`] afterwards to strip the wraps.
     ///
-    /// BSGS fast path: the baby rotations of the repacking key are
-    /// hoisted (decompose+ModUp once), diagonal `kg+j` is pre-rotated
-    /// in plaintext by `−kg` and folded into giant group `k`, and only
-    /// `b − 1` ciphertext rotations of the inner sums follow.
+    /// BSGS fast path: the `n` diagonals form one
+    /// [`LinearTransform`] of span `n`, applied to the repacking key
+    /// (hoisted baby rotations, one giant rotation per inner sum).
     ///
     /// # Errors
     ///
@@ -204,58 +187,17 @@ impl LweToCkks {
             level: self.key_ct.level as u32,
         });
         let n = self.lwe_dim;
-        let (g, b) = (self.baby, self.giant);
-
-        // Baby rotations of the repacking key, all from one hoisting.
-        // Index 0 is the unrotated key itself (no clone: mul_plain
-        // borrows).
-        let hoisted = ev.hoist(&self.key_ct);
-        let baby_rots: Vec<CkksCiphertext> = (1..g)
-            .map(|j| ev.rotate_hoisted(&self.key_ct, &hoisted, j as isize, ckks_keys))
-            .collect();
-
-        let mut acc: Option<CkksCiphertext> = None;
-        for k in 0..b {
-            // Inner sum Σ_j diag′_{k,j} ∘ rot_j(key), where diag′ is
-            // diagonal kg+j left-rotated by −kg in plaintext:
-            // diag′[t] = diag_{kg+j}[(t − kg) mod slots].
-            let mut inner: Option<CkksCiphertext> = None;
-            for j in 0..g {
-                let s = k * g + j;
-                if s >= n {
-                    break;
-                }
+        let diags = (0..n)
+            .map(|s| {
                 let diag = self.diagonal(lwes, tfhe_ctx, s, slots);
-                let shifted: Vec<f64> = (0..slots)
-                    .map(|t| diag[(t + slots - (k * g) % slots) % slots])
-                    .collect();
-                if shifted.iter().all(|&d| d == 0.0) {
-                    continue;
-                }
-                let rotated = if j == 0 {
-                    &self.key_ct
-                } else {
-                    &baby_rots[j - 1]
-                };
-                let pt = ev.encode_real(&shifted, rotated.level);
-                let term = ev.mul_plain(rotated, &pt);
-                inner = Some(match inner {
-                    Some(acc) => ev.add(&acc, &term),
-                    None => term,
-                });
-            }
-            let Some(inner) = inner else { continue };
-            let term = if k == 0 {
-                inner
-            } else {
-                ev.rotate(&inner, (k * g) as isize, ckks_keys)
-            };
-            acc = Some(match acc {
-                Some(a) => ev.add(&a, &term),
-                None => term,
-            });
+                (s, diag.into_iter().map(|d| (d, 0.0)).collect())
+            })
+            .collect();
+        let transform = LinearTransform::from_diagonals(slots, n, diags);
+        if transform.diagonals().is_empty() {
+            return Err(SwitchError::EmptyTransform);
         }
-        let matvec = ev.rescale(&acc.ok_or(SwitchError::EmptyTransform)?);
+        let matvec = transform.apply(ev, &self.key_ct, ckks_keys);
         Ok(self.add_body(ev, &matvec, lwes, tfhe_ctx, slots))
     }
 

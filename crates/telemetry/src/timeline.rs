@@ -232,8 +232,8 @@ impl Timeline {
         let mut res_stall: Vec<(String, u64)> = Vec::new();
         let mut busy: Vec<(String, u64)> = Vec::new();
         for rec in &self.records {
-            dep_stall += rec.sched.dep_stall;
-            res_stall_total += rec.sched.res_stall;
+            dep_stall = dep_stall.saturating_add(rec.sched.dep_stall);
+            res_stall_total = res_stall_total.saturating_add(rec.sched.res_stall);
             if rec.sched.res_stall > 0 {
                 if let Binding::Resource { res, .. } = rec.sched.binding {
                     bump(&mut res_stall, res.name(), rec.sched.res_stall);
@@ -270,10 +270,10 @@ impl Timeline {
                 }
             };
             k.instrs += 1;
-            k.active_cycles += busy;
-            k.dep_stall += rec.sched.dep_stall;
-            k.res_stall += rec.sched.res_stall;
-            k.hbm_bytes += rec.hbm_bytes;
+            k.active_cycles = k.active_cycles.saturating_add(busy);
+            k.dep_stall = k.dep_stall.saturating_add(rec.sched.dep_stall);
+            k.res_stall = k.res_stall.saturating_add(rec.sched.res_stall);
+            k.hbm_bytes = k.hbm_bytes.saturating_add(rec.hbm_bytes);
             let p = match phases.iter_mut().find(|p| p.phase == rec.phase) {
                 Some(p) => p,
                 None => {
@@ -285,10 +285,10 @@ impl Timeline {
                 }
             };
             p.instrs += 1;
-            p.active_cycles += busy;
-            p.dep_stall += rec.sched.dep_stall;
-            p.res_stall += rec.sched.res_stall;
-            p.hbm_bytes += rec.hbm_bytes;
+            p.active_cycles = p.active_cycles.saturating_add(busy);
+            p.dep_stall = p.dep_stall.saturating_add(rec.sched.dep_stall);
+            p.res_stall = p.res_stall.saturating_add(rec.sched.res_stall);
+            p.hbm_bytes = p.hbm_bytes.saturating_add(rec.hbm_bytes);
         }
         kernels.sort_by(|a, b| {
             b.active_cycles
@@ -314,7 +314,7 @@ impl Timeline {
 
 fn bump(v: &mut Vec<(String, u64)>, name: &str, delta: u64) {
     match v.iter_mut().find(|(k, _)| k == name) {
-        Some((_, c)) => *c += delta,
+        Some((_, c)) => *c = c.saturating_add(delta),
         None => v.push((name.to_owned(), delta)),
     }
 }

@@ -1,12 +1,11 @@
 //! Functional (programmable) bootstrapping: packing, blind-rotation
 //! accumulation, and extraction (§II-C2).
 
-use crate::context::{TfheContext, TfheEvaluator};
+use crate::context::TfheContext;
 use crate::keys::TfheKeys;
 use crate::keyswitch::key_switch;
 use crate::lwe::LweCiphertext;
 use crate::rlwe::RlweCiphertext;
-use ufc_isa::trace::TraceOp;
 use ufc_math::poly::Poly;
 
 /// Builds the test-vector polynomial for a function `f` over a message
@@ -75,23 +74,6 @@ pub fn programmable_bootstrap(
     key_switch(ctx, keys, &extracted)
 }
 
-/// Tracing wrapper: records the PBS and key-switch trace ops.
-pub fn traced_bootstrap(
-    ev: &TfheEvaluator,
-    keys: &TfheKeys,
-    ct: &LweCiphertext,
-    tv: &Poly,
-) -> LweCiphertext {
-    ev.record(TraceOp::TfhePbs { batch: 1 });
-    let out = {
-        let acc = blind_rotate(ev.context(), keys, ct, tv);
-        let extracted = acc.sample_extract(0);
-        ev.record(TraceOp::TfheKeySwitch { batch: 1 });
-        key_switch(ev.context(), keys, &extracted)
-    };
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,23 +139,5 @@ mod tests {
         }
         let out = programmable_bootstrap(&ctx, &keys, &acc, &tv);
         assert_eq!(out.decrypt(&ctx, &keys.lwe_sk, 8), 1);
-    }
-
-    #[test]
-    fn traced_bootstrap_records_ops() {
-        let (ctx, keys, mut rng) = setup(65);
-        let ev = TfheEvaluator::new(ctx);
-        let tv = sign_test_vector(ev.context());
-        let ct = LweCiphertext::encrypt(
-            ev.context(),
-            &keys.lwe_sk,
-            ev.context().encode(1, 8),
-            &mut rng,
-        );
-        let _ = traced_bootstrap(&ev, &keys, &ct, &tv);
-        let tr = ev.take_trace();
-        assert_eq!(tr.len(), 2);
-        assert!(matches!(tr.ops[0], TraceOp::TfhePbs { .. }));
-        assert!(matches!(tr.ops[1], TraceOp::TfheKeySwitch { .. }));
     }
 }

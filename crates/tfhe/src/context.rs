@@ -1,7 +1,6 @@
-//! TFHE parameter context and the tracing evaluator façade.
+//! TFHE parameter context.
 
-use std::sync::{Arc, Mutex, PoisonError};
-use ufc_isa::trace::{Trace, TraceOp};
+use std::sync::Arc;
 use ufc_math::gadget::Gadget;
 use ufc_math::ntt::{NttContext, NttKernel};
 use ufc_math::prime::generate_ntt_prime;
@@ -180,42 +179,6 @@ impl TfheContext {
     }
 }
 
-/// Evaluator façade recording ciphertext-granularity trace ops.
-#[derive(Debug)]
-pub struct TfheEvaluator {
-    ctx: TfheContext,
-    trace: Mutex<Trace>,
-}
-
-impl TfheEvaluator {
-    /// Wraps a context with a fresh tracer.
-    pub fn new(ctx: TfheContext) -> Self {
-        Self {
-            ctx,
-            trace: Mutex::new(Trace::new("tfhe")),
-        }
-    }
-
-    /// The context.
-    pub fn context(&self) -> &TfheContext {
-        &self.ctx
-    }
-
-    /// Records a trace op.
-    pub fn record(&self, op: TraceOp) {
-        self.trace
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(op);
-    }
-
-    /// Takes the accumulated trace, resetting the recorder.
-    pub fn take_trace(&self) -> Trace {
-        let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *trace, Trace::new("tfhe"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,15 +241,5 @@ mod tests {
         assert_eq!(ctx.decode(noisy, 8), 3);
         let noisy = (enc + ctx.q() - ctx.q() / 64) % ctx.q();
         assert_eq!(ctx.decode(noisy, 8), 3);
-    }
-
-    #[test]
-    fn evaluator_traces() {
-        let ctx = TfheContext::new(16, 64, 7, 3, 4, 3);
-        let ev = TfheEvaluator::new(ctx);
-        ev.record(TraceOp::TfhePbs { batch: 1 });
-        let tr = ev.take_trace();
-        assert_eq!(tr.len(), 1);
-        assert!(ev.take_trace().is_empty());
     }
 }

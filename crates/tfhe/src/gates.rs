@@ -5,11 +5,10 @@
 //! logic-scheme accelerators (Strix, MATCHA) pipeline in hardware.
 
 use crate::bootstrap::{programmable_bootstrap, sign_test_vector};
-use crate::context::{TfheContext, TfheEvaluator};
+use crate::context::TfheContext;
 use crate::keys::TfheKeys;
 use crate::lwe::LweCiphertext;
 use rand::Rng;
-use ufc_isa::trace::TraceOp;
 
 /// The supported two-input gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,20 +123,6 @@ pub fn apply_gate(
     programmable_bootstrap(ctx, keys, &lin, &tv)
 }
 
-/// Tracing variant of [`apply_gate`].
-pub fn traced_gate(
-    ev: &TfheEvaluator,
-    keys: &TfheKeys,
-    gate: Gate,
-    c1: &LweCiphertext,
-    c2: &LweCiphertext,
-) -> LweCiphertext {
-    ev.record(TraceOp::TfheLinear { count: 2 });
-    ev.record(TraceOp::TfhePbs { batch: 1 });
-    ev.record(TraceOp::TfheKeySwitch { batch: 1 });
-    apply_gate(ev.context(), keys, gate, c1, c2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,16 +180,5 @@ mod tests {
         let ab = apply_gate(&ctx, &keys, Gate::Xor, &a, &b);
         let s = apply_gate(&ctx, &keys, Gate::Xor, &ab, &cin);
         assert!(decrypt_bool(&ctx, &keys, &s)); // 1^1^1 = 1
-    }
-
-    #[test]
-    fn traced_gate_records_three_ops() {
-        let (ctx, keys, mut rng) = setup(75);
-        let ev = TfheEvaluator::new(ctx);
-        let a = encrypt_bool(ev.context(), &keys, true, &mut rng);
-        let b = encrypt_bool(ev.context(), &keys, false, &mut rng);
-        let _ = traced_gate(&ev, &keys, Gate::Nand, &a, &b);
-        let tr = ev.take_trace();
-        assert_eq!(tr.len(), 3);
     }
 }

@@ -13,10 +13,12 @@
 //! * LWE key switching with base-`B_ks` decomposition
 //!   ([`keyswitch`]),
 //! * bootstrapped binary gates (NAND/AND/OR/XOR/XNOR/NOT)
-//!   ([`gates`]) and encrypted integer circuits (mux / adder /
-//!   comparator, [`circuits`]),
-//! * a ciphertext-granularity tracer mirroring the paper's tracing
-//!   tool ([`context::TfheEvaluator`]).
+//!   ([`gates`]).
+//!
+//! Multi-gate circuits are built and evaluated one layer up, in
+//! `ufc_workloads::gate_circuit` (`WireArena` / `GateCircuit`), which
+//! also emits their compiler traces; this crate records no trace of
+//! its own.
 //!
 //! Tests run the full pipeline at reduced-but-honest parameters
 //! (`n = 64, N = 256`); the workload generators use Table III's T1–T4
@@ -25,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bootstrap;
-pub mod circuits;
 pub mod context;
 pub mod gates;
 pub mod keys;
@@ -35,8 +36,7 @@ pub mod rgsw;
 pub mod rlwe;
 
 pub use bootstrap::{lut_test_vector, programmable_bootstrap};
-pub use circuits::EncryptedUint;
-pub use context::{TfheContext, TfheEvaluator};
+pub use context::TfheContext;
 pub use keys::TfheKeys;
 pub use lwe::{sub_scaled_parts, LweCiphertext};
 pub use rgsw::RgswCiphertext;

@@ -155,12 +155,6 @@ impl LweCiphertext {
         }
     }
 
-    /// Splits the ciphertext into its `(a, b)` parts for raw-slice
-    /// accumulation via [`sub_scaled_parts`].
-    pub fn parts_mut(&mut self) -> (&mut [u64], &mut u64) {
-        (&mut self.a, &mut self.b)
-    }
-
     /// Switches the modulus to `new_q` with rounding (used before
     /// blind rotation, where `new_q = 2N`).
     pub fn mod_switch(&self, new_q: u64) -> Self {

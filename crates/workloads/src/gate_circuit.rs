@@ -512,6 +512,22 @@ mod tests {
     }
 
     #[test]
+    fn emit_gate_level_records_three_ops() {
+        let mut tr = Trace::new("one-gate");
+        emit_gate_level(&mut tr, 1);
+        assert_eq!(
+            tr.ops,
+            vec![
+                TraceOp::TfheLinear { count: 2 },
+                TraceOp::TfhePbs { batch: 1 },
+                TraceOp::TfheKeySwitch { batch: 1 },
+            ]
+        );
+        emit_gate_level(&mut tr, 0);
+        assert_eq!(tr.len(), 3, "zero-width levels emit nothing");
+    }
+
+    #[test]
     fn encrypted_eval_matches_plaintext() {
         let ctx = TfheContext::new(64, 256, 7, 3, 6, 4);
         let mut rng = StdRng::seed_from_u64(0x5aa5);

@@ -164,8 +164,7 @@ impl LinearTransform {
                 let twisted: Vec<Complex> =
                     (0..s).map(|i| diag[(i + s - (k * g) % s) % s]).collect();
                 let baby = if j == 0 { ct } else { &babies[j - 1] };
-                let coeffs = ev.encoder().encode(&twisted);
-                let pt = ev.context().eval_from_signed(&coeffs, baby.level + 1);
+                let pt = ev.encode_at(&twisted, baby.level, ev.context().scale());
                 let term = ev.mul_plain(baby, &pt);
                 inner = Some(match inner {
                     Some(a) => ev.add(&a, &term),

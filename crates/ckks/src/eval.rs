@@ -92,12 +92,26 @@ impl Evaluator {
 
     // ---------------------------------------------------------- encrypt
 
+    /// Encodes complex slot values into a plaintext RNS polynomial at
+    /// `level` (evaluation form), at an explicit scale: the one encode
+    /// entry point of the evaluator.
+    pub fn encode_at(&self, slots: &[Complex], level: usize, scale: f64) -> RnsPlane {
+        let _span = ufc_trace::span("ckks", "encode");
+        let coeffs = self.encoder.encode_at(slots, scale);
+        self.ctx.eval_from_signed(&coeffs, level + 1)
+    }
+
+    /// Encodes real slot values at an explicit scale (used for scale
+    /// management in deep circuits).
+    pub fn encode_real_at(&self, values: &[f64], level: usize, scale: f64) -> RnsPlane {
+        let slots: Vec<Complex> = values.iter().map(|&v| (v, 0.0)).collect();
+        self.encode_at(&slots, level, scale)
+    }
+
     /// Encodes real slot values into a plaintext RNS polynomial at
     /// `level` (evaluation form), at the context scale.
     pub fn encode_real(&self, values: &[f64], level: usize) -> RnsPlane {
-        let _span = ufc_trace::span("ckks", "encode");
-        let coeffs = self.encoder.encode_real(values);
-        self.ctx.eval_from_signed(&coeffs, level + 1)
+        self.encode_real_at(values, level, self.ctx.scale())
     }
 
     /// Encrypts real slot values under the public key at top level.
@@ -158,19 +172,23 @@ impl Evaluator {
     // ---------------------------------------------------------- decrypt
 
     /// Decrypts to centered coefficients (exact CRT over up to three
-    /// limbs — ample for test-scale messages).
+    /// limbs — ample for test-scale messages). Only those limbs are
+    /// computed.
     pub fn decrypt_coeffs(&self, ct: &Ciphertext, sk: &SecretKey) -> Vec<i64> {
         let _span = ufc_trace::span("ckks", "decrypt");
-        let s = sk.rns_eval(&self.ctx, ct.limb_count());
-        let mut m = ct.c1.clone();
+        let use_limbs = ct.limb_count().min(3);
+        let s = sk.rns_eval(&self.ctx, use_limbs);
+        let mut m = ct.c1.prefix(use_limbs);
         m.hadamard_assign(&s);
-        m.add_assign(&ct.c0);
+        m.add_assign(&ct.c0.prefix(use_limbs));
         self.ctx.to_coeff(&mut m);
-        let use_limbs = m.limb_count().min(3);
         let basis = ufc_math::rns::RnsBasis::new(self.ctx.q_moduli()[..use_limbs].to_vec());
+        let mut residues = vec![0u64; use_limbs];
         (0..self.ctx.n())
             .map(|i| {
-                let residues: Vec<u64> = (0..use_limbs).map(|l| m.limb(l)[i]).collect();
+                for (l, r) in residues.iter_mut().enumerate() {
+                    *r = m.limb(l)[i];
+                }
                 basis.reconstruct_i128(&residues) as i64
             })
             .collect()
@@ -345,14 +363,6 @@ impl Evaluator {
         let (k0, k1) = self.key_switch(&c1r, key, a.level);
         c0r.add_assign(&k0);
         Ciphertext::new(c0r, k1, a.level, a.scale)
-    }
-
-    /// Encodes real slot values at an explicit scale (used for scale
-    /// management in deep circuits).
-    pub fn encode_real_at(&self, values: &[f64], level: usize, scale: f64) -> RnsPlane {
-        let enc = Encoder::new(self.ctx.n(), scale);
-        let coeffs = enc.encode_real(values);
-        self.ctx.eval_from_signed(&coeffs, level + 1)
     }
 
     /// Rescales `a` to exactly (`target_level`, `target_scale`) by one
@@ -746,10 +756,7 @@ mod tests {
         let slots: Vec<Complex> = (0..32)
             .map(|i| (i as f64 * 0.1, 1.0 - i as f64 * 0.05))
             .collect();
-        let coeffs = ev.encoder().encode(&slots);
-        let m = ev
-            .context()
-            .eval_from_signed(&coeffs, ev.context().max_level() + 1);
+        let m = ev.encode_at(&slots, ev.context().max_level(), ev.context().scale());
         let ct = ev.encrypt_plaintext(&m, &keys, ev.context().max_level(), &mut rng);
         let conj = ev.conjugate(&ct, &keys);
         let dec = ev.decrypt_complex(&conj, &sk);

@@ -1,9 +1,11 @@
-//! Output-bit pins for the CKKS key material and key-switching ops.
+//! Output-bit pins for the CKKS key material, key-switching ops and
+//! decryption.
 //!
 //! Keys and two ciphertexts are derived from a fixed seed at a small
 //! ring; the public key, every level and digit of the
-//! relinearization key, a relinearized (not rescaled) product and a
-//! rotation are hashed with a 64-bit FNV-1a written out below (not
+//! relinearization key, a relinearized (not rescaled) product, a
+//! rotation and the decrypted coefficients (fresh, and of the rescaled
+//! product) are hashed with a 64-bit FNV-1a written out below (not
 //! `DefaultHasher`, whose algorithm may change between toolchains) and
 //! compared against recorded digests. A refactor of the container,
 //! the key generator or the key-switch path that keeps these green is
@@ -21,6 +23,8 @@ const PUBLIC_KEY_DIGEST: u64 = 0xf3a2_b2f3_d1f0_ef6c;
 const RELIN_KEY_DIGEST: u64 = 0xecf1_15d9_a82f_82bd;
 const MUL_DIGEST: u64 = 0x799b_2a3a_0b01_ac5b;
 const ROTATE_DIGEST: u64 = 0x48a4_cc69_6b71_b2f2;
+const DECRYPT_FRESH_DIGEST: u64 = 0x3e0f_8506_8eaa_a547;
+const DECRYPT_RESCALED_DIGEST: u64 = 0xa2cf_619a_517c_472e;
 
 /// 64-bit FNV-1a over the little-endian bytes of each word.
 struct Fnv1a(u64);
@@ -49,6 +53,7 @@ impl Fnv1a {
 }
 
 struct Fixture {
+    sk: SecretKey,
     ev: Evaluator,
     keys: KeySet,
     a: ufc_ckks::Ciphertext,
@@ -67,7 +72,7 @@ fn fixture() -> Fixture {
     let ys: Vec<f64> = (0..slots).map(|i| 0.75 - i as f64 * 0.02).collect();
     let a = ev.encrypt_real(&xs, &keys, &mut rng);
     let b = ev.encrypt_real(&ys, &keys, &mut rng);
-    Fixture { ev, keys, a, b }
+    Fixture { sk, ev, keys, a, b }
 }
 
 #[test]
@@ -110,4 +115,28 @@ fn rotation_is_bit_exact() {
     h.poly(&rot.c0);
     h.poly(&rot.c1);
     assert_eq!(h.0, ROTATE_DIGEST, "rotation changed: {:#018x}", h.0);
+}
+
+fn coeffs_digest(coeffs: &[i64]) -> u64 {
+    let mut h = Fnv1a::new();
+    for &c in coeffs {
+        h.word(c as u64);
+    }
+    h.0
+}
+
+#[test]
+fn decrypted_coefficients_are_bit_exact() {
+    let f = fixture();
+    let fresh = coeffs_digest(&f.ev.decrypt_coeffs(&f.a, &f.sk));
+    assert_eq!(
+        fresh, DECRYPT_FRESH_DIGEST,
+        "fresh decryption changed: {fresh:#018x}"
+    );
+    let rescaled = f.ev.rescale(&f.ev.mul(&f.a, &f.b, &f.keys));
+    let low = coeffs_digest(&f.ev.decrypt_coeffs(&rescaled, &f.sk));
+    assert_eq!(
+        low, DECRYPT_RESCALED_DIGEST,
+        "rescaled decryption changed: {low:#018x}"
+    );
 }

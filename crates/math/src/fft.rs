@@ -5,12 +5,16 @@
 //! FFT, NTT provides accurate results but requires extra modular
 //! reduction").
 //!
-//! This module is the accuracy model of the §VII-D comparison; no
-//! scheme runs on it. Its tests and `prop_fft_matches_ntt_in_small_regime`
-//! quantify the trade-off — FFT results carry rounding error that
-//! grows with the operand magnitudes, while the NTT path is exact.
-//! On the TFHE external-product shape (balanced gadget digits times
-//! uniform 31-bit residues) the evidence is:
+//! The complex type [`C64`], its helpers and [`bit_reverse`] also
+//! serve the CKKS slot encoder (`ufc_ckks::encoding`), whose special
+//! FFT maps slots to plaintext coefficients. No scheme *multiplies*
+//! polynomials on this datapath: [`negacyclic_mul_fft`] is the
+//! accuracy model of the §VII-D comparison. Its tests and
+//! `prop_fft_matches_ntt_in_small_regime` quantify the trade-off — FFT
+//! results carry rounding error that grows with the operand
+//! magnitudes, while the NTT path is exact. On the TFHE
+//! external-product shape (balanced gadget digits times uniform 31-bit
+//! residues) the evidence is:
 //!
 //! * N = 256, base 2^7: 0 of 200 random products inexact
 //!   (`N · B/2 · q/2 ≈ 2^44`, inside the 53-bit mantissa);
@@ -27,19 +31,45 @@ use crate::poly::Poly;
 /// A complex number as `(re, im)`.
 pub type C64 = (f64, f64);
 
+/// `a + b`.
 #[inline]
-fn c_add(a: C64, b: C64) -> C64 {
+pub fn c_add(a: C64, b: C64) -> C64 {
     (a.0 + b.0, a.1 + b.1)
 }
 
+/// `a − b`.
 #[inline]
-fn c_sub(a: C64, b: C64) -> C64 {
+pub fn c_sub(a: C64, b: C64) -> C64 {
     (a.0 - b.0, a.1 - b.1)
 }
 
+/// `a · b`.
 #[inline]
-fn c_mul(a: C64, b: C64) -> C64 {
+pub fn c_mul(a: C64, b: C64) -> C64 {
     (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
+}
+
+/// Permutes `data` in place into bit-reversed index order (an
+/// involution).
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two.
+pub fn bit_reverse<T>(data: &mut [T]) {
+    let n = data.len();
+    assert!(n.is_power_of_two(), "length must be a power of two");
+    let bits = n.trailing_zeros();
+    if bits == 0 {
+        // One element: nothing to permute, and the shift below would
+        // be by 64.
+        return;
+    }
+    for i in 0..n {
+        let j = ((i as u64).reverse_bits() >> (64 - bits)) as usize;
+        if i < j {
+            data.swap(i, j);
+        }
+    }
 }
 
 /// In-place iterative radix-2 complex FFT (Cooley–Tukey,
@@ -51,16 +81,7 @@ fn c_mul(a: C64, b: C64) -> C64 {
 /// Panics if the length is not a power of two.
 pub fn fft(data: &mut [C64], inverse: bool) {
     let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u64).reverse_bits() >> (64 - bits);
-        let j = j as usize;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
+    bit_reverse(data);
     let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
     while len <= n {

@@ -160,9 +160,11 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to the counter `name` (creating it at 0).
+    /// Adds `delta` to the counter `name` (creating it at 0),
+    /// saturating at `u64::MAX`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        let c = self.counters.entry(name.to_owned()).or_insert(0);
+        *c = c.saturating_add(delta);
     }
 
     /// Increments the counter `name` by one.
@@ -240,7 +242,7 @@ impl MetricsRegistry {
     /// wins, matching `set_gauge`).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            self.add(k, *v);
         }
         for (k, v) in &other.gauges {
             self.gauges.insert(k.clone(), *v);
@@ -305,6 +307,19 @@ mod tests {
                 ("kernel/Ntt".to_string(), 3)
             ]
         );
+    }
+
+    #[test]
+    fn counters_saturate() {
+        // Byte counters summed over max-field stream lines reach the
+        // top of the range; they pin there instead of overflowing.
+        let mut m = MetricsRegistry::new();
+        m.add("hbm", u64::MAX);
+        m.add("hbm", 1);
+        assert_eq!(m.get("hbm"), u64::MAX);
+        let other = m.clone();
+        m.merge(&other);
+        assert_eq!(m.get("hbm"), u64::MAX);
     }
 
     #[test]

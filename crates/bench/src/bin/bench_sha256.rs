@@ -18,7 +18,10 @@
 //! * `host` — real reduced-width TFHE evaluation (encrypt → gate
 //!   circuit → decrypt) with the digest asserted against the
 //!   plaintext reference inside the timed region; a benchmark whose
-//!   digest drifts is measuring the wrong circuit.
+//!   digest drifts is measuring the wrong circuit. Each adder runs at
+//!   1 thread and at `par::effective_threads()` (the `threads`
+//!   column), so the table shows what the per-level bootstrap fan-out
+//!   buys on the recording host.
 //!
 //! `--quick` shrinks the simulated round count and host config for
 //! CI smoke runs; the committed full run uses the defaults.
@@ -207,47 +210,64 @@ fn main() {
     }
 
     // ----------------------------------------------------------- host
-    // Real TFHE evaluation at the reduced host scale; the oracle
+    // Real TFHE evaluation at the reduced host scale, once on one
+    // thread and once on every thread the fan-out may use; the oracle
     // check runs inside `hom_digest` (digest vs plaintext reference).
     let host_rounds = if opts.quick { 1 } else { 2 };
     let host_p = ShaParams::new(8, host_rounds);
     let msg: &[u8] = b"abc";
+    let par_threads = ufc_math::par::effective_threads();
+    let mut thread_counts = vec![1, par_threads];
+    thread_counts.dedup();
     println!("\n## Host TFHE evaluator: w = 8, {host_rounds} rounds, message \"abc\"\n");
-    println!("| adder | gates | blocks | wall (ms) | gates/s | digest ok |");
-    println!("|---|---|---|---|---|---|");
+    println!("| adder | threads | gates | blocks | wall (ms) | gates/s | digest ok |");
+    println!("|---|---|---|---|---|---|---|");
     let host_table = json.table(
         "host",
-        &["adder", "gates", "blocks", "wall_ms", "gates_per_sec", "ok"],
+        &[
+            "adder",
+            "threads",
+            "gates",
+            "blocks",
+            "wall_ms",
+            "gates_per_sec",
+            "ok",
+        ],
     );
     let mut hom_ok = true;
     for (i, adder) in AdderKind::ALL.into_iter().enumerate() {
-        let t = Instant::now();
-        let out = sha256::host::hom_digest(&host_p, adder, msg, 0xB5EED + i as u64);
-        let wall = t.elapsed();
-        let ok = out.matches();
-        hom_ok &= ok;
-        let gates_per_sec = out.gates as f64 / wall.as_secs_f64();
-        host_table.push(vec![
-            cell(adder.label()),
-            cell(out.gates as u64),
-            cell(out.blocks as u64),
-            cell(wall.as_secs_f64() * 1e3),
-            cell(gates_per_sec),
-            cell(ok),
-        ]);
-        println!(
-            "| {} | {} | {} | {:.0} | {:.0} | {ok} |",
-            adder.label(),
-            out.gates,
-            out.blocks,
-            wall.as_secs_f64() * 1e3,
-            gates_per_sec
-        );
-        assert!(
-            ok,
-            "{} homomorphic digest diverged from the plaintext reference",
-            adder.label()
-        );
+        for &threads in &thread_counts {
+            let prev = ufc_math::par::set_max_threads(threads);
+            let t = Instant::now();
+            let out = sha256::host::hom_digest(&host_p, adder, msg, 0xB5EED + i as u64);
+            let wall = t.elapsed();
+            ufc_math::par::set_max_threads(prev);
+            let ok = out.matches();
+            hom_ok &= ok;
+            let gates_per_sec = out.gates as f64 / wall.as_secs_f64();
+            host_table.push(vec![
+                cell(adder.label()),
+                cell(threads as u64),
+                cell(out.gates as u64),
+                cell(out.blocks as u64),
+                cell(wall.as_secs_f64() * 1e3),
+                cell(gates_per_sec),
+                cell(ok),
+            ]);
+            println!(
+                "| {} | {threads} | {} | {} | {:.0} | {:.0} | {ok} |",
+                adder.label(),
+                out.gates,
+                out.blocks,
+                wall.as_secs_f64() * 1e3,
+                gates_per_sec
+            );
+            assert!(
+                ok,
+                "{} homomorphic digest at {threads} threads diverged from the plaintext reference",
+                adder.label()
+            );
+        }
     }
 
     // ------------------------------------------------------- wrap-up
@@ -290,7 +310,7 @@ fn main() {
         host: Host {
             available_parallelism: cores as u64,
             ntt_kernel: sha256::host::test_context().ntt_kernel().name().to_owned(),
-            par_threads: ufc_math::par::effective_threads() as u64,
+            par_threads: par_threads as u64,
         },
         headline: Headline {
             ripple_depth,

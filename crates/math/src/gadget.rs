@@ -20,6 +20,10 @@ pub struct Gadget {
     q: u64,
     log_base: u32,
     levels: usize,
+    /// Whether `(q − 1)·2^total_bits + q/2 < 2^64`, so the rounding
+    /// in [`Self::for_each_digit`] fits a `u64` division (every T1–T4
+    /// set: 31-bit `q`, at most 28 gadget bits).
+    narrow: bool,
 }
 
 impl Gadget {
@@ -37,10 +41,13 @@ impl Gadget {
             log_base as usize * levels <= 64,
             "gadget precision exceeds 64 bits"
         );
+        let total_bits = log_base * levels as u32;
+        let top = (u128::from(q.saturating_sub(1)) << total_bits) + u128::from(q / 2);
         Self {
             q,
             log_base,
             levels,
+            narrow: total_bits < 64 && top <= u128::from(u64::MAX),
         }
     }
 
@@ -109,20 +116,24 @@ impl Gadget {
     /// digit (`j = 0`) last.
     fn for_each_digit(&self, v: u64, mut emit: impl FnMut(usize, i64)) {
         debug_assert!(v < self.q);
-        let total_bits = self.log_base as u64 * self.levels as u64;
+        let total_bits = self.log_base * self.levels as u32;
         // Scale v from modulus q to the 2^total_bits gadget domain,
-        // with rounding.
-        let scaled = (((v as u128) << total_bits) + self.q as u128 / 2) / self.q as u128;
-        let mask = (1u128 << total_bits) - 1;
-        let x = scaled & mask;
-        // Balanced base-B digits, least significant first; a final
-        // carry out of the MSB digit is dropped (it corresponds to
-        // adding q, a no-op mod q).
+        // with rounding: round(v · 2^total_bits / q), in u64 when the
+        // numerator fits (a u128 division costs several times more).
+        let x = if self.narrow {
+            ((v << total_bits) + self.q / 2) / self.q
+        } else {
+            (((u128::from(v) << total_bits) + u128::from(self.q / 2)) / u128::from(self.q)) as u64
+        };
+        // Balanced base-B digits, least significant first, read from
+        // the low total_bits of x (a round-up to 2^total_bits is 0,
+        // the same value mod q); a final carry out of the MSB digit is
+        // dropped (it corresponds to adding q, a no-op mod q).
         let b = 1i64 << self.log_base;
         let mut carry = 0i64;
         for j in (0..self.levels).rev() {
-            let shift = self.log_base as u64 * (self.levels - 1 - j) as u64;
-            let mut d = ((x >> shift) & ((b - 1) as u128)) as i64 + carry;
+            let shift = self.log_base * (self.levels - 1 - j) as u32;
+            let mut d = ((x >> shift) & (b - 1) as u64) as i64 + carry;
             if d > b / 2 {
                 d -= b;
                 carry = 1;
@@ -246,7 +257,81 @@ mod tests {
         }
     }
 
+    /// The digits as the u128 rounding formula gives them: the oracle
+    /// for the u64 fast path in [`Gadget::for_each_digit`].
+    fn digits_u128(q: u64, log_base: u32, levels: usize, v: u64) -> Vec<i64> {
+        let total_bits = log_base * levels as u32;
+        let scaled = ((u128::from(v) << total_bits) + u128::from(q / 2)) / u128::from(q);
+        let x = scaled & ((1u128 << total_bits) - 1);
+        let b = 1i128 << log_base;
+        let mut digits = vec![0i64; levels];
+        let mut carry = 0i128;
+        for j in (0..levels).rev() {
+            let shift = log_base * (levels - 1 - j) as u32;
+            let mut d = ((x >> shift) as i128 & (b - 1)) + carry;
+            carry = i128::from(d > b / 2);
+            d -= carry * b;
+            digits[j] = d as i64;
+        }
+        digits
+    }
+
+    /// `(log_base, levels)` pairs on both sides of the u64 bound,
+    /// including full 64-bit gadgets.
+    const SHAPES: [(u32, usize); 12] = [
+        (1, 1),
+        (2, 5),
+        (4, 7),
+        (7, 3),
+        (7, 4),
+        (10, 3),
+        (11, 3),
+        (10, 6),
+        (16, 4),
+        (21, 3),
+        (8, 8),
+        (32, 2),
+    ];
+
+    #[test]
+    fn t1_to_t4_shapes_take_the_u64_path() {
+        // 31-bit q with the paper sets' bootstrapping and key-switching
+        // gadgets (at most 28 bits).
+        let q = crate::prime::generate_ntt_prime(2048, 31).unwrap();
+        for (log_base, levels) in [(10, 2), (7, 3), (8, 3), (14, 2), (8, 2), (6, 3)] {
+            assert!(
+                Gadget::new(q, log_base, levels).narrow,
+                "{log_base}x{levels}"
+            );
+        }
+        assert!(!Gadget::new(q, 12, 3).narrow, "67-bit numerator");
+    }
+
     proptest! {
+        #[test]
+        fn prop_digits_match_u128_rounding(
+            bits in 4u32..=62,
+            shape in 0usize..SHAPES.len(),
+            v in any::<u64>(),
+        ) {
+            let q = crate::prime::generate_ntt_prime(2, bits).unwrap();
+            let (log_base, levels) = SHAPES[shape];
+            let g = Gadget::new(q, log_base, levels);
+            // The residues whose scaled remainder sits just below and
+            // just above the rounding half: v · 2^total_bits ≡ q/2 and
+            // q/2 + 1 (mod q).
+            let total_bits = u64::from(log_base) * levels as u64;
+            let inv = crate::modops::inv_mod(crate::modops::pow_mod(2, total_bits, q), q).unwrap();
+            let tie = |r: u64| mul_mod(r, inv, q);
+            for v in [v % q, 0, 1, q / 2, q / 2 + 1, q - 1, tie(q / 2), tie(q / 2 + 1)] {
+                prop_assert_eq!(
+                    g.decompose_scalar(v),
+                    digits_u128(q, log_base, levels, v),
+                    "q={} ({} bits) shape={}x{} v={}", q, bits, log_base, levels, v
+                );
+            }
+        }
+
         #[test]
         fn prop_roundtrip_exact_gadget(v in 0u64..1_152_921_504_598_720_513) {
             let q = 1_152_921_504_598_720_513u64; // 60-bit NTT prime

@@ -74,6 +74,27 @@ pub fn programmable_bootstrap(
     key_switch(ctx, keys, &extracted)
 }
 
+/// Programmable bootstrap of a batch of independent ciphertexts under
+/// one test vector: output `i` is `programmable_bootstrap(cts[i])`,
+/// bit for bit.
+///
+/// The bootstraps fan out over [`ufc_math::par::par_map`] workers
+/// (each item weighs `lwe_dim · ring_dim` words, one ring element per
+/// CMux, so a batch of two or more T1 or test-scale bootstraps always
+/// crosses the spawn cutoff). The keys and the test vector are shared
+/// read-only; every bootstrap builds its own accumulator. Results do
+/// not depend on the thread count.
+pub fn programmable_bootstrap_batch(
+    ctx: &TfheContext,
+    keys: &TfheKeys,
+    cts: &[LweCiphertext],
+    tv: &Poly,
+) -> Vec<LweCiphertext> {
+    ufc_math::par::par_map(cts, ctx.lwe_dim() * ctx.ring_dim(), |_, ct| {
+        programmable_bootstrap(ctx, keys, ct, tv)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,11 +4,12 @@
 //! combination followed by a sign bootstrap, exactly the flow the
 //! logic-scheme accelerators (Strix, MATCHA) pipeline in hardware.
 
-use crate::bootstrap::{programmable_bootstrap, sign_test_vector};
+use crate::bootstrap::{programmable_bootstrap_batch, sign_test_vector};
 use crate::context::TfheContext;
 use crate::keys::TfheKeys;
 use crate::lwe::LweCiphertext;
 use rand::Rng;
+use ufc_math::poly::Poly;
 
 /// The supported two-input gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +99,40 @@ pub fn not(ct: &LweCiphertext) -> LweCiphertext {
     ct.neg()
 }
 
-/// Applies a bootstrapped binary gate.
+/// What every gate bootstrap of one batch shares: the sign test
+/// vector and the trivial `q/8` and `q/4` offsets of the linear step.
+struct GateConstants {
+    q8: LweCiphertext,
+    q4: LweCiphertext,
+    tv: Poly,
+}
+
+impl GateConstants {
+    fn new(ctx: &TfheContext) -> Self {
+        Self {
+            q8: LweCiphertext::trivial(ctx.encode(1, 8), ctx.lwe_dim(), ctx.q()),
+            q4: LweCiphertext::trivial(ctx.encode(1, 4), ctx.lwe_dim(), ctx.q()),
+            tv: sign_test_vector(ctx),
+        }
+    }
+
+    /// The gate's linear step: phases land at ±q/8 or ±3q/8, safely
+    /// inside the sign regions of the bootstrap that follows.
+    fn linear(&self, gate: Gate, c1: &LweCiphertext, c2: &LweCiphertext) -> LweCiphertext {
+        let (q8, q4) = (&self.q8, &self.q4);
+        match gate {
+            Gate::And => c1.add(c2).sub(q8),
+            Gate::Or => c1.add(c2).add(q8),
+            Gate::Nand => q8.sub(&c1.add(c2)),
+            Gate::Nor => c1.add(c2).neg().sub(q8),
+            Gate::Xor => c1.add(c2).scale(2).add(q4),
+            Gate::Xnor => c1.add(c2).scale(2).add(q4).neg(),
+        }
+    }
+}
+
+/// Applies a bootstrapped binary gate: a batch of one
+/// [`apply_gates`].
 pub fn apply_gate(
     ctx: &TfheContext,
     keys: &TfheKeys,
@@ -106,21 +140,32 @@ pub fn apply_gate(
     c1: &LweCiphertext,
     c2: &LweCiphertext,
 ) -> LweCiphertext {
-    let _span = ufc_trace::span_tagged("tfhe", "gate", gate.name());
-    let q8 = LweCiphertext::trivial(ctx.encode(1, 8), ctx.lwe_dim(), ctx.q());
-    let q4 = LweCiphertext::trivial(ctx.encode(1, 4), ctx.lwe_dim(), ctx.q());
-    // Linear part: phases land at ±q/8 or ±3q/8, safely inside the
-    // sign regions.
-    let lin = match gate {
-        Gate::And => c1.add(c2).sub(&q8),
-        Gate::Or => c1.add(c2).add(&q8),
-        Gate::Nand => q8.sub(&c1.add(c2)),
-        Gate::Nor => c1.add(c2).neg().sub(&q8),
-        Gate::Xor => c1.add(c2).scale(2).add(&q4),
-        Gate::Xnor => c1.add(c2).scale(2).add(&q4).neg(),
-    };
-    let tv = sign_test_vector(ctx);
-    programmable_bootstrap(ctx, keys, &lin, &tv)
+    apply_gates(ctx, keys, &[(gate, c1, c2)])
+        .pop()
+        .expect("one gate in, one ciphertext out")
+}
+
+/// Applies a batch of independent bootstrapped gates; output `i` is
+/// gate `i` applied to its two operands.
+///
+/// The linear steps run on the caller's thread, each in a
+/// `tfhe/gate` span tagged with the gate name; their sign bootstraps
+/// then run as one [`programmable_bootstrap_batch`], so the outputs
+/// are bit-identical to gate-by-gate evaluation at every thread count.
+pub fn apply_gates(
+    ctx: &TfheContext,
+    keys: &TfheKeys,
+    ops: &[(Gate, &LweCiphertext, &LweCiphertext)],
+) -> Vec<LweCiphertext> {
+    let consts = GateConstants::new(ctx);
+    let lins: Vec<LweCiphertext> = ops
+        .iter()
+        .map(|&(gate, c1, c2)| {
+            let _span = ufc_trace::span_tagged("tfhe", "gate", gate.name());
+            consts.linear(gate, c1, c2)
+        })
+        .collect();
+    programmable_bootstrap_batch(ctx, keys, &lins, &consts.tv)
 }
 
 #[cfg(test)]

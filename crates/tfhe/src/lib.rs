@@ -9,11 +9,12 @@
 //! * RLWE ciphertexts with sample extraction ([`rlwe`]),
 //! * RGSW ciphertexts, external products and CMux ([`rgsw`]),
 //! * blind rotation / **programmable (functional) bootstrapping**
-//!   with arbitrary look-up tables ([`bootstrap`]),
+//!   with arbitrary look-up tables, one ciphertext or a batch of
+//!   independent ones fanned out over worker threads ([`bootstrap`]),
 //! * LWE key switching with base-`B_ks` decomposition
 //!   ([`keyswitch`]),
-//! * bootstrapped binary gates (NAND/AND/OR/XOR/XNOR/NOT)
-//!   ([`gates`]).
+//! * bootstrapped binary gates (NAND/AND/OR/XOR/XNOR/NOT), one at a
+//!   time or a batch of independent gates ([`gates`]).
 //!
 //! Multi-gate circuits are built and evaluated one layer up, in
 //! `ufc_workloads::gate_circuit` (`WireArena` / `GateCircuit`), which
@@ -35,7 +36,7 @@ pub mod lwe;
 pub mod rgsw;
 pub mod rlwe;
 
-pub use bootstrap::{lut_test_vector, programmable_bootstrap};
+pub use bootstrap::{lut_test_vector, programmable_bootstrap, programmable_bootstrap_batch};
 pub use context::TfheContext;
 pub use keys::TfheKeys;
 pub use lwe::{sub_scaled_parts, LweCiphertext};

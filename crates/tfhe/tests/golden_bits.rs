@@ -11,13 +11,17 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ufc_tfhe::gates::{apply_gate, encrypt_bool, Gate};
-use ufc_tfhe::{lut_test_vector, programmable_bootstrap, LweCiphertext, TfheContext, TfheKeys};
+use ufc_tfhe::{
+    lut_test_vector, programmable_bootstrap, programmable_bootstrap_batch, LweCiphertext,
+    TfheContext, TfheKeys,
+};
 
 const SEED: u64 = 0x601D_B175;
 
 /// Digest of the 24 gate outputs (`Gate::ALL` × four input pairs).
 const GATES_DIGEST: u64 = 0xba8f_b49f_6e40_fdab;
-/// Digest of the four LUT bootstrap outputs.
+/// Digest of the four LUT bootstrap outputs, one call each or as one
+/// batch.
 const PBS_DIGEST: u64 = 0x7542_fb63_a76d_6852;
 
 /// 64-bit FNV-1a over the little-endian bytes of each word.
@@ -76,4 +80,22 @@ fn lut_bootstrap_outputs_are_bit_exact() {
         h.lwe(&programmable_bootstrap(&ctx, &keys, &ct, &tv));
     }
     assert_eq!(h.0, PBS_DIGEST, "bootstrap outputs changed: {:#018x}", h.0);
+}
+
+#[test]
+fn lut_bootstrap_batch_matches_per_call_digest() {
+    let (ctx, keys, mut rng) = setup();
+    let tv = lut_test_vector(&ctx, |m| (3 * m + 1) % 8, 8);
+    let cts: Vec<LweCiphertext> = (0..4u64)
+        .map(|m| LweCiphertext::encrypt(&ctx, &keys.lwe_sk, ctx.encode(m, 8), &mut rng))
+        .collect();
+    let mut h = Fnv1a::new();
+    for out in programmable_bootstrap_batch(&ctx, &keys, &cts, &tv) {
+        h.lwe(&out);
+    }
+    assert_eq!(
+        h.0, PBS_DIGEST,
+        "batch bootstrap outputs changed: {:#018x}",
+        h.0
+    );
 }

@@ -12,8 +12,8 @@
 //!   read, no allocation, no branch beyond the load;
 //! * per-thread span buffers: enabled spans push into a
 //!   `thread_local!` buffer and only take the global lock once per
-//!   [`CHUNK`] spans (or at thread exit), so `par_limbs` workers never
-//!   contend on the hot path;
+//!   [`CHUNK`] spans (or at thread exit), so `ufc_math::par` workers
+//!   never contend on the hot path;
 //! * [`gauge`] point samples for sparse measurements (decrypt-side
 //!   noise, phase margins) that want a timestamp but no duration.
 //!
@@ -27,11 +27,11 @@
 //! Buffers flush to the global sink when their chunk fills, when the
 //! owning thread exits, and for the calling thread inside
 //! [`Recorder::finish`]. Short-lived worker threads (e.g. the scoped
-//! `par_limbs` fan-out) should call [`flush_current_thread`] at the
-//! end of their closure body: `std::thread::scope` only orders
-//! closure *returns* before the join, not TLS destructors, so a
-//! Drop-only flush can race a `finish` that runs right after the
-//! fan-out. A thread that is still alive and mid-chunk when `finish`
+//! `ufc_math::par::par_map` fan-out) should call
+//! [`flush_current_thread`] at the end of their closure body:
+//! `std::thread::scope` only orders closure *returns* before the
+//! join, not TLS destructors, so a Drop-only flush can race a
+//! `finish` that runs right after the fan-out. A thread that is still alive and mid-chunk when `finish`
 //! runs on a *different* thread keeps its tail spans until its next
 //! flush; single-recorder usage from the thread that started the
 //! recording never hits this.

@@ -11,7 +11,8 @@
 //! * **plaintext** ([`GateCircuit::eval`]) — the self-checking
 //!   oracle;
 //! * **homomorphic** ([`GateCircuit::eval_encrypted`]) — every gate
-//!   runs as a real `ufc-tfhe` bootstrapped gate;
+//!   runs as a real `ufc-tfhe` bootstrapped gate, one batch per ASAP
+//!   level with the level's bootstraps spread over worker threads;
 //! * **trace** ([`GateCircuit::to_trace`]) — ASAP levelization: all
 //!   gates at the same dependence depth become one batched
 //!   `TfheLinear`/`TfhePbs`/`TfheKeySwitch` triple, the TvLP source
@@ -320,10 +321,18 @@ impl GateCircuit {
             .collect()
     }
 
-    /// Homomorphic evaluation on the real `ufc-tfhe` gate evaluator:
-    /// one bootstrapped [`gates::apply_gate`] per arena gate, free
-    /// negations for inversion flags, trivial ciphertexts for
-    /// constant outputs.
+    /// Homomorphic evaluation on the real `ufc-tfhe` gate evaluator,
+    /// ASAP level by level: the gates of each dependence depth (the
+    /// levels of [`Self::levels`], in order) are independent, so each
+    /// level runs as one [`gates::apply_gates`] batch whose bootstraps
+    /// fan out over worker threads. Inversion flags are free
+    /// negations, constant outputs trivial ciphertexts.
+    ///
+    /// The outputs do not depend on the thread count: a level reads
+    /// only finished earlier levels, every gate is a pure function of
+    /// its operands and the keys, and each batch returns its outputs
+    /// in node order. They are bit-identical to evaluating the gates
+    /// one by one in node order.
     ///
     /// # Panics
     ///
@@ -336,28 +345,48 @@ impl GateCircuit {
     ) -> Vec<LweCiphertext> {
         assert_eq!(inputs.len(), self.arena.inputs as usize, "input arity");
         let _span = ufc_trace::span_n("workload", "gate_circuit", self.gate_count() as u64);
-        let mut cts: Vec<LweCiphertext> = Vec::with_capacity(self.arena.nodes.len());
-        let mut next_input = 0usize;
-        for node in &self.arena.nodes {
-            let ct = match *node {
-                Node::Input => {
-                    let ct = inputs[next_input].clone();
-                    next_input += 1;
-                    ct
+        // Gate node indices per level, in node order.
+        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); self.depth() as usize];
+        let mut cts: Vec<Option<LweCiphertext>> = Vec::with_capacity(self.arena.nodes.len());
+        let mut inputs = inputs.iter();
+        for (i, node) in self.arena.nodes.iter().enumerate() {
+            cts.push(match node {
+                Node::Input => inputs.next().cloned(),
+                Node::Gate { .. } => {
+                    levels[self.arena.depth[i] as usize - 1].push(i);
+                    None
                 }
-                Node::Gate {
-                    gate,
-                    a,
-                    a_inv,
-                    b,
-                    b_inv,
-                } => {
-                    let ca = resolve(&cts[a as usize], a_inv);
-                    let cb = resolve(&cts[b as usize], b_inv);
-                    gates::apply_gate(ctx, keys, gate, &ca, &cb)
-                }
+            });
+        }
+        for level in &levels {
+            let outs = {
+                let operands: Vec<_> = level
+                    .iter()
+                    .map(|&i| {
+                        let Node::Gate {
+                            gate,
+                            a,
+                            a_inv,
+                            b,
+                            b_inv,
+                        } = self.arena.nodes[i]
+                        else {
+                            unreachable!("levels hold gates only")
+                        };
+                        (
+                            gate,
+                            resolve(wire(&cts, a), a_inv),
+                            resolve(wire(&cts, b), b_inv),
+                        )
+                    })
+                    .collect();
+                let ops: Vec<(Gate, &LweCiphertext, &LweCiphertext)> =
+                    operands.iter().map(|(g, a, b)| (*g, &**a, &**b)).collect();
+                gates::apply_gates(ctx, keys, &ops)
             };
-            cts.push(ct);
+            for (&i, ct) in level.iter().zip(outs) {
+                cts[i] = Some(ct);
+            }
         }
         let trivial = |v: bool| {
             let enc = if v {
@@ -371,7 +400,7 @@ impl GateCircuit {
             .iter()
             .map(|bit| match *bit {
                 Bit::Const(v) => trivial(v),
-                Bit::Wire { node, invert } => resolve(&cts[node as usize], invert).into_owned(),
+                Bit::Wire { node, invert } => resolve(wire(&cts, node), invert).into_owned(),
             })
             .collect()
     }
@@ -385,6 +414,13 @@ impl GateCircuit {
         }
         tr
     }
+}
+
+/// The ciphertext of an evaluated node.
+fn wire(cts: &[Option<LweCiphertext>], node: u32) -> &LweCiphertext {
+    cts[node as usize]
+        .as_ref()
+        .expect("operands sit on earlier levels")
 }
 
 fn resolve(ct: &LweCiphertext, invert: bool) -> std::borrow::Cow<'_, LweCiphertext> {
@@ -554,6 +590,46 @@ mod tests {
                 .map(|ct| gates::decrypt_bool(&ctx, &keys, ct))
                 .collect();
             assert_eq!(got, expect, "inputs {ins:?}");
+        }
+    }
+
+    #[test]
+    fn encrypted_eval_is_thread_count_invariant() {
+        let ctx = TfheContext::new(64, 256, 7, 3, 6, 4);
+        let mut rng = StdRng::seed_from_u64(0x7e4d);
+        let keys = TfheKeys::generate(&ctx, &mut rng);
+
+        // Levels of width 3, 1 and 2, inverted operands on every
+        // level, inverted and constant outputs.
+        let mut arena = WireArena::new();
+        let [a, b, c, d] = [arena.input(), arena.input(), arena.input(), arena.input()];
+        let g1 = arena.and(a, !b);
+        let g2 = arena.gate(Gate::Or, !c, d);
+        let g3 = arena.xor(a, d);
+        let g4 = arena.gate(Gate::Nand, g1, !g2);
+        let g5 = arena.gate(Gate::Xnor, g4, !g3);
+        let g6 = arena.gate(Gate::Nor, !g4, c);
+        let outputs = vec![g5, !g6, Bit::Const(false), !g1, Bit::Const(true)];
+        let circuit = arena.finish("levels", outputs);
+        assert_eq!(circuit.levels(), vec![3, 1, 2]);
+
+        for bits in [0b0110u32, 0b1011] {
+            let ins: Vec<bool> = (0..4).map(|k| (bits >> k) & 1 == 1).collect();
+            let cts: Vec<LweCiphertext> = ins
+                .iter()
+                .map(|&v| gates::encrypt_bool(&ctx, &keys, v, &mut rng))
+                .collect();
+            let prev = ufc_math::par::set_max_threads(1);
+            let serial = circuit.eval_encrypted(&ctx, &keys, &cts);
+            ufc_math::par::set_max_threads(4);
+            let parallel = circuit.eval_encrypted(&ctx, &keys, &cts);
+            ufc_math::par::set_max_threads(prev);
+            assert_eq!(parallel, serial, "inputs {ins:?}");
+            let got: Vec<bool> = serial
+                .iter()
+                .map(|ct| gates::decrypt_bool(&ctx, &keys, ct))
+                .collect();
+            assert_eq!(got, circuit.eval(&ins), "inputs {ins:?}");
         }
     }
 }

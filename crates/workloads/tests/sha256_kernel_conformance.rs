@@ -8,7 +8,11 @@
 //! kernels; the decrypted state is additionally checked against the
 //! plaintext reference compression.
 //!
-//! The test iterates all three kernels and asserts cross-kernel
+//! The same round is also evaluated at 1 and at 4 worker threads:
+//! `eval_encrypted` fans each ASAP level's bootstraps out over
+//! workers, and its output ciphertexts must not depend on how many.
+//!
+//! The kernel test iterates all three kernels and asserts cross-kernel
 //! ciphertext equality (the 31-bit TFHE primes sit inside the IFMA
 //! window, so the IFMA generation runs everywhere — portable mirror
 //! lanes without the hardware). `#[ignore]`d like the rest of the
@@ -18,6 +22,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ufc_math::ntt::NttKernel;
+use ufc_math::par::set_max_threads;
 use ufc_tfhe::gates::{decrypt_bool, encrypt_bool};
 use ufc_tfhe::{LweCiphertext, TfheContext, TfheKeys};
 use ufc_workloads::sha256::{circuit, reference, AdderKind, ShaParams};
@@ -75,4 +80,18 @@ fn hom_round_bit_identical_across_kernels() {
             "SHA-256 round ciphertexts under {kernel} diverged from the reference kernel"
         );
     }
+}
+
+#[test]
+#[ignore = "hundreds of host bootstraps per thread count; release-mode sha256-smoke CI job"]
+fn hom_round_bit_identical_across_thread_counts() {
+    let prev = set_max_threads(1);
+    let serial = round_sweep(NttKernel::Radix4);
+    set_max_threads(4);
+    let parallel = round_sweep(NttKernel::Radix4);
+    set_max_threads(prev);
+    assert_eq!(
+        parallel, serial,
+        "SHA-256 round ciphertexts at 4 threads diverged from 1 thread"
+    );
 }

@@ -30,8 +30,9 @@
 //!   topology block, O(√n) rotation-key headline).
 //! * `bench-sha256 [--quick]` — build the release `bench_sha256`
 //!   harness, run it writing `BENCH_sha256.json` at the workspace
-//!   root, and validate the report: `circuit`/`sim`/`host` tables,
-//!   host topology block, and the headline claims — the prefix
+//!   root, and validate the report: `circuit`/`sim`/`host` tables
+//!   (`host` with a row per adder at 1 and at `par_threads` threads,
+//!   every one `ok`), host topology block, and the headline claims — the prefix
 //!   adder's critical path strictly shorter than ripple's, its PLP
 //!   utilization strictly higher, and the homomorphic digests
 //!   matching the plaintext reference. The structural claims are
@@ -896,11 +897,15 @@ fn switch_gate(report: &Value, quick: bool) -> Result<String, String> {
 /// same block, and every homomorphic digest matched the plaintext
 /// reference. All three claims come from deterministic pipelines
 /// (circuit generator, compiler, scheduler, seeded host run), so they
-/// gate `--quick` smoke runs too.
+/// gate `--quick` smoke runs too. The `host` table must hold, for
+/// each adder, a row at 1 thread and one at the report's
+/// `par_threads`, each with `ok` set; the rows carry no speedup gate
+/// (wall clock on a shared runner is too noisy to gate on).
 fn sha256_gate(report: &Value, _quick: bool) -> Result<String, String> {
     for name in ["circuit", "sim", "host"] {
         require_table(report, name, "adder", 2)?;
     }
+    sha256_host_rows(report)?;
     if host_field(report, "ntt_kernel")
         .and_then(Value::as_str)
         .is_none()
@@ -939,6 +944,46 @@ fn sha256_gate(report: &Value, _quick: bool) -> Result<String, String> {
          {prefix_util:.3} vs {ripple_util:.3}, digests match",
         tables(report).len()
     ))
+}
+
+/// Every `(adder, threads)` pair of the `host` table at 1 and at
+/// `par_threads` threads, with `ok` set on every row.
+fn sha256_host_rows(report: &Value) -> Result<(), String> {
+    let par_threads = host_field(report, "par_threads")
+        .and_then(Value::as_u64)
+        .ok_or("report host has no numeric `par_threads` field")?;
+    let (Some(a_col), Some(t_col), Some(ok_col)) = (
+        col_index(report, "host", "adder"),
+        col_index(report, "host", "threads"),
+        col_index(report, "host", "ok"),
+    ) else {
+        return Err("`host` table needs `adder`, `threads` and `ok` columns".into());
+    };
+    let mut seen: Vec<(&str, u64)> = Vec::new();
+    for row in table_rows(report, "host") {
+        let cells = row.as_array().unwrap_or_default();
+        let adder = cells.get(a_col).and_then(Value::as_str).unwrap_or("");
+        let threads = cells
+            .get(t_col)
+            .and_then(Value::as_u64)
+            .ok_or("`host` row has no numeric `threads`")?;
+        if cells.get(ok_col).and_then(Value::as_bool) != Some(true) {
+            return Err(format!(
+                "`host` row {adder} at {threads} threads is not `ok`"
+            ));
+        }
+        seen.push((adder, threads));
+    }
+    for adder in ["ripple", "prefix"] {
+        for threads in [1, par_threads] {
+            if !seen.contains(&(adder, threads)) {
+                return Err(format!(
+                    "`host` table has no {adder} row at {threads} threads"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1040,5 +1085,24 @@ mod tests {
         *field_mut(field_mut(&mut report, "headline"), "prefix_depth") = ripple;
         let err = check_report("bench_sha256", &report, false, sha256_gate).unwrap_err();
         assert!(err.contains("critical path"), "{err}");
+    }
+
+    #[test]
+    fn bench_sha256_rejects_a_missing_n_thread_row() {
+        let mut report = sha256();
+        let par_threads = host_field(&report, "par_threads")
+            .and_then(Value::as_u64)
+            .unwrap();
+        assert!(par_threads > 1, "committed report ran on one thread");
+        let t_col = col_index(&report, "host", "threads").unwrap();
+        let tables = elements_mut(field_mut(&mut report, "tables"));
+        let host = tables
+            .iter_mut()
+            .find(|t| t.get("name").and_then(Value::as_str) == Some("host"))
+            .unwrap();
+        elements_mut(field_mut(host, "rows"))
+            .retain(|row| row.as_array().unwrap()[t_col].as_u64() != Some(par_threads));
+        let err = check_report("bench_sha256", &report, false, sha256_gate).unwrap_err();
+        assert!(err.contains(&format!("at {par_threads} threads")), "{err}");
     }
 }

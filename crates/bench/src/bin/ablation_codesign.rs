@@ -42,12 +42,14 @@ fn main() {
         ]);
     }
     let area_a = codesign
-        .machine_for(&ufc_workloads::helr::generate("C1"))
+        .try_machine_for(&ufc_workloads::helr::generate("C1"))
+        .expect("C1 is a known set")
         .config()
         .area_breakdown()
         .total();
     let area_b = dedicated
-        .machine_for(&ufc_workloads::helr::generate("C1"))
+        .try_machine_for(&ufc_workloads::helr::generate("C1"))
+        .expect("C1 is a known set")
         .config()
         .area_breakdown()
         .total();

@@ -30,8 +30,8 @@
 
 use std::time::Instant;
 use ufc_bench::{cell, JsonReport};
-use ufc_compiler::CompileOptions;
-use ufc_core::{try_compile_with_barriers_stats, Ufc, UfcConfig};
+use ufc_compiler::{CompileOptions, Compiler};
+use ufc_core::{Ufc, UfcConfig};
 use ufc_sim::simulate_with;
 use ufc_telemetry::StreamingStats;
 use ufc_workloads::sha256::{self, AdderKind, ShaParams};
@@ -161,7 +161,8 @@ fn main() {
     for (i, adder) in AdderKind::ALL.into_iter().enumerate() {
         let circuit = sha256::compression_circuit(&sim_p, adder, None);
         let trace = sha256::generate("T1", &sim_p, adder, 1);
-        let (stream, stats) = try_compile_with_barriers_stats(&trace, *ufc.options())
+        let (stream, stats) = Compiler::try_for_trace(&trace, *ufc.options())
+            .and_then(|c| c.try_compile(&trace))
             .expect("SHA-256 gate trace compiles");
         let margin = stats
             .noise
@@ -172,7 +173,7 @@ fn main() {
             "{} trace fails the static noise pass ({margin:.2}σ)",
             adder.label()
         );
-        let machine = ufc.machine_for(&trace);
+        let machine = ufc.try_machine_for(&trace).expect("T1 is a known set");
         let mut obs = StreamingStats::new();
         let report = simulate_with(&machine, &stream, &mut obs);
         let stalls = obs.stall_summary();

@@ -16,7 +16,9 @@ fn main() {
     let multi = traces.len() > 1;
     let table = json.table("utilization", &["workload", "pe", "noc", "hbm", "lweu"]);
     for tr in traces {
-        let run = ufc.run_profiled(&tr);
+        let run = ufc
+            .try_run_profiled(&tr)
+            .unwrap_or_else(|e| panic!("{}: {e}", tr.name));
         let r = &run.report;
         let pe = (r.util("Ntt") + r.util("Elew")).min(1.0);
         table.push(vec![

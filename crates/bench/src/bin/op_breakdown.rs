@@ -14,7 +14,9 @@ fn main() {
         ufc_workloads::ckks_bootstrap::generate("C1"),
         ufc_workloads::tfhe_apps::pbs_throughput("T2", 128),
     ] {
-        let run = ufc.run_profiled(&tr);
+        let run = ufc
+            .try_run_profiled(&tr)
+            .unwrap_or_else(|e| panic!("{}: {e}", tr.name));
         let r = &run.report;
         println!(
             "# {} — phase breakdown ({} cycles total)\n",

@@ -1,12 +1,11 @@
 //! Typed compilation errors.
 //!
-//! Library paths report failures through [`CompileError`] instead of
-//! panicking; the panicking entry points (`Compiler::for_trace`,
-//! `Compiler::compile`, …) are thin wrappers kept for ergonomic use in
-//! tests and binaries.
+//! Every compiler entry point reports failures through
+//! [`CompileError`] instead of panicking. A lowered stream is not
+//! verified by the compiler; `ufc_verify::verify_stream` checks it
+//! as a separate step.
 
 use ufc_isa::params::ParamsError;
-use ufc_verify::Report;
 
 /// Why a trace could not be compiled.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,10 +20,6 @@ pub enum CompileError {
         /// Debug rendering of the op that needed them.
         op: String,
     },
-    /// Lowering produced an instruction stream that fails the static
-    /// verifier's post-conditions — a compiler bug, surfaced instead
-    /// of handing the simulator a broken stream.
-    PostCondition(Report),
 }
 
 impl std::fmt::Display for CompileError {
@@ -35,13 +30,6 @@ impl std::fmt::Display for CompileError {
                 write!(
                     f,
                     "{op} requires {scheme} parameters but the trace declares none"
-                )
-            }
-            CompileError::PostCondition(report) => {
-                write!(
-                    f,
-                    "lowered stream fails verification ({} error(s)):\n{report}",
-                    report.error_count()
                 )
             }
         }

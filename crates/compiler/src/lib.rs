@@ -17,19 +17,24 @@
 //!   working-set model charges spill traffic when the scratchpad
 //!   overflows.
 //!
-//! The same instruction stream drives the UFC machine model *and* the
+//! [`Compiler::try_compile`] is the one driver from trace to stream:
+//! it inserts a dependency barrier at every scheme switch, and the
+//! same instruction stream drives the UFC machine model *and* the
 //! SHARP/Strix baselines, mirroring the paper's fair-comparison
-//! methodology (§VI-C).
+//! methodology (§VI-C). Verifying the stream is a separate step
+//! (`ufc_verify::verify_stream`).
 
 //! ```
-//! use ufc_compiler::{CompileOptions, Compiler};
+//! use ufc_compiler::{CompileError, CompileOptions, Compiler};
 //! use ufc_isa::trace::{Trace, TraceOp};
 //!
 //! let mut trace = Trace::new("demo").with_ckks("C1");
 //! trace.push(TraceOp::CkksMulCt { level: 20 });
-//! let compiler = Compiler::for_trace(&trace, CompileOptions::default());
-//! let stream = compiler.compile(&trace);
+//! let compiler = Compiler::try_for_trace(&trace, CompileOptions::default())?;
+//! let (stream, stats) = compiler.try_compile(&trace)?;
 //! assert!(stream.len() > 10); // tensor + key-switch pipeline
+//! assert_eq!(stats.ops.len(), 1);
+//! # Ok::<(), CompileError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,11 +6,12 @@
 //! blind-rotation iterations of decompose → NTT → multiply-accumulate
 //! → iNTT → rotate.
 //!
-//! Library paths are fallible (`try_for_trace`, `try_compile`,
-//! `try_lower_op`) and return [`CompileError`]; the panicking
-//! spellings wrap them for tests and binaries. `try_compile` runs the
-//! static verifier over its own output as a post-condition, so a
-//! lowering bug surfaces here rather than as a nonsense cycle count.
+//! [`Compiler::try_compile`] is the one driver from trace to stream:
+//! it lowers every op in order and inserts a dependency barrier at
+//! each scheme switch. Every entry point is fallible and returns
+//! [`CompileError`]. Verifying the lowered stream is a separate step
+//! (`ufc_verify::verify_stream`), taken by `ufc-lint`,
+//! `Ufc::run_verified` and the workspace's stream tests.
 
 use crate::error::CompileError;
 use crate::memory::{key_reuse_factor, SpillModel};
@@ -19,7 +20,6 @@ use crate::stats::{CompileStats, OpLowering, SpillEvent};
 use ufc_isa::instr::{InstrStream, Kernel, Phase, PolyShape};
 use ufc_isa::params::{CkksParams, TfheParams, LIMB_BITS};
 use ufc_isa::trace::{Trace, TraceOp};
-use ufc_verify::{verify_stream, VerifyOptions};
 
 /// CKKS limb word size on the instruction stream.
 pub const CKKS_WORD_BITS: u32 = LIMB_BITS;
@@ -56,47 +56,47 @@ impl Compiler {
         Ok(Self::new(ckks, tfhe, opts))
     }
 
-    /// Like [`Compiler::try_for_trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace names an unknown parameter set.
-    pub fn for_trace(trace: &Trace, opts: CompileOptions) -> Self {
-        Self::try_for_trace(trace, opts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The options in use.
     pub fn options(&self) -> &CompileOptions {
         &self.opts
     }
 
-    /// Compiles a full trace. Blocks from different trace ops carry no
-    /// cross dependencies (program-level parallelism is abundant in
-    /// the evaluated workloads); the simulator's resource model bounds
-    /// the achievable overlap.
+    /// Compiles a full trace: the one driver from trace to stream,
+    /// shared by every machine (fair-comparison methodology, §VI-C).
     ///
-    /// As a post-condition the lowered stream is run through the
-    /// static verifier (`ufc-verify`); error-severity findings mean a
-    /// lowering bug and come back as [`CompileError::PostCondition`].
-    pub fn try_compile(&self, trace: &Trace) -> Result<InstrStream, CompileError> {
-        self.try_compile_stats(trace).map(|(stream, _)| stream)
-    }
-
-    /// Like [`Compiler::try_compile`], additionally reporting what
-    /// the lowering did: one [`OpLowering`] per trace op and one
-    /// [`SpillEvent`] per op whose modeled working set overflows the
-    /// scratchpad ([`CompileOptions::scratchpad_bytes`]).
-    pub fn try_compile_stats(
-        &self,
-        trace: &Trace,
-    ) -> Result<(InstrStream, CompileStats), CompileError> {
+    /// Consecutive ops of one scheme carry no cross dependencies
+    /// (program-level parallelism is abundant in the evaluated
+    /// workloads; the simulator's resource model bounds the overlap).
+    /// Whenever the program switches schemes, or crosses a
+    /// chip-to-chip transfer, the next block depends on every exit
+    /// since the previous crossing: hybrid phases are data-dependent,
+    /// so neither UFC nor the composed baseline may overlap them.
+    ///
+    /// Alongside the stream it reports what the lowering did: one
+    /// [`OpLowering`] per trace op, one [`SpillEvent`] per op whose
+    /// modeled working set overflows the scratchpad
+    /// ([`CompileOptions::scratchpad_bytes`]), and the static noise
+    /// schedule. The stream is not verified here: `ufc-lint` and
+    /// `Ufc::run_verified` run `ufc_verify::verify_stream` on it.
+    pub fn try_compile(&self, trace: &Trace) -> Result<(InstrStream, CompileStats), CompileError> {
         let _span = ufc_trace::span_n("compiler", "compile", trace.len() as u64);
         let mut out = InstrStream::new();
         let mut ops = Vec::with_capacity(trace.len());
         let mut spills = Vec::new();
         {
             let _lower = ufc_trace::span("compiler", "lower");
+            let mut prev_exits: Vec<usize> = Vec::new();
+            let mut prev_scheme: Option<bool> = None; // Some(is_ckks)
             for (index, op) in trace.ops.iter().enumerate() {
+                let scheme = if matches!(op, TraceOp::SchemeTransfer { .. }) {
+                    None
+                } else {
+                    Some(op.is_ckks())
+                };
+                let crosses = match (prev_scheme, scheme) {
+                    (Some(a), Some(b)) => a != b,
+                    (_, None) | (None, _) => true,
+                };
                 let block = self.try_lower_op(op)?;
                 ops.push(OpLowering {
                     index,
@@ -107,15 +107,15 @@ impl Compiler {
                 if let Some(ev) = self.spill_event(index, op) {
                     spills.push(ev);
                 }
-                out.append(block, &[]);
+                let deps: &[usize] = if crosses { &prev_exits } else { &[] };
+                let exits = out.append(block, deps);
+                if crosses {
+                    prev_exits = exits;
+                } else {
+                    prev_exits.extend(exits);
+                }
+                prev_scheme = scheme;
             }
-        }
-        let report = {
-            let _verify = ufc_trace::span_n("compiler", "verify_stream", out.len() as u64);
-            verify_stream(&out, &VerifyOptions::default())
-        };
-        if report.has_errors() {
-            return Err(CompileError::PostCondition(report));
         }
         let noise = {
             let _noise = ufc_trace::span_n("compiler", "noise_pass", trace.len() as u64);
@@ -134,10 +134,8 @@ impl Compiler {
 
     /// Checks one op's modeled working set (§V-C) against the
     /// scratchpad, returning the overflow event if it does not fit.
-    /// Linear/transfer ops have no resident working set. Public so
-    /// alternative compilation drivers (the barrier-aware hybrid
-    /// compiler in `ufc-core`) can report the same statistics.
-    pub fn spill_event(&self, index: usize, op: &TraceOp) -> Option<SpillEvent> {
+    /// Linear/transfer ops have no resident working set.
+    fn spill_event(&self, index: usize, op: &TraceOp) -> Option<SpillEvent> {
         let working_set = match *op {
             TraceOp::CkksAdd { level }
             | TraceOp::CkksMulPlain { level }
@@ -168,15 +166,6 @@ impl Compiler {
             capacity,
             overflow: working_set - capacity,
         })
-    }
-
-    /// Like [`Compiler::try_compile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`CompileError`].
-    pub fn compile(&self, trace: &Trace) -> InstrStream {
-        self.try_compile(trace).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Lowers a single trace op into its instruction block.
@@ -217,15 +206,6 @@ impl Compiler {
             },
             other => other,
         })
-    }
-
-    /// Like [`Compiler::try_lower_op`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the op's scheme has no declared parameter set.
-    pub fn lower_op(&self, op: &TraceOp) -> InstrStream {
-        self.try_lower_op(op).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------ CKKS
@@ -534,16 +514,6 @@ impl Compiler {
         })
     }
 
-    /// Like [`Compiler::try_tfhe_pack_width`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no TFHE parameter set was declared.
-    pub fn tfhe_pack_width(&self, batch: u32) -> u32 {
-        self.try_tfhe_pack_width(batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn tfhe_pbs(&self, batch: u32) -> Result<InstrStream, CompileError> {
         let p = self.tfhe()?;
         let n = p.log_n;
@@ -770,7 +740,7 @@ mod tests {
     #[test]
     fn ckks_add_is_one_ewma() {
         let c = compiler(Packing::TvlpPlp);
-        let s = c.lower_op(&TraceOp::CkksAdd { level: 20 });
+        let s = c.try_lower_op(&TraceOp::CkksAdd { level: 20 }).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.instrs()[0].kernel, Kernel::Ewma);
         assert_eq!(s.instrs()[0].shape.count, 42);
@@ -779,7 +749,7 @@ mod tests {
     #[test]
     fn mul_ct_contains_keyswitch_pipeline() {
         let c = compiler(Packing::TvlpPlp);
-        let s = c.lower_op(&TraceOp::CkksMulCt { level: 20 });
+        let s = c.try_lower_op(&TraceOp::CkksMulCt { level: 20 }).unwrap();
         let h = s.kernel_histogram();
         assert!(h[&Kernel::Ntt] >= 2, "ModUp + ModDown NTTs");
         assert!(h[&Kernel::Intt] >= 2);
@@ -792,10 +762,12 @@ mod tests {
         // At full level, C2 (dnum=3) must produce 3 digit MACs.
         let c = compiler(Packing::TvlpPlp);
         let p = ckks_params("C2").unwrap();
-        let s = c.lower_op(&TraceOp::CkksRotate {
-            level: p.max_level(),
-            step: 1,
-        });
+        let s = c
+            .try_lower_op(&TraceOp::CkksRotate {
+                level: p.max_level(),
+                step: 1,
+            })
+            .unwrap();
         let macs = s
             .instrs()
             .iter()
@@ -816,8 +788,8 @@ mod tests {
             },
         );
         let op = TraceOp::TfhePbs { batch: 4 };
-        let se = exact.lower_op(&op);
-        let sc = coarse.lower_op(&op);
+        let se = exact.try_lower_op(&op).unwrap();
+        let sc = coarse.try_lower_op(&op).unwrap();
         // T1 has lwe_dim = 500: 8-chunking cuts 500 quintets to 63.
         let t1 = tfhe_params("T1").unwrap();
         assert_eq!(
@@ -843,13 +815,16 @@ mod tests {
             },
         );
         let op = TraceOp::TfhePbs { batch: 16 };
-        assert_eq!(exact.lower_op(&op).instrs(), chunk1.lower_op(&op).instrs());
+        assert_eq!(
+            exact.try_lower_op(&op).unwrap().instrs(),
+            chunk1.try_lower_op(&op).unwrap().instrs()
+        );
     }
 
     #[test]
     fn pbs_has_n_iterations() {
         let c = compiler(Packing::TvlpPlp);
-        let s = c.lower_op(&TraceOp::TfhePbs { batch: 1 });
+        let s = c.try_lower_op(&TraceOp::TfhePbs { batch: 1 }).unwrap();
         let t1 = tfhe_params("T1").unwrap();
         let h = s.kernel_histogram();
         assert_eq!(h[&Kernel::Ntt], t1.lwe_dim as usize);
@@ -862,8 +837,14 @@ mod tests {
         let tv = compiler(Packing::TvlpPlp);
         let co = compiler(Packing::ColpPlp);
         let batch = 32;
-        let tv_bytes = tv.lower_op(&TraceOp::TfhePbs { batch }).total_hbm_bytes();
-        let co_bytes = co.lower_op(&TraceOp::TfhePbs { batch }).total_hbm_bytes();
+        let tv_bytes = tv
+            .try_lower_op(&TraceOp::TfhePbs { batch })
+            .unwrap()
+            .total_hbm_bytes();
+        let co_bytes = co
+            .try_lower_op(&TraceOp::TfhePbs { batch })
+            .unwrap()
+            .total_hbm_bytes();
         assert!(
             tv_bytes * 4 < co_bytes,
             "TvLP ({tv_bytes}) must stream far less key data than CoLP ({co_bytes})"
@@ -875,10 +856,12 @@ mod tests {
         let tv = compiler(Packing::TvlpPlp);
         let co = compiler(Packing::ColpPlp);
         let tv_rot = tv
-            .lower_op(&TraceOp::TfhePbs { batch: 4 })
+            .try_lower_op(&TraceOp::TfhePbs { batch: 4 })
+            .unwrap()
             .kernel_histogram()[&Kernel::Rotate];
         let co_rot = co
-            .lower_op(&TraceOp::TfhePbs { batch: 4 })
+            .try_lower_op(&TraceOp::TfhePbs { batch: 4 })
+            .unwrap()
             .kernel_histogram()[&Kernel::Rotate];
         assert!(co_rot > tv_rot);
     }
@@ -890,10 +873,10 @@ mod tests {
             tfhe_params("T4"), // N = 2^14: only one poly fits
             CompileOptions::default(),
         );
-        assert_eq!(c.tfhe_pack_width(64), 1);
+        assert_eq!(c.try_tfhe_pack_width(64).unwrap(), 1);
         let c = Compiler::new(None, tfhe_params("T1"), CompileOptions::default());
         // N = 2^10: 16 polys fit in 16384 lanes.
-        assert_eq!(c.tfhe_pack_width(64), 16);
+        assert_eq!(c.try_tfhe_pack_width(64).unwrap(), 16);
     }
 
     #[test]
@@ -907,8 +890,8 @@ mod tests {
         });
         tr.push(TraceOp::TfhePbs { batch: 16 });
         tr.push(TraceOp::SchemeTransfer { bytes: 1 << 20 });
-        let c = Compiler::for_trace(&tr, CompileOptions::default());
-        let s = c.compile(&tr);
+        let c = Compiler::try_for_trace(&tr, CompileOptions::default()).unwrap();
+        let (s, _) = c.try_compile(&tr).unwrap();
         assert!(s.len() > 100);
         assert!(s.instrs().iter().any(|i| i.phase == Phase::SchemeSwitch));
         assert!(s.instrs().iter().any(|i| i.phase == Phase::TfheBlindRotate));
@@ -918,7 +901,9 @@ mod tests {
     #[test]
     fn transfer_costs_only_bytes() {
         let c = compiler(Packing::TvlpPlp);
-        let s = c.lower_op(&TraceOp::SchemeTransfer { bytes: 4096 });
+        let s = c
+            .try_lower_op(&TraceOp::SchemeTransfer { bytes: 4096 })
+            .unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.total_hbm_bytes(), 4096);
         assert_eq!(s.total_modmul_ops(), 0);
@@ -952,15 +937,20 @@ mod tests {
 
     #[test]
     fn compiled_streams_pass_static_verification() {
+        use ufc_verify::{verify_stream, VerifyOptions};
         let mut tr = Trace::new("verified").with_ckks("C3").with_tfhe("T3");
         tr.push(TraceOp::CkksMulCt { level: 15 });
         tr.push(TraceOp::Extract { level: 2, count: 8 });
         tr.push(TraceOp::TfhePbs { batch: 8 });
         tr.push(TraceOp::Repack { count: 8, level: 2 });
-        let c = Compiler::for_trace(&tr, CompileOptions::default());
-        // try_compile runs the verifier post-condition internally; it
-        // returning Ok *is* the assertion.
-        let s = c.try_compile(&tr).expect("post-conditions hold");
+        let c = Compiler::try_for_trace(&tr, CompileOptions::default()).unwrap();
+        let (s, _) = c.try_compile(&tr).unwrap();
         assert!(!s.is_empty());
+        let report = verify_stream(&s, &VerifyOptions::default());
+        assert!(!report.has_errors(), "{report}");
+        assert!(
+            !report.has_code("stream/unsynchronized-scheme-crossing"),
+            "{report}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Lowering statistics: what the compiler did, per trace op.
 //!
-//! [`Compiler::try_compile_stats`](crate::Compiler::try_compile_stats)
+//! [`Compiler::try_compile`](crate::Compiler::try_compile)
 //! produces a [`CompileStats`] alongside the instruction stream: one
 //! [`OpLowering`] per trace op (how many macro-instructions it
 //! expanded into and how much HBM traffic they carry) plus one

@@ -41,7 +41,7 @@ proptest! {
             TraceOp::CkksRotate { level, step: 1 },
             TraceOp::CkksModRaise { from_level: level.min(10) },
         ] {
-            let s = c.lower_op(&op);
+            let s = c.try_lower_op(&op).unwrap();
             prop_assert!(!s.is_empty());
             prop_assert!(stream_is_valid(&s), "{op:?}");
         }
@@ -50,8 +50,8 @@ proptest! {
     #[test]
     fn prop_keyswitch_work_grows_with_level(lo in 2u32..15, hi in 16u32..35) {
         let c = compiler(Packing::TvlpPlp);
-        let small = c.lower_op(&TraceOp::CkksMulCt { level: lo });
-        let big = c.lower_op(&TraceOp::CkksMulCt { level: hi });
+        let small = c.try_lower_op(&TraceOp::CkksMulCt { level: lo }).unwrap();
+        let big = c.try_lower_op(&TraceOp::CkksMulCt { level: hi }).unwrap();
         prop_assert!(big.total_modmul_ops() > small.total_modmul_ops());
         prop_assert!(big.total_hbm_bytes() >= small.total_hbm_bytes());
     }
@@ -59,8 +59,8 @@ proptest! {
     #[test]
     fn prop_pbs_work_scales_with_batch(b in 1u32..64) {
         let c = compiler(Packing::TvlpPlp);
-        let one = c.lower_op(&TraceOp::TfhePbs { batch: 1 }).total_modmul_ops();
-        let batch = c.lower_op(&TraceOp::TfhePbs { batch: b }).total_modmul_ops();
+        let one = c.try_lower_op(&TraceOp::TfhePbs { batch: 1 }).unwrap().total_modmul_ops();
+        let batch = c.try_lower_op(&TraceOp::TfhePbs { batch: b }).unwrap().total_modmul_ops();
         // Work scales linearly with batch (same instruction count,
         // wider shapes).
         prop_assert!(batch >= one * b as u64 / 2);
@@ -69,8 +69,8 @@ proptest! {
 
     #[test]
     fn prop_tvlp_never_streams_more_keys_than_colp(b in 2u32..64) {
-        let tv = compiler(Packing::TvlpPlp).lower_op(&TraceOp::TfhePbs { batch: b });
-        let co = compiler(Packing::ColpPlp).lower_op(&TraceOp::TfhePbs { batch: b });
+        let tv = compiler(Packing::TvlpPlp).try_lower_op(&TraceOp::TfhePbs { batch: b }).unwrap();
+        let co = compiler(Packing::ColpPlp).try_lower_op(&TraceOp::TfhePbs { batch: b }).unwrap();
         prop_assert!(tv.total_hbm_bytes() <= co.total_hbm_bytes());
     }
 
@@ -78,7 +78,7 @@ proptest! {
     fn prop_pack_width_is_bounded(b in 1u32..256) {
         for packing in [Packing::None, Packing::Plp, Packing::ColpPlp, Packing::TvlpPlp] {
             let c = compiler(packing);
-            let w = c.tfhe_pack_width(b);
+            let w = c.try_tfhe_pack_width(b).unwrap();
             prop_assert!(w >= 1);
             // Never more polys than fit the lanes.
             let n = tfhe_params("T2").unwrap().n() as u32;

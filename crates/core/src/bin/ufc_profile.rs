@@ -8,7 +8,10 @@
 //!
 //! The input is the native text form (`ufc_isa::serial`): a `# ufc
 //! trace v1` file is compiled with the barrier-aware hybrid compiler
-//! first; a `# ufc stream v1` file is simulated as-is. The run prints
+//! first; a `# ufc stream v1` file is simulated as-is, once its
+//! dependency edges are known to be backward and in range (the
+//! parser accepts any edge so that `ufc-lint` can report it; run
+//! `ufc-lint` for the full diagnosis). The run prints
 //! a summary table, stall attribution and the critical-path report;
 //! `--perfetto` additionally writes a Chrome-trace JSON file openable
 //! in `ui.perfetto.dev`, and `--json` writes the full serializable
@@ -147,6 +150,11 @@ fn run(args: &Args) -> Result<ProfiledRun, String> {
         }
         Some("stream") => {
             let stream = stream_from_text(&text).map_err(|e| format!("{}: {e}", args.input))?;
+            let mut dataflow = ufc_verify::Report::new();
+            ufc_verify::stream_checks::check_dataflow(&stream, &mut dataflow);
+            if dataflow.has_errors() {
+                return Err(format!("{}: malformed stream\n{dataflow}", args.input));
+            }
             let machine = baseline_machine(&args.machine)?;
             Ok(profile_stream(machine.as_ref(), &stream, None))
         }

@@ -28,9 +28,6 @@ pub use compare::{compare, ComparisonRow};
 pub use dse::{sweep_cg_networks, sweep_lanes, DsePoint};
 pub use host_profile::{profile_host, HostProfile, NoiseDrift};
 pub use profile::{profile_stream, ProfiledRun};
-pub use runner::{
-    compile_with_barriers, try_compile_with_barriers, try_compile_with_barriers_stats, RunError,
-    Ufc,
-};
+pub use runner::{try_compile_with_barriers_stats, RunError, Ufc};
 
 pub use ufc_sim::machines::{UfcConfig, UfcMachine};

@@ -1,13 +1,13 @@
 //! Profiled runs: the façade's instrumented execution path.
 //!
-//! [`Ufc::run_profiled`] compiles with the same barrier-aware hybrid
-//! compiler as [`Ufc::run`], but records everything along the way: a
+//! [`Ufc::try_run_profiled`] compiles with the same barrier-aware
+//! [`ufc_compiler::Compiler::try_compile`] as [`Ufc::run`], but records everything along the way: a
 //! full [`Timeline`] of the schedule, the compiler's per-op
 //! [`CompileStats`], and a [`MetricsRegistry`] of counters. The
 //! simulated report is byte-identical to the uninstrumented path (the
 //! observer hook is passive — property-tested in `ufc-sim`).
 
-use crate::runner::{try_compile_with_barriers_stats, RunError, Ufc};
+use crate::runner::{RunError, Ufc};
 use ufc_compiler::CompileStats;
 use ufc_isa::instr::InstrStream;
 use ufc_isa::trace::Trace;
@@ -62,23 +62,12 @@ impl ProfiledRun {
 }
 
 impl Ufc {
-    /// Like [`Ufc::run`], but instrumented: returns the identical
-    /// report plus the recorded timeline and compiler statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`ufc_compiler::CompileError`] (mirrors
-    /// [`Ufc::run`]); use [`Ufc::try_run_profiled`] for the fallible
-    /// spelling.
-    pub fn run_profiled(&self, trace: &Trace) -> ProfiledRun {
-        self.try_run_profiled(trace)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Ufc::run_profiled`].
+    /// Like [`Ufc::run`], but instrumented and fallible: returns the
+    /// identical report plus the recorded timeline and compiler
+    /// statistics.
     pub fn try_run_profiled(&self, trace: &Trace) -> Result<ProfiledRun, RunError> {
-        let (stream, stats) = try_compile_with_barriers_stats(trace, *self.options())?;
-        let machine = self.machine_for(trace);
+        let (stream, stats) = self.try_compile(trace)?;
+        let machine = self.try_machine_for(trace)?;
         Ok(profile_stream(&machine, &stream, Some(stats)))
     }
 
@@ -90,7 +79,7 @@ impl Ufc {
         machine: &dyn Machine,
         trace: &Trace,
     ) -> Result<ProfiledRun, RunError> {
-        let (stream, stats) = try_compile_with_barriers_stats(trace, *self.options())?;
+        let (stream, stats) = self.try_compile(trace)?;
         Ok(profile_stream(machine, &stream, Some(stats)))
     }
 }
@@ -134,7 +123,7 @@ mod tests {
         let ufc = Ufc::paper_default();
         let tr = small_knn();
         let plain = ufc.run(&tr);
-        let profiled = ufc.run_profiled(&tr);
+        let profiled = ufc.try_run_profiled(&tr).expect("kNN compiles");
         assert_eq!(plain, profiled.report);
         assert!(!profiled.timeline.records().is_empty());
         assert_eq!(profiled.timeline.makespan(), plain.cycles);
@@ -144,7 +133,7 @@ mod tests {
     fn profiled_run_is_self_consistent() {
         let ufc = Ufc::paper_default();
         let tr = small_knn();
-        let run = ufc.run_profiled(&tr);
+        let run = ufc.try_run_profiled(&tr).expect("kNN compiles");
         let cp = run.timeline.critical_path();
         assert_eq!(cp.length, run.report.cycles);
         assert_eq!(
@@ -165,7 +154,7 @@ mod tests {
     #[test]
     fn profiled_summary_serializes() {
         let ufc = Ufc::paper_default();
-        let run = ufc.run_profiled(&small_knn());
+        let run = ufc.try_run_profiled(&small_knn()).expect("kNN compiles");
         let json = serde_json::to_string(&run.summary()).unwrap();
         let v = serde_json::from_str(&json).unwrap();
         assert_eq!(

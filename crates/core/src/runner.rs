@@ -1,12 +1,12 @@
-//! The `Ufc` façade and the barrier-aware trace compiler shared by
-//! every machine (fair-comparison methodology, §VI-C).
+//! The `Ufc` façade: one design point, compiled with the shared
+//! barrier-aware [`Compiler::try_compile`] and simulated on any
+//! machine (fair-comparison methodology, §VI-C).
 
 use ufc_compiler::memory::SpillModel;
-use ufc_compiler::stats::{CompileStats, OpLowering};
-use ufc_compiler::{CompileError, CompileOptions, Compiler};
+use ufc_compiler::{CompileError, CompileOptions, CompileStats, Compiler};
 use ufc_isa::instr::InstrStream;
 use ufc_isa::params::{try_ckks_params, try_tfhe_params, ParamsError};
-use ufc_isa::trace::{Trace, TraceOp};
+use ufc_isa::trace::Trace;
 use ufc_sim::machines::{Machine, UfcConfig, UfcMachine};
 use ufc_sim::{simulate, SimReport};
 use ufc_verify::{verify_stream, verify_trace, Report, VerifyOptions};
@@ -48,81 +48,15 @@ impl From<ParamsError> for RunError {
     }
 }
 
-/// Compiles a trace, inserting a dependency barrier whenever the
-/// program switches schemes (or crosses a chip-to-chip transfer):
-/// hybrid phases are data-dependent, so neither UFC nor the composed
-/// baseline may overlap them.
-pub fn try_compile_with_barriers(
-    trace: &Trace,
-    opts: CompileOptions,
-) -> Result<InstrStream, CompileError> {
-    try_compile_with_barriers_stats(trace, opts).map(|(stream, _)| stream)
-}
-
-/// Like [`try_compile_with_barriers`], additionally reporting the
-/// compiler's per-op lowering statistics (instruction counts, HBM
-/// bytes, scratchpad-spill events) — the same [`CompileStats`] shape
-/// as [`Compiler::try_compile_stats`], for the barrier-aware path.
+/// [`Compiler::try_compile`] for a trace's own parameter sets.
+///
+/// Kept as a delegate for the benchmark crate, which names it; new
+/// code calls the compiler directly.
 pub fn try_compile_with_barriers_stats(
     trace: &Trace,
     opts: CompileOptions,
 ) -> Result<(InstrStream, CompileStats), CompileError> {
-    let compiler = Compiler::try_for_trace(trace, opts)?;
-    let mut out = InstrStream::new();
-    let mut ops = Vec::with_capacity(trace.len());
-    let mut spills = Vec::new();
-    let mut prev_exits: Vec<usize> = Vec::new();
-    let mut prev_scheme: Option<bool> = None; // Some(is_ckks)
-    for (index, op) in trace.ops.iter().enumerate() {
-        let scheme = if matches!(op, TraceOp::SchemeTransfer { .. }) {
-            None
-        } else {
-            Some(op.is_ckks())
-        };
-        let crosses = match (prev_scheme, scheme) {
-            (Some(a), Some(b)) => a != b,
-            (_, None) | (None, _) => true,
-        };
-        let block = compiler.try_lower_op(op)?;
-        ops.push(OpLowering {
-            index,
-            op: op.name().to_owned(),
-            instrs: block.len(),
-            hbm_bytes: block.total_hbm_bytes(),
-        });
-        if let Some(ev) = compiler.spill_event(index, op) {
-            spills.push(ev);
-        }
-        let deps: &[usize] = if crosses { &prev_exits } else { &[] };
-        let exits = out.append(block, deps);
-        if crosses {
-            prev_exits = exits;
-        } else {
-            prev_exits.extend(exits);
-        }
-        prev_scheme = scheme;
-    }
-    let stats = CompileStats {
-        total_instrs: out.len(),
-        total_hbm_bytes: out.total_hbm_bytes(),
-        scratchpad_bytes: opts.scratchpad_bytes,
-        ops,
-        spills,
-        noise: ufc_verify::noise_checks::noise_schedule(
-            trace,
-            &ufc_verify::NoiseOptions::default(),
-        ),
-    };
-    Ok((out, stats))
-}
-
-/// Like [`try_compile_with_barriers`].
-///
-/// # Panics
-///
-/// Panics on any [`CompileError`].
-pub fn compile_with_barriers(trace: &Trace, opts: CompileOptions) -> InstrStream {
-    try_compile_with_barriers(trace, opts).unwrap_or_else(|e| panic!("{e}"))
+    Compiler::try_for_trace(trace, opts)?.try_compile(trace)
 }
 
 /// A configured UFC accelerator instance.
@@ -139,10 +73,13 @@ impl Ufc {
         Self::new(UfcConfig::default(), CompileOptions::default())
     }
 
-    /// A custom design point.
+    /// A custom design point. The compiler's packing width and
+    /// scratchpad capacity follow the architecture, so lowering
+    /// statistics and the machine model agree on both.
     pub fn new(config: UfcConfig, opts: CompileOptions) -> Self {
         let opts = CompileOptions {
             total_lanes: (config.pes * config.alu_per_pe).max(1),
+            scratchpad_bytes: u64::from(config.scratchpad_mib) << 20,
             ..opts
         };
         Self { config, opts }
@@ -160,19 +97,8 @@ impl Ufc {
 
     /// Builds the machine model for a given workload (applying the
     /// scratchpad working-set model to set the spill fraction, §V-C).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trace names an unknown parameter set; use
-    /// [`Ufc::try_machine_for`] on user-supplied traces.
-    pub fn machine_for(&self, trace: &Trace) -> UfcMachine {
-        self.try_machine_for(trace)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Ufc::machine_for`]: an unknown CKKS/TFHE parameter
-    /// id in the trace comes back as a typed [`ParamsError`] instead
-    /// of a panic from the working-set model.
+    /// An unknown CKKS/TFHE parameter id in the trace comes back as a
+    /// typed [`ParamsError`].
     ///
     /// # Errors
     ///
@@ -189,7 +115,7 @@ impl Ufc {
     const SPILL_REUSE: f64 = 0.25;
 
     fn try_spill_fraction(&self, trace: &Trace) -> Result<f64, ParamsError> {
-        let spill = SpillModel::new(self.config.scratchpad_mib as u64 * 1024 * 1024);
+        let spill = SpillModel::new(self.opts.scratchpad_bytes);
         let mut frac: f64 = 0.0;
         if let Some(id) = trace.ckks_params {
             let p = try_ckks_params(id)?;
@@ -204,11 +130,27 @@ impl Ufc {
         Ok(frac * Self::SPILL_REUSE)
     }
 
+    /// Lowers a trace with [`Compiler::try_compile`] under this
+    /// instance's options.
+    pub(crate) fn try_compile(
+        &self,
+        trace: &Trace,
+    ) -> Result<(InstrStream, CompileStats), CompileError> {
+        Compiler::try_for_trace(trace, self.opts)?.try_compile(trace)
+    }
+
     /// Compiles and simulates a workload on this UFC instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace cannot be compiled or names an unknown
+    /// parameter set; use [`Ufc::run_verified`] on user-supplied
+    /// traces.
     pub fn run(&self, trace: &Trace) -> SimReport {
-        let stream = compile_with_barriers(trace, self.opts);
-        let machine = self.machine_for(trace);
-        simulate(&machine, &stream)
+        let machine = self
+            .try_machine_for(trace)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.run_on(&machine, trace)
     }
 
     /// Like [`Ufc::run`], but with the static verifier as a pre-pass
@@ -226,7 +168,7 @@ impl Ufc {
     /// use [`Ufc::run`] for the spill-modelled estimate instead.
     pub fn run_verified(&self, trace: &Trace) -> Result<SimReport, RunError> {
         let vopts = VerifyOptions {
-            scratchpad_bytes: Some(self.config.scratchpad_mib as u64 * 1024 * 1024),
+            scratchpad_bytes: Some(self.opts.scratchpad_bytes),
             // A verified run also refuses workloads whose static noise
             // schedule predicts decryption failure.
             noise: Some(ufc_verify::NoiseOptions::default()),
@@ -236,7 +178,7 @@ impl Ufc {
         if trace_report.has_errors() {
             return Err(RunError::Verify(trace_report));
         }
-        let stream = try_compile_with_barriers(trace, self.opts)?;
+        let (stream, _) = self.try_compile(trace)?;
         let stream_report = verify_stream(&stream, &vopts);
         if stream_report.has_errors() {
             return Err(RunError::Verify(stream_report));
@@ -247,8 +189,12 @@ impl Ufc {
 
     /// Simulates the same workload on an arbitrary baseline machine,
     /// using the identical instruction stream (§VI-C).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace cannot be compiled.
     pub fn run_on(&self, machine: &dyn Machine, trace: &Trace) -> SimReport {
-        let stream = compile_with_barriers(trace, self.opts);
+        let (stream, _) = self.try_compile(trace).unwrap_or_else(|e| panic!("{e}"));
         simulate(machine, &stream)
     }
 }
@@ -279,7 +225,8 @@ mod tests {
     #[test]
     fn barriers_serialize_hybrid_phases() {
         let tr = ufc_workloads::knn::generate("C2", "T1", Default::default());
-        let stream = compile_with_barriers(&tr, CompileOptions::default());
+        let (stream, _) =
+            try_compile_with_barriers_stats(&tr, CompileOptions::default()).expect("kNN compiles");
         // Some instruction after the extract must depend on earlier
         // exits (the barrier).
         let has_cross_deps = stream
@@ -330,7 +277,7 @@ mod tests {
         let mut tr = ufc_isa::trace::Trace::new("rp")
             .with_ckks("C1")
             .with_tfhe("T1");
-        tr.push(TraceOp::Repack { count: 8, level: 3 });
+        tr.push(ufc_isa::trace::TraceOp::Repack { count: 8, level: 3 });
         match ufc.run_verified(&tr) {
             Err(RunError::Verify(report)) => {
                 assert!(report.has_code("trace/repack-without-extract"));
@@ -352,6 +299,12 @@ mod tests {
         assert!(small.try_spill_fraction(&tr).unwrap() > 0.0);
         let big = Ufc::paper_default();
         assert_eq!(big.try_spill_fraction(&tr).unwrap(), 0.0);
+        // The compiler's spill events are measured against the same
+        // 32 MiB the machine spills against.
+        let (_, stats) = small.try_compile(&tr).expect("bootstrap compiles");
+        assert_eq!(stats.scratchpad_bytes, 32 << 20);
+        assert!(!stats.spills.is_empty());
+        assert!(stats.spills.iter().all(|ev| ev.capacity == 32 << 20));
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn hybrid_knn_sim_report_matches_golden() {
     let text = std::fs::read_to_string(fixture_path()).expect("committed trace fixture");
     let trace = trace_from_text(&text).expect("fixture parses");
     let ufc = Ufc::paper_default();
-    let profiled = ufc.run_profiled(&trace);
+    let profiled = ufc.try_run_profiled(&trace).expect("fixture compiles");
 
     // The instrumented and plain paths must agree before pinning.
     assert_eq!(profiled.report, ufc.run(&trace));

@@ -130,3 +130,60 @@ fn profile_cli_rejects_garbage_input() {
     assert!(!out.status.success());
     std::fs::remove_file(&tmp).ok();
 }
+
+/// Runs `ufc-profile` on `text` written to a temp file named `tag`.
+fn profile_text(tag: &str, text: &str) -> std::process::Output {
+    let tmp = std::env::temp_dir().join(format!("ufc-profile-{tag}-{}", std::process::id()));
+    std::fs::write(&tmp, text).expect("write temp file");
+    let out = Command::new(env!("CARGO_BIN_EXE_ufc-profile"))
+        .arg(&tmp)
+        .output()
+        .expect("run ufc-profile");
+    std::fs::remove_file(&tmp).ok();
+    out
+}
+
+#[test]
+fn profile_cli_refuses_unusable_dependency_edges() {
+    // The parser accepts both streams so that `ufc-lint` can report
+    // them; the simulator cannot schedule either. A dangling edge used
+    // to index past the finish-time table (exit 101), and a forward
+    // edge was silently treated as no dependency at all.
+    for (tag, deps, code) in [
+        ("dangling", "5", "stream/dep-out-of-range"),
+        ("forward", "1", "stream/dep-forward"),
+    ] {
+        let out = profile_text(
+            tag,
+            &format!(
+                "stream\n\
+                 instr id=0 kernel=Ntt log_n=10 count=1 word=36 hbm=0 phase=Other pack=max deps={deps}\n\
+                 instr id=1 kernel=Ewma log_n=10 count=1 word=36 hbm=0 phase=Other pack=max deps=\n"
+            ),
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(code), "{tag}: {stderr}");
+        assert!(stderr.contains("instr 0"), "{tag}: {stderr}");
+    }
+}
+
+#[test]
+fn profile_cli_profiles_well_formed_streams_that_overflow_the_scratchpad() {
+    // A 5 GiB output buffer: `ufc-lint` reports scratchpad overflow,
+    // but the stream is a valid DAG, so it is profiled (the machine
+    // models cost spills; they do not refuse them).
+    let out = profile_text(
+        "overflow",
+        "stream\n\
+         instr id=0 kernel=Ntt log_n=16 count=10000 word=36 hbm=0 phase=CkksEval pack=max deps=\n\
+         instr id=1 kernel=Ewma log_n=16 count=10000 word=36 hbm=0 phase=CkksEval pack=max deps=0\n",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("## critical path"), "{stdout}");
+}

@@ -12,8 +12,8 @@
 //! exists to measure. If a model change moves the absolute numbers,
 //! re-pin them; the comparative asserts must hold regardless.
 
-use ufc_compiler::CompileOptions;
-use ufc_core::{try_compile_with_barriers_stats, Ufc, UfcConfig};
+use ufc_compiler::{CompileOptions, Compiler};
+use ufc_core::{Ufc, UfcConfig};
 use ufc_sim::simulate_with;
 use ufc_telemetry::Timeline;
 use ufc_workloads::sha256::{self, AdderKind, ShaParams};
@@ -49,7 +49,8 @@ fn run(adder: AdderKind) -> (Golden, f64) {
             ..CompileOptions::default()
         },
     );
-    let (stream, stats) = try_compile_with_barriers_stats(&trace, *ufc.options())
+    let (stream, stats) = Compiler::try_for_trace(&trace, *ufc.options())
+        .and_then(|c| c.try_compile(&trace))
         .expect("full-width one-round trace compiles");
     assert_eq!(stats.total_instrs, stream.len());
     // The static noise pass must keep the gate trace clean: every
@@ -65,7 +66,7 @@ fn run(adder: AdderKind) -> (Golden, f64) {
         adder.label()
     );
 
-    let machine = ufc.machine_for(&trace);
+    let machine = ufc.try_machine_for(&trace).expect("T1 is a known set");
     let mut tl = Timeline::new();
     let report = simulate_with(&machine, &stream, &mut tl);
     let stalls = tl.stall_summary();

@@ -202,7 +202,7 @@ pub const TFHE_SETS: [TfheParams; 4] = [
 
 /// A parameter-registry lookup failure, carrying the unknown id and
 /// the set of valid ids. Surfaced to users through compiler errors
-/// ([`ufc-compiler`]'s `CompileError`) and verifier diagnostics
+/// (`ufc-compiler`'s `CompileError`) and verifier diagnostics
 /// (`ufc-verify`'s `params-unknown` check).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamsError {

@@ -348,7 +348,7 @@ pub fn mac_mod_slice(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
 }
 
 /// Broadcast Shoup scale `a[i] ← a[i]·s mod q`, fully reduced.
-/// `s_shoup` must be [`shoup_precompute`]`(s, q)`; `a` may hold any
+/// `s_shoup` must be [`shoup_precompute`](crate::modops::shoup_precompute)`(s, q)`; `a` may hold any
 /// 64-bit values (lazy representatives included), the output is
 /// canonical — the exact contract of [`crate::modops::mul_shoup`].
 pub fn scale_shoup_slice(a: &mut [u64], s: u64, s_shoup: u64, q: u64) {

@@ -110,24 +110,6 @@ impl InstrCost {
     }
 }
 
-/// Like [`simulate`], but runs the static verifier (`ufc-verify`) as
-/// a pre-pass. Error-severity findings abort the run: simulating a
-/// malformed stream produces plausible-looking but meaningless cycle
-/// counts. Warnings and infos ride along in the returned report's
-/// error value only if fatal findings exist; otherwise they are
-/// dropped (run `ufc-lint` for the full listing).
-pub fn simulate_verified(
-    machine: &dyn Machine,
-    stream: &InstrStream,
-    verify_opts: &ufc_verify::VerifyOptions,
-) -> Result<SimReport, ufc_verify::Report> {
-    let report = ufc_verify::verify_stream(stream, verify_opts);
-    if report.has_errors() {
-        return Err(report);
-    }
-    Ok(simulate(machine, stream))
-}
-
 /// Runs an instruction stream on a machine, producing a report.
 ///
 /// Equivalent to [`simulate_with`] over a [`NullObserver`]; the
@@ -353,34 +335,5 @@ mod tests {
         let r = simulate(&Toy, &InstrStream::new());
         assert_eq!(r.cycles, 0);
         assert_eq!(r.energy_j, 0.0);
-    }
-
-    #[test]
-    fn verified_simulation_accepts_clean_streams() {
-        let mut s = InstrStream::new();
-        let a = s.push(Kernel::Ntt, shape(), 36, vec![], 0, Phase::CkksEval);
-        s.push(Kernel::Ewma, shape(), 36, vec![a], 0, Phase::CkksEval);
-        let r = simulate_verified(&Toy, &s, &ufc_verify::VerifyOptions::default())
-            .expect("clean stream simulates");
-        assert_eq!(r.cycles, 15);
-    }
-
-    #[test]
-    fn verified_simulation_rejects_malformed_streams() {
-        // A dangling dependency: the unverified engine would panic on
-        // the finish[] lookup; the pre-pass turns it into a diagnostic.
-        let s = InstrStream::from_raw(vec![ufc_isa::instr::MacroInstr {
-            id: 0,
-            kernel: Kernel::Ntt,
-            shape: shape(),
-            word_bits: 36,
-            deps: vec![5],
-            hbm_bytes: 0,
-            phase: Phase::CkksEval,
-            pack: u32::MAX,
-        }]);
-        let report = simulate_verified(&Toy, &s, &ufc_verify::VerifyOptions::default())
-            .expect_err("malformed stream must be rejected");
-        assert!(report.has_code("stream/dep-out-of-range"));
     }
 }

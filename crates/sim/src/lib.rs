@@ -25,16 +25,24 @@
 //! dependency and resource constraints, yielding makespan, component
 //! utilizations (Fig. 12), energy, EDP and EDAP.
 
+//! The engine trusts its input: a dangling dependency edge panics and
+//! a forward one reads as no dependency. Streams from
+//! `Compiler::try_compile` are well-formed; check any other stream
+//! with `ufc_verify::stream_checks::check_dataflow` (or `ufc-lint`)
+//! first, as `ufc-profile` does.
+//!
 //! ```
-//! use ufc_compiler::{CompileOptions, Compiler};
+//! use ufc_compiler::{CompileError, CompileOptions, Compiler};
 //! use ufc_isa::trace::{Trace, TraceOp};
 //! use ufc_sim::{simulate, machines::UfcMachine};
 //!
 //! let mut trace = Trace::new("demo").with_tfhe("T1");
 //! trace.push(TraceOp::TfhePbs { batch: 8 });
-//! let stream = Compiler::for_trace(&trace, CompileOptions::default()).compile(&trace);
+//! let (stream, _stats) =
+//!     Compiler::try_for_trace(&trace, CompileOptions::default())?.try_compile(&trace)?;
 //! let report = simulate(&UfcMachine::paper_default(), &stream);
 //! assert!(report.cycles > 0);
+//! # Ok::<(), CompileError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +52,7 @@ pub mod machines;
 pub mod observe;
 pub mod report;
 
-pub use engine::{simulate, simulate_verified, simulate_with, InstrCost, ResKind};
+pub use engine::{simulate, simulate_with, InstrCost, ResKind};
 pub use machines::{ComposedMachine, Machine, SharpMachine, StrixMachine, UfcConfig, UfcMachine};
 pub use observe::{Binding, InstrSchedule, NullObserver, ScheduleLog, SimObserver};
 pub use report::SimReport;

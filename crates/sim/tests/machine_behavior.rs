@@ -6,10 +6,17 @@ use ufc_isa::trace::{Trace, TraceOp};
 use ufc_sim::machines::{Machine, StrixMachine, UfcConfig, UfcMachine};
 use ufc_sim::simulate;
 
+fn compile(tr: &Trace) -> ufc_isa::InstrStream {
+    Compiler::try_for_trace(tr, CompileOptions::default())
+        .and_then(|c| c.try_compile(tr))
+        .expect("trace compiles")
+        .0
+}
+
 fn pbs_stream(set: &'static str, batch: u32) -> ufc_isa::InstrStream {
     let mut tr = Trace::new("t").with_tfhe(set);
     tr.push(TraceOp::TfhePbs { batch });
-    Compiler::for_trace(&tr, CompileOptions::default()).compile(&tr)
+    compile(&tr)
 }
 
 #[test]
@@ -82,7 +89,7 @@ fn spill_fraction_slows_hbm_bound_streams() {
     for _ in 0..16 {
         tr.push(TraceOp::CkksRotate { level: 30, step: 1 });
     }
-    let s = Compiler::for_trace(&tr, CompileOptions::default()).compile(&tr);
+    let s = compile(&tr);
     let a = simulate(&dry, &s);
     let b = simulate(&wet, &s);
     assert!(b.cycles >= a.cycles);
@@ -100,7 +107,7 @@ fn dedicated_network_is_faster_but_larger() {
     for _ in 0..8 {
         tr.push(TraceOp::CkksRotate { level: 30, step: 1 });
     }
-    let s = Compiler::for_trace(&tr, CompileOptions::default()).compile(&tr);
+    let s = compile(&tr);
     let a = simulate(&base, &s);
     let b = simulate(&dedicated, &s);
     assert!(b.cycles <= a.cycles, "dedicated network must not be slower");

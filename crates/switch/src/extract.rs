@@ -17,7 +17,7 @@
 //!   position `k`, so the whole batch needs only the `2N` digit tables
 //!   `decompose(−c1[k])` / `decompose(c1[k])`, computed **once**; the
 //!   digit loop then runs digit-major against a digit-major
-//!   reorganized KSK ([`DigitMajorKsk`]), accumulating in place into
+//!   reorganized KSK (`DigitMajorKsk`), accumulating in place into
 //!   preallocated LWE buffers. Because `Z_q` accumulation is exactly
 //!   associative and commutative, the result is **bit-identical** to
 //!   the per-index path (pinned by the conformance suite).
@@ -190,7 +190,7 @@ impl CkksToLwe {
     /// so the only values ever decomposed are `−c1[k]` and `c1[k]` for
     /// the `N` ring positions `k`. This path builds those `2N` digit
     /// tables once, then runs the key-switch accumulation digit-major
-    /// against [`DigitMajorKsk`] with the in-place
+    /// against the digit-major KSK (`DigitMajorKsk`) with the in-place
     /// [`sub_scaled_parts`] kernel — no per-digit ciphertext clones,
     /// and `2N` decompositions total instead of `batch·N`.
     ///

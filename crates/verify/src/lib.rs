@@ -20,9 +20,11 @@
 //!
 //! Findings come back as a severity-ranked [`Report`] of
 //! [`Diagnostic`]s with stable codes (`trace/…`, `stream/…`), rendered
-//! human-readable or as JSON. Three front doors use it: the
-//! `ufc-lint` CLI, the `--verify` pre-pass in `ufc-sim`/`ufc-core`,
-//! and post-lowering assertions in `ufc-compiler`.
+//! human-readable or as JSON. Verification is an explicit step, not a
+//! cost on every compile. Two front doors use it: the `ufc-lint` CLI
+//! and `Ufc::run_verified` in `ufc-core`; `ufc-profile` runs
+//! [`stream_checks::check_dataflow`] alone before it simulates a
+//! serialized stream.
 
 #![forbid(unsafe_code)]
 

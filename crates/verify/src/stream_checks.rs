@@ -29,8 +29,10 @@ pub fn check_stream(stream: &InstrStream, opts: &VerifyOptions) -> Report {
 /// `stream/id-mismatch`, `stream/dep-forward`, `stream/dep-out-of-range`,
 /// `stream/dep-duplicate`: the stream must be a topologically ordered
 /// DAG whose ids equal positions. Returns whether every dependency
-/// edge is usable (backward and in range).
-fn check_dataflow(stream: &InstrStream, report: &mut Report) -> bool {
+/// edge is usable (backward and in range). Public so consumers that
+/// index by dependency id (the simulator's callers) can refuse a
+/// malformed stream without running the whole verifier.
+pub fn check_dataflow(stream: &InstrStream, report: &mut Report) -> bool {
     let len = stream.len();
     let mut ok = true;
     for (pos, ins) in stream.instrs().iter().enumerate() {
@@ -194,7 +196,8 @@ fn phase_scheme(phase: Phase) -> Option<&'static str> {
 /// hop between the CKKS and TFHE pipelines, the later one must carry
 /// at least one dependency, otherwise the machine models are free to
 /// overlap the two sides and the scheme switch is not actually
-/// sequenced (mirrors `compile_with_barriers` in `ufc-core`).
+/// sequenced (mirrors the barriers `Compiler::try_compile` in
+/// `ufc-compiler` inserts).
 fn check_scheme_crossings(stream: &InstrStream, report: &mut Report) {
     let instrs = stream.instrs();
     for pos in 1..instrs.len() {

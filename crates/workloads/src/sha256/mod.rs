@@ -6,7 +6,7 @@
 //! emitted as a levelized [`ufc_isa::Trace`] for the compiler/
 //! simulator pipeline. The workload is **its own oracle**: every
 //! homomorphic or trace-level run is checked bit-for-bit against the
-//! plaintext reference in [`reference`].
+//! plaintext reference in [`reference`](mod@reference).
 //!
 //! Two adder families make scheduling depth vs. gate count a
 //! measurable experiment ([`AdderKind`]): ripple-carry (fewest gates,

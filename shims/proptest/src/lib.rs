@@ -149,7 +149,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed length or a range.
+    /// Length specification for [`vec()`]: a fixed length or a range.
     pub trait IntoLenRange {
         /// Draws a concrete length.
         fn draw_len(&self, rng: &mut TestRng) -> usize;

@@ -4,8 +4,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ufc_ckks::{CkksContext, Evaluator, KeySet, SecretKey};
-use ufc_compiler::CompileOptions;
-use ufc_core::{compile_with_barriers, Ufc};
+use ufc_compiler::{CompileOptions, Compiler};
+use ufc_core::Ufc;
 use ufc_sim::machines::SharpMachine;
 use ufc_sim::simulate;
 
@@ -48,9 +48,13 @@ fn functional_trace_compiles_and_simulates() {
     // environment for lowering shapes.)
     let mut trace = ev.take_trace();
     trace.ckks_params = Some("C1");
-    let stream = compile_with_barriers(&trace, CompileOptions::default());
+    let (stream, _) = Compiler::try_for_trace(&trace, CompileOptions::default())
+        .and_then(|c| c.try_compile(&trace))
+        .expect("the recorded trace compiles");
     assert!(stream.len() > 10);
-    let ufc = Ufc::paper_default().machine_for(&trace);
+    let ufc = Ufc::paper_default()
+        .try_machine_for(&trace)
+        .expect("C1 is a known set");
     let r1 = simulate(&ufc, &stream);
     let r2 = simulate(&SharpMachine::new(), &stream);
     assert!(r1.cycles > 0 && r2.cycles > 0);

@@ -83,7 +83,8 @@ fn area_matches_published_chip() {
     // Table II: 197.7 mm^2 at 7 nm.
     let ufc = Ufc::paper_default();
     let area = ufc
-        .machine_for(&ufc_workloads::helr::generate("C1"))
+        .try_machine_for(&ufc_workloads::helr::generate("C1"))
+        .expect("C1 is a known set")
         .config()
         .area_breakdown()
         .total();

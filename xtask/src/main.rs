@@ -1,8 +1,10 @@
 //! Workspace automation, invoked as `cargo xtask <command>`.
 //!
 //! * `lint` — the full static gate: `cargo fmt --check`,
-//!   `cargo clippy --workspace -- -D warnings`, then the fixture
-//!   corpus through `ufc-lint` (same contract as CI).
+//!   `cargo clippy --workspace -- -D warnings`, `cargo doc --workspace
+//!   --no-deps` under `RUSTDOCFLAGS="-D warnings"` (broken intra-doc
+//!   links fail), then the fixture corpus through `ufc-lint` (same
+//!   contract as CI).
 //! * `fixtures` — just the `ufc-lint` fixture sweep: every clean
 //!   fixture must come back clean, every seeded fixture must produce
 //!   at least one diagnostic.
@@ -64,8 +66,8 @@ fn main() -> ExitCode {
                  <lint|fixtures|unsafe-surface|profile-smoke|trace-smoke|bench-math|\
                  bench-switch|bench-sha256>"
             );
-            eprintln!("  lint           fmt --check + clippy -D warnings + unsafe surface");
-            eprintln!("                 + fixture sweep");
+            eprintln!("  lint           fmt --check + clippy -D warnings + rustdoc -D warnings");
+            eprintln!("                 + unsafe surface + fixture sweep");
             eprintln!("  fixtures       run ufc-lint over crates/verify/tests/fixtures");
             eprintln!("  unsafe-surface assert `unsafe` appears only in crates/math/src/simd.rs");
             eprintln!("  profile-smoke  run ufc-profile on the hybrid-kNN fixture and");
@@ -103,9 +105,16 @@ fn workspace_root() -> PathBuf {
 
 /// Runs `cargo <args>` at the workspace root, echoing the command.
 fn cargo(args: &[&str]) -> bool {
-    println!("+ cargo {}", args.join(" "));
+    cargo_env(args, &[])
+}
+
+/// Runs cargo with extra environment variables set.
+fn cargo_env(args: &[&str], envs: &[(&str, &str)]) -> bool {
+    let shown: Vec<String> = envs.iter().map(|(k, v)| format!("{k}=\"{v}\" ")).collect();
+    println!("+ {}cargo {}", shown.concat(), args.join(" "));
     Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
         .args(args)
+        .envs(envs.iter().copied())
         .current_dir(workspace_root())
         .status()
         .map(|s| s.success())
@@ -129,6 +138,15 @@ fn lint() -> ExitCode {
             eprintln!("xtask lint: `cargo {}` failed", step.join(" "));
             return ExitCode::FAILURE;
         }
+    }
+    // A doc link to a deleted or private item fails here instead of
+    // rotting.
+    if !cargo_env(
+        &["doc", "--workspace", "--no-deps"],
+        &[("RUSTDOCFLAGS", "-D warnings")],
+    ) {
+        eprintln!("xtask lint: `cargo doc --workspace --no-deps` has rustdoc warnings");
+        return ExitCode::FAILURE;
     }
     if unsafe_surface() != ExitCode::SUCCESS {
         return ExitCode::FAILURE;

@@ -7,17 +7,20 @@
 //! TFHE modulus. UFC runs the extraction/reduction steps on its
 //! near-memory LWE unit (§IV-B4).
 //!
-//! Two paths are kept deliberately:
+//! The key switch uses `ufc-tfhe`'s [`LweKsk`], the same key type and
+//! kernel as TFHE's own key switch, at modulus `q_0`; the key is
+//! stored once, digit-major. Two paths read it:
 //!
-//! * [`CkksToLwe::extract`] — the reference per-index path: one full
-//!   gadget decomposition per (index, ring position) pair against the
-//!   row-major KSK.
+//! * [`CkksToLwe::extract`] — the reference per-index path, kept as
+//!   the oracle: one [`LweKsk::key_switch`] per index, one gadget
+//!   decomposition per (index, ring position) pair, walking the slab
+//!   row by row.
 //! * [`CkksToLwe::extract_batch`] — the batched fast path. Every mask
 //!   entry of every sample-extracted LWE is `±c1[k]` for some ring
 //!   position `k`, so the whole batch needs only the `2N` digit tables
 //!   `decompose(−c1[k])` / `decompose(c1[k])`, computed **once**; the
-//!   digit loop then runs digit-major against a digit-major
-//!   reorganized KSK (`DigitMajorKsk`), accumulating in place into
+//!   digit loop then walks the same slab digit-major
+//!   ([`LweKsk::sub_digit_row`]), accumulating in place into
 //!   preallocated LWE buffers. Because `Z_q` accumulation is exactly
 //!   associative and commutative, the result is **bit-identical** to
 //!   the per-index path (pinned by the conformance suite).
@@ -28,62 +31,15 @@ use rand::Rng;
 use ufc_ckks::{Ciphertext as CkksCiphertext, CkksContext, Evaluator as CkksEvaluator, SecretKey};
 use ufc_isa::trace::TraceOp;
 use ufc_math::gadget::Gadget;
-use ufc_math::modops::{from_signed, mul_mod, neg_mod};
-use ufc_tfhe::{lwe::sub_scaled_parts, LweCiphertext, TfheContext, TfheKeys};
-
-/// The extraction KSK reorganized digit-major into flat slabs: the row
-/// for digit level `j` and ring position `i` starts at
-/// `(j·N + i)·(dim+1)` — contiguous in `i` for a fixed digit, which is
-/// exactly the order the batched digit loop walks.
-#[derive(Debug)]
-struct DigitMajorKsk {
-    /// Mask slab: `a[(j·n + i)·dim ..][..dim]`.
-    a: Vec<u64>,
-    /// Body slab: `b[j·n + i]`.
-    b: Vec<u64>,
-    /// LWE dimension of each row.
-    dim: usize,
-    /// Ring dimension `N` (rows per digit level).
-    n: usize,
-}
-
-impl DigitMajorKsk {
-    /// Reorganizes the row-major `ksk[i][j]` into digit-major slabs.
-    fn from_row_major(ksk: &[Vec<LweCiphertext>], levels: usize) -> Self {
-        let n = ksk.len();
-        let dim = ksk[0][0].dim();
-        let mut a = Vec::with_capacity(levels * n * dim);
-        let mut b = Vec::with_capacity(levels * n);
-        for j in 0..levels {
-            for row in ksk {
-                a.extend_from_slice(&row[j].a);
-                b.push(row[j].b);
-            }
-        }
-        Self { a, b, dim, n }
-    }
-
-    /// The `(digit level, ring position)` row as `(mask, body)`.
-    fn row(&self, j: usize, i: usize) -> (&[u64], u64) {
-        let r = j * self.n + i;
-        (&self.a[r * self.dim..(r + 1) * self.dim], self.b[r])
-    }
-}
+use ufc_math::modops::neg_mod;
+use ufc_tfhe::{LweCiphertext, LweKsk, TfheContext, TfheKeys};
 
 /// Precomputed extraction key: switches LWEs under the flattened CKKS
 /// ring key (dimension `N_ckks`, modulus `q_0`) to the TFHE small key.
 #[derive(Debug)]
 pub struct CkksToLwe {
-    /// `ksk[i][j] = LWE_{s_tfhe, q0}(ŝ_ckks_i · w_j)`.
-    ksk: Vec<Vec<LweCiphertext>>,
-    /// The same key material digit-major, for the batched path.
-    ksk_digit_major: DigitMajorKsk,
-    /// Decomposition gadget at modulus `q_0`.
-    gadget: Gadget,
-    /// CKKS level-0 modulus.
-    q0: u64,
-    /// TFHE small-key dimension.
-    lwe_dim: usize,
+    /// `LWE_{s_tfhe, q0}(ŝ_ckks_i · w_j)`, 8-bit digits covering `q_0`.
+    ksk: LweKsk,
 }
 
 impl CkksToLwe {
@@ -101,26 +57,14 @@ impl CkksToLwe {
         let log_base = 8u32;
         let levels = (64f64.min((q0 as f64).log2()).ceil() as usize).div_ceil(8);
         let gadget = Gadget::new(q0, log_base, levels);
-        let ksk: Vec<Vec<LweCiphertext>> = ckks_sk
-            .signed()
-            .iter()
-            .map(|&si| {
-                (0..gadget.levels())
-                    .map(|j| {
-                        let m = mul_mod(from_signed(si, q0), gadget.weight(j), q0);
-                        encrypt_lwe_at(q0, &tfhe_keys.lwe_sk, m, tfhe_ctx.sigma(), rng)
-                    })
-                    .collect()
-            })
-            .collect();
-        let ksk_digit_major = DigitMajorKsk::from_row_major(&ksk, gadget.levels());
-        Self {
-            ksk,
-            ksk_digit_major,
+        let ksk = LweKsk::generate(
             gadget,
-            q0,
-            lwe_dim: tfhe_ctx.lwe_dim(),
-        }
+            ckks_sk.signed(),
+            &tfhe_keys.lwe_sk,
+            tfhe_ctx.sigma(),
+            rng,
+        );
+        Self { ksk }
     }
 
     /// Extracts coefficients `indices` of the CKKS ciphertext as TFHE
@@ -156,6 +100,7 @@ impl CkksToLwe {
         let c1 = ct0.c1.limb(0);
         let n = c0.len();
         check_indices(indices, n)?;
+        let q0 = self.ksk.modulus();
         Ok(indices
             .iter()
             .map(|&idx| {
@@ -166,17 +111,16 @@ impl CkksToLwe {
                     let v = if j <= idx {
                         c1[idx - j]
                     } else {
-                        neg_mod(c1[n + idx - j], self.q0)
+                        neg_mod(c1[n + idx - j], q0)
                     };
-                    *slot = neg_mod(v, self.q0);
+                    *slot = neg_mod(v, q0);
                 }
                 let big = LweCiphertext {
                     a,
                     b: c0[idx],
-                    q: self.q0,
+                    q: q0,
                 };
-                let switched = self.key_switch(&big);
-                switched.mod_switch(tfhe_ctx.q())
+                self.ksk.key_switch(&big).mod_switch(tfhe_ctx.q())
             })
             .collect())
     }
@@ -190,9 +134,9 @@ impl CkksToLwe {
     /// so the only values ever decomposed are `−c1[k]` and `c1[k]` for
     /// the `N` ring positions `k`. This path builds those `2N` digit
     /// tables once, then runs the key-switch accumulation digit-major
-    /// against the digit-major KSK (`DigitMajorKsk`) with the in-place
-    /// [`sub_scaled_parts`] kernel — no per-digit ciphertext clones,
-    /// and `2N` decompositions total instead of `batch·N`.
+    /// over the key's rows with [`LweKsk::sub_digit_row`], in place —
+    /// no per-digit ciphertext clones, and `2N` decompositions total
+    /// instead of `batch·N`.
     ///
     /// # Errors
     ///
@@ -222,70 +166,46 @@ impl CkksToLwe {
         let c1 = ct0.c1.limb(0);
         let n = c0.len();
         check_indices(indices, n)?;
-        let q0 = self.q0;
-        let levels = self.gadget.levels();
+        let q0 = self.ksk.modulus();
+        let gadget = self.ksk.gadget();
 
         // Shared digit tables: mask entries are neg_mod(c1[k]) when the
         // ring position precedes the index, c1[k] on the negacyclic
         // wrap (the double negation cancels exactly in Z_q).
         let dec_neg: Vec<Vec<i64>> = c1
             .iter()
-            .map(|&v| self.gadget.decompose_scalar(neg_mod(v, q0)))
+            .map(|&v| gadget.decompose_scalar(neg_mod(v, q0)))
             .collect();
-        let dec_pos: Vec<Vec<i64>> = c1
-            .iter()
-            .map(|&v| self.gadget.decompose_scalar(v))
-            .collect();
+        let dec_pos: Vec<Vec<i64>> = c1.iter().map(|&v| gadget.decompose_scalar(v)).collect();
 
         // Preallocated accumulators, one per requested index.
-        let mut out_a = vec![vec![0u64; self.lwe_dim]; indices.len()];
-        let mut out_b: Vec<u64> = indices.iter().map(|&idx| c0[idx]).collect();
+        let mut out: Vec<LweCiphertext> = indices
+            .iter()
+            .map(|&idx| LweCiphertext::trivial(c0[idx], self.ksk.output_dim(), q0))
+            .collect();
 
         // Digit-major accumulation: for a fixed (digit level j, ring
-        // position i) the KSK row is loaded once and applied to every
-        // batch element that has a non-zero digit there. Z_q addition
-        // is associative and commutative, so reordering the per-index
-        // (i-major) loop into this j-major loop is bit-identical.
-        for j in 0..levels {
+        // position i) the key row is applied to every batch element
+        // that has a non-zero digit there. Z_q addition is associative
+        // and commutative, so reordering the per-index (i-major) loop
+        // into this j-major loop is bit-identical.
+        for j in 0..gadget.levels() {
             for i in 0..n {
-                let (row_a, row_b) = self.ksk_digit_major.row(j, i);
-                for (bi, &idx) in indices.iter().enumerate() {
+                for (acc, &idx) in out.iter_mut().zip(indices) {
                     let d = if i <= idx {
                         dec_neg[idx - i][j]
                     } else {
                         dec_pos[n + idx - i][j]
                     };
-                    if d == 0 {
-                        continue;
-                    }
-                    sub_scaled_parts(&mut out_a[bi], &mut out_b[bi], row_a, row_b, d, q0);
+                    self.ksk.sub_digit_row(acc, j, i, d);
                 }
             }
         }
 
-        Ok(out_a
+        Ok(out
             .into_iter()
-            .zip(out_b)
-            .map(|(a, b)| LweCiphertext { a, b, q: q0 }.mod_switch(tfhe_ctx.q()))
+            .map(|lwe| lwe.mod_switch(tfhe_ctx.q()))
             .collect())
-    }
-
-    /// LWE key switch at modulus `q_0` from the ring key to the small
-    /// key.
-    fn key_switch(&self, ct: &LweCiphertext) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(ct.b, self.lwe_dim, self.q0);
-        for (i, &ai) in ct.a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            for (j, &d) in self.gadget.decompose_scalar(ai).iter().enumerate() {
-                if d == 0 {
-                    continue;
-                }
-                out = out.sub(&self.ksk[i][j].scale(d));
-            }
-        }
-        out
     }
 }
 
@@ -294,29 +214,6 @@ fn check_indices(indices: &[usize], n: usize) -> Result<(), SwitchError> {
     match indices.iter().find(|&&idx| idx >= n) {
         Some(&index) => Err(SwitchError::IndexOutOfRange { index, n }),
         None => Ok(()),
-    }
-}
-
-/// Encrypts an LWE sample at an arbitrary modulus (the TFHE context is
-/// fixed at its own `q`, so extraction keys need this generalized
-/// helper).
-fn encrypt_lwe_at<R: Rng + ?Sized>(
-    q: u64,
-    s: &[u64],
-    m: u64,
-    sigma: f64,
-    rng: &mut R,
-) -> LweCiphertext {
-    use ufc_math::modops::add_mod;
-    let a: Vec<u64> = (0..s.len()).map(|_| rng.gen_range(0..q)).collect();
-    let dot = a.iter().zip(s).fold(0u64, |acc, (&ai, &si)| {
-        add_mod(acc, mul_mod(ai, si % q, q), q)
-    });
-    let e = from_signed(ufc_math::sample::gaussian(rng, sigma), q);
-    LweCiphertext {
-        b: add_mod(add_mod(dot, m % q, q), e, q),
-        a,
-        q,
     }
 }
 

@@ -10,6 +10,12 @@
 //!   `repack_naive` within the existing 0.02 slot tolerance (hoisted
 //!   rotations differ from plain ones only by key-switching noise).
 //!
+//! A third pin, kernel-independent: the outputs of both extraction
+//! paths at the `bench_switch` shape hash to a recorded digest, so a
+//! change to the key layout, key generation or accumulation order
+//! that alters a single output word fails here even when both paths
+//! still agree with each other.
+//!
 //! The sweep iterates all three kernels (the 31/36-bit moduli here sit
 //! inside the IFMA window, so the IFMA generation runs everywhere —
 //! portable mirror lanes on hosts without AVX-512 IFMA).
@@ -53,6 +59,74 @@ fn extract_sweep(kernel: NttKernel) {
              {kernel} kernel, round {round}, indices {indices:?}"
         );
     }
+}
+
+/// Digest of `extract` / `extract_batch` outputs at the `bench_switch`
+/// shape for [`DIGEST_INDICES`] under seed `0xE57AC7`.
+const EXTRACT_DIGEST: u64 = 0x37de_7290_b814_8557;
+
+/// Fixed index set: ring ends, interior positions and a repeat. Every
+/// index below `N − 1` gathers part of its mask across the negacyclic
+/// wrap; index 0 gathers all of it.
+const DIGEST_INDICES: [usize; 7] = [0, 1, 5, 13, 33, 63, 5];
+
+/// 64-bit FNV-1a over the little-endian bytes of each word (the same
+/// hash as `ufc-tfhe`'s `golden_bits.rs`).
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn lwes(mut self, cts: &[LweCiphertext]) -> u64 {
+        for ct in cts {
+            self.word(ct.a.len() as u64);
+            for &x in &ct.a {
+                self.word(x);
+            }
+            self.word(ct.b);
+            self.word(ct.q);
+        }
+        self.0
+    }
+}
+
+#[test]
+fn extraction_outputs_match_recorded_digest() {
+    // CKKS ring 64, TFHE n = 64 / N = 256: the bench_switch shape.
+    let ckks_ctx = CkksContext::new(64, 3, 2, 2, 36, 34);
+    let mut rng = StdRng::seed_from_u64(0xE57AC7);
+    let sk = SecretKey::generate(&ckks_ctx, &mut rng);
+    let keys = KeySet::generate(&ckks_ctx, &sk, &mut rng);
+    let tfhe_ctx = TfheContext::new(64, 256, 7, 3, 6, 4);
+    let tfhe_keys = TfheKeys::generate(&tfhe_ctx, &mut rng);
+    let bridge = CkksToLwe::new(&ckks_ctx, &sk, &tfhe_ctx, &tfhe_keys, &mut rng);
+    let ev = CkksEvaluator::new(ckks_ctx);
+    let messages: Vec<u64> = (0..ev.context().n() as u64).map(|i| i % 8).collect();
+    let pt = ufc_switch::extract::encode_coefficients(ev.context(), &messages, 8);
+    let ct = ev.encrypt_plaintext(&pt, &keys, ev.context().max_level(), &mut rng);
+
+    let per_index = bridge
+        .extract(&ev, &ct, &DIGEST_INDICES, &tfhe_ctx)
+        .expect("indices in range");
+    let batched = bridge
+        .extract_batch(&ev, &ct, &DIGEST_INDICES, &tfhe_ctx)
+        .expect("indices in range");
+    let h = Fnv1a::new().lwes(&per_index);
+    assert_eq!(h, EXTRACT_DIGEST, "extract outputs changed: {h:#018x}");
+    let h = Fnv1a::new().lwes(&batched);
+    assert_eq!(
+        h, EXTRACT_DIGEST,
+        "extract_batch outputs changed: {h:#018x}"
+    );
 }
 
 /// An LWE with reduced-range masks so repack wrap counts stay small

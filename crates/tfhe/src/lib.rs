@@ -11,7 +11,8 @@
 //! * blind rotation / **programmable (functional) bootstrapping**
 //!   with arbitrary look-up tables, one ciphertext or a batch of
 //!   independent ones fanned out over worker threads ([`bootstrap`]),
-//! * LWE key switching with base-`B_ks` decomposition
+//! * LWE key switching with base-`B_ks` decomposition against one
+//!   digit-major key type, [`LweKsk`], shared with scheme switching
 //!   ([`keyswitch`]),
 //! * bootstrapped binary gates (NAND/AND/OR/XOR/XNOR/NOT), one at a
 //!   time or a batch of independent gates ([`gates`]).
@@ -39,6 +40,7 @@ pub mod rlwe;
 pub use bootstrap::{lut_test_vector, programmable_bootstrap, programmable_bootstrap_batch};
 pub use context::TfheContext;
 pub use keys::TfheKeys;
-pub use lwe::{sub_scaled_parts, LweCiphertext};
+pub use keyswitch::LweKsk;
+pub use lwe::LweCiphertext;
 pub use rgsw::RgswCiphertext;
 pub use rlwe::RlweCiphertext;

@@ -29,13 +29,8 @@ impl LweCiphertext {
     /// Encrypts `m` (already torus-encoded) under binary key `s`.
     pub fn encrypt<R: Rng + ?Sized>(ctx: &TfheContext, s: &[u64], m: u64, rng: &mut R) -> Self {
         let q = ctx.q();
-        let a: Vec<u64> = (0..s.len()).map(|_| rng.gen_range(0..q)).collect();
-        let dot = a
-            .iter()
-            .zip(s)
-            .fold(0u64, |acc, (&ai, &si)| add_mod(acc, mul_mod(ai, si, q), q));
-        let e = from_signed(gaussian(rng, ctx.sigma()), q);
-        let b = add_mod(add_mod(dot, m % q, q), e, q);
+        let mut a = vec![0; s.len()];
+        let b = encrypt_parts(&mut a, s, m, q, ctx.sigma(), rng);
         Self { a, b, q }
     }
 
@@ -131,20 +126,6 @@ impl LweCiphertext {
         self.b = sub_mod(self.b, rhs.b, self.q);
     }
 
-    /// In-place scaled subtraction: `self -= k·rhs`, bit-identical to
-    /// `self.sub(&rhs.scale(k))` without the two intermediate
-    /// ciphertext allocations. This is the digit-accumulation kernel
-    /// of every LWE key switch (gadget digit × KSK row).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension or modulus mismatch.
-    pub fn sub_scaled_assign(&mut self, rhs: &Self, k: i64) {
-        assert_eq!(self.q, rhs.q, "modulus mismatch");
-        assert_eq!(self.dim(), rhs.dim(), "dimension mismatch");
-        sub_scaled_parts(&mut self.a, &mut self.b, &rhs.a, rhs.b, k, self.q);
-    }
-
     /// Scalar multiplication by a small signed constant.
     pub fn scale(&self, k: i64) -> Self {
         let ku = from_signed(k, self.q);
@@ -171,24 +152,29 @@ impl LweCiphertext {
     }
 }
 
-/// Raw-slice scaled-subtraction kernel: `(a, b) -= k·(rhs_a, rhs_b)
-/// (mod q)`, elementwise `sub_mod(x, mul_mod(y, from_signed(k, q), q),
-/// q)` — the exact composition of [`LweCiphertext::scale`] followed by
-/// [`LweCiphertext::sub`], so accumulating through this kernel is
-/// bit-identical to the allocating form. Shared between the LWE key
-/// switch and the scheme-switch bridge's digit-major KSK, whose key
-/// material lives in flat slabs rather than `LweCiphertext` values.
-///
-/// # Panics
-///
-/// Panics if `a` and `rhs_a` differ in length.
-pub fn sub_scaled_parts(a: &mut [u64], b: &mut u64, rhs_a: &[u64], rhs_b: u64, k: i64, q: u64) {
-    assert_eq!(a.len(), rhs_a.len(), "dimension mismatch");
-    let ku = from_signed(k, q);
-    for (x, &y) in a.iter_mut().zip(rhs_a) {
-        *x = sub_mod(*x, mul_mod(y, ku, q), q);
+/// The LWE encryption body at an explicit modulus: fills the mask `a`
+/// (one word per key word) with uniform draws from `Z_q`, then returns
+/// the body `<a, s> + m + e (mod q)` with Gaussian noise `e` of
+/// deviation `sigma`. [`LweCiphertext::encrypt`] and the key-switching
+/// key generator, which writes rows straight into its slab, both call
+/// it.
+pub(crate) fn encrypt_parts<R: Rng + ?Sized>(
+    a: &mut [u64],
+    s: &[u64],
+    m: u64,
+    q: u64,
+    sigma: f64,
+    rng: &mut R,
+) -> u64 {
+    for x in a.iter_mut() {
+        *x = rng.gen_range(0..q);
     }
-    *b = sub_mod(*b, mul_mod(rhs_b, ku, q), q);
+    let dot = a
+        .iter()
+        .zip(s)
+        .fold(0u64, |acc, (&ai, &si)| add_mod(acc, mul_mod(ai, si, q), q));
+    let e = from_signed(gaussian(rng, sigma), q);
+    add_mod(add_mod(dot, m % q, q), e, q)
 }
 
 #[cfg(test)]
@@ -243,11 +229,6 @@ mod tests {
         let mut acc = c1.clone();
         acc.sub_assign(&c2);
         assert_eq!(acc, c1.sub(&c2));
-        for k in [-3i64, -1, 0, 2, 5] {
-            let mut acc = c1.clone();
-            acc.sub_scaled_assign(&c2, k);
-            assert_eq!(acc, c1.sub(&c2.scale(k)), "k={k}");
-        }
     }
 
     #[test]

@@ -219,28 +219,26 @@ impl<'a> TraceInterp<'a> {
     /// drop-to-level — legal, unless the level still holds raised
     /// products whose rescale never happened.
     fn sync(&mut self, level: u32, i: usize, report: &mut Report) -> &mut CkksChain {
-        match self.chain {
-            None => self.chain = Some(self.fresh_chain(level)),
-            Some(c) if level > c.level => self.chain = Some(self.fresh_chain(level)),
-            Some(ref mut c) => {
-                if level < c.level && c.raised {
-                    c.raised = false;
-                    report.push(
-                        Severity::Warning,
-                        "noise/skipped-rescale",
-                        Location::Op(i),
-                        format!(
-                            "the chain drops from level {} to {level} while level {} \
-                             still holds unrescaled products at scale 2Δ: the rescale \
-                             that should produce this drop is missing",
-                            c.level, c.level
-                        ),
-                    );
-                }
-                c.level = level;
-            }
+        let mut c = match self.chain {
+            Some(c) if level <= c.level => c,
+            _ => self.fresh_chain(level),
+        };
+        if level < c.level && c.raised {
+            c.raised = false;
+            report.push(
+                Severity::Warning,
+                "noise/skipped-rescale",
+                Location::Op(i),
+                format!(
+                    "the chain drops from level {} to {level} while level {} \
+                     still holds unrescaled products at scale 2Δ: the rescale \
+                     that should produce this drop is missing",
+                    c.level, c.level
+                ),
+            );
         }
-        self.chain.as_mut().unwrap()
+        c.level = level;
+        self.chain.insert(c)
     }
 
     /// Post-op exhaustion check on the CKKS chain.
@@ -283,16 +281,6 @@ impl<'a> TraceInterp<'a> {
                 ),
             );
         }
-    }
-
-    /// One multiply's worth of bookkeeping shared by `CkksMulPlain`
-    /// and `CkksMulCt`.
-    fn note_mul(&mut self, i: usize, report: &mut Report) {
-        let c = self.chain.as_mut().unwrap();
-        c.raised = true;
-        c.muls_seg = c.muls_seg.saturating_add(1);
-        self.check_overflow(i, report);
-        self.check_exhaustion(i, report);
     }
 
     fn record(&mut self, i: usize, op: &TraceOp) {
@@ -346,7 +334,9 @@ impl<'a> TraceInterp<'a> {
         let margin = LweNoise::margin(TFHE_Q, self.opts.space);
         match *op {
             TraceOp::CkksAdd { level } => {
-                let raised = self.sync(level, i, report).raised;
+                let c = self.sync(level, i, report);
+                let raised = c.raised;
+                c.budget = c.budget.add(&c.budget);
                 if raised && !self.add_mismatch_flagged {
                     self.add_mismatch_flagged = true;
                     report.push(
@@ -361,24 +351,21 @@ impl<'a> TraceInterp<'a> {
                         ),
                     );
                 }
-                let c = self.chain.as_mut().unwrap();
-                let b = c.budget;
-                c.budget = b.add(&b);
                 self.check_exhaustion(i, report);
             }
-            TraceOp::CkksMulPlain { level } => {
-                self.sync(level, i, report);
-                let p_bound = self.opts.value_bound.max(1.0);
-                let c = self.chain.as_mut().unwrap();
-                c.budget = c.budget.mul_plain(p_bound, n, delta);
-                self.note_mul(i, report);
-            }
-            TraceOp::CkksMulCt { level } => {
-                self.sync(level, i, report);
-                let rhs = NoiseBudget::fresh(self.opts.value_bound, n, delta);
-                let c = self.chain.as_mut().unwrap();
-                c.budget = c.budget.mul_ct(&rhs, n, delta);
-                self.note_mul(i, report);
+            TraceOp::CkksMulPlain { level } | TraceOp::CkksMulCt { level } => {
+                let value_bound = self.opts.value_bound;
+                let c = self.sync(level, i, report);
+                c.budget = if matches!(op, TraceOp::CkksMulPlain { .. }) {
+                    c.budget.mul_plain(value_bound.max(1.0), n, delta)
+                } else {
+                    c.budget
+                        .mul_ct(&NoiseBudget::fresh(value_bound, n, delta), n, delta)
+                };
+                c.raised = true;
+                c.muls_seg = c.muls_seg.saturating_add(1);
+                self.check_overflow(i, report);
+                self.check_exhaustion(i, report);
             }
             TraceOp::CkksRescale { level } => {
                 if level == 0 {
@@ -399,7 +386,6 @@ impl<'a> TraceInterp<'a> {
                          message below the error floor",
                     );
                 }
-                let c = self.chain.as_mut().unwrap();
                 // A legitimate rescale divides a 2Δ product back to Δ
                 // (cheap rounding term); a redundant one divides the
                 // message itself away.
@@ -418,6 +404,7 @@ impl<'a> TraceInterp<'a> {
                 // benchmarks) wastes nothing: there was no budget to
                 // spend yet.
                 let had_chain = self.chain.is_some();
+                let max_level = self.max_level();
                 let c = self.sync(from_level, i, report);
                 if c.raised {
                     c.raised = false;
@@ -441,7 +428,6 @@ impl<'a> TraceInterp<'a> {
                          earlier in the chain",
                     );
                 }
-                let max_level = self.max_level();
                 if had_chain && f64::from(from_level) >= LEVEL_WASTE_FRACTION * f64::from(max_level)
                 {
                     report.push(
@@ -455,7 +441,6 @@ impl<'a> TraceInterp<'a> {
                         ),
                     );
                 }
-                let c = self.chain.as_mut().unwrap();
                 c.budget = c.budget.bootstrap(n, delta);
                 c.level = max_level;
                 c.raised = false;

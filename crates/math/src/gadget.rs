@@ -94,8 +94,19 @@ impl Gadget {
     /// error TFHE tolerates).
     pub fn decompose_scalar(&self, v: u64) -> Vec<i64> {
         let mut digits = vec![0i64; self.levels];
-        self.for_each_digit(v, |j, d| digits[j] = d);
+        self.decompose_into(v, &mut digits);
         digits
+    }
+
+    /// [`Self::decompose_scalar`] into a caller's buffer: writes the
+    /// `levels` digits of `v` to `digits`, with no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` does not hold exactly `levels` entries.
+    pub fn decompose_into(&self, v: u64, digits: &mut [i64]) {
+        assert_eq!(digits.len(), self.levels, "digit count mismatch");
+        self.for_each_digit(v, |j, d| digits[j] = d);
     }
 
     /// Decomposes every residue of `src` into a `levels`-limb plane

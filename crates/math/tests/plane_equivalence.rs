@@ -223,7 +223,8 @@ proptest! {
 
     /// Plane digit decomposition against `Gadget::decompose_scalar`,
     /// coefficient by coefficient: limb `j` holds digit `j` as a
-    /// residue mod `q`.
+    /// residue mod `q`. `Gadget::decompose_into` writes the same
+    /// digits into a reused buffer.
     #[test]
     fn prop_plane_decomposition_matches_scalar(
         seed in any::<u64>(),
@@ -237,10 +238,16 @@ proptest! {
         let digits = g.decompose_plane(src.limb(0));
         prop_assert_eq!(digits.limb_count(), levels);
         prop_assert_eq!(digits.form(), Form::Coeff);
+        // Poisoned between coefficients: every digit must be written.
+        let mut buf = vec![i64::MIN; levels];
         for (i, &c) in src.limb(0).iter().enumerate() {
-            for (j, &d) in g.decompose_scalar(c).iter().enumerate() {
+            let scalar = g.decompose_scalar(c);
+            g.decompose_into(c, &mut buf);
+            prop_assert_eq!(&buf, &scalar, "coeff {}", i);
+            for (j, &d) in scalar.iter().enumerate() {
                 prop_assert_eq!(digits.limb(j)[i], from_signed(d, q), "coeff {} digit {}", i, j);
             }
+            buf.fill(i64::MIN);
         }
     }
 }

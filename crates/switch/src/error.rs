@@ -18,6 +18,23 @@ pub enum SwitchError {
         /// The ring dimension it must stay below.
         n: usize,
     },
+    /// A CKKS ciphertext or evaluator has another ring dimension than
+    /// the extraction key's input dimension: it comes from another
+    /// CKKS context.
+    RingDimensionMismatch {
+        /// Ring dimension of the offending ciphertext or evaluator.
+        got: usize,
+        /// The key's input dimension.
+        expected: usize,
+    },
+    /// A CKKS ciphertext or evaluator has another level-0 modulus than
+    /// the extraction key's: it comes from another CKKS context.
+    ModulusMismatch {
+        /// Level-0 modulus of the offending ciphertext or evaluator.
+        got: u64,
+        /// The key's modulus `q_0`.
+        expected: u64,
+    },
     /// More LWEs were offered to `repack` than the CKKS slot count.
     TooManyLwes {
         /// Number of LWE ciphertexts supplied.
@@ -60,6 +77,18 @@ impl fmt::Display for SwitchError {
                 write!(
                     f,
                     "extraction index {index} out of range for ring dimension {n}"
+                )
+            }
+            Self::RingDimensionMismatch { got, expected } => {
+                write!(
+                    f,
+                    "ring dimension {got} does not match the extraction key's {expected}"
+                )
+            }
+            Self::ModulusMismatch { got, expected } => {
+                write!(
+                    f,
+                    "level-0 modulus {got} does not match the extraction key's {expected}"
                 )
             }
             Self::TooManyLwes { count, slots } => {

@@ -13,17 +13,17 @@
 //!
 //! * [`CkksToLwe::extract`] — the reference per-index path, kept as
 //!   the oracle: one [`LweKsk::key_switch`] per index, one gadget
-//!   decomposition per (index, ring position) pair, walking the slab
-//!   row by row.
+//!   decomposition per (index, ring position) pair, one walk of the
+//!   slab per index.
 //! * [`CkksToLwe::extract_batch`] — the batched fast path. Every mask
 //!   entry of every sample-extracted LWE is `±c1[k]` for some ring
-//!   position `k`, so the whole batch needs only the `2N` digit tables
-//!   `decompose(−c1[k])` / `decompose(c1[k])`, computed **once**; the
-//!   digit loop then walks the same slab digit-major
-//!   ([`LweKsk::sub_digit_row`]), accumulating in place into
-//!   preallocated LWE buffers. Because `Z_q` accumulation is exactly
-//!   associative and commutative, the result is **bit-identical** to
-//!   the per-index path (pinned by the conformance suite).
+//!   position `k`, so the whole batch needs only the `2N` digit rows
+//!   of `c1[k]` and `−c1[k]`, decomposed **once** into one flat table;
+//!   one [`LweKsk::key_switch_batch`] call then walks the slab once
+//!   for the whole batch, accumulating every member lazily. Because
+//!   `Z_q` accumulation is exactly associative and commutative, the
+//!   result is **bit-identical** to the per-index path (pinned by the
+//!   conformance suite).
 
 use crate::batch_tag;
 use crate::error::SwitchError;
@@ -79,8 +79,12 @@ impl CkksToLwe {
     ///
     /// # Errors
     ///
-    /// [`SwitchError::IndexOutOfRange`] if any index is not below the
-    /// ring dimension.
+    /// Checked before any work:
+    /// [`SwitchError::RingDimensionMismatch`] or
+    /// [`SwitchError::ModulusMismatch`] if `ct` or `ev` belongs to
+    /// another CKKS context than the key (ring dimension or level-0
+    /// modulus), [`SwitchError::IndexOutOfRange`] if any index is not
+    /// below the ring dimension.
     pub fn extract(
         &self,
         ev: &CkksEvaluator,
@@ -88,6 +92,7 @@ impl CkksToLwe {
         indices: &[usize],
         tfhe_ctx: &TfheContext,
     ) -> Result<Vec<LweCiphertext>, SwitchError> {
+        self.check_input(ev, ct, indices)?;
         let _span = ufc_trace::span_n("switch", "extract", indices.len() as u64);
         ev.record_public(TraceOp::Extract {
             level: ct.level as u32,
@@ -99,7 +104,6 @@ impl CkksToLwe {
         let c0 = ct0.c0.limb(0);
         let c1 = ct0.c1.limb(0);
         let n = c0.len();
-        check_indices(indices, n)?;
         let q0 = self.ksk.modulus();
         Ok(indices
             .iter()
@@ -127,21 +131,25 @@ impl CkksToLwe {
 
     /// Batched extraction fast path: bit-identical to calling
     /// [`CkksToLwe::extract`] with the same indices, but the gadget
-    /// decomposition work is shared across the whole batch.
+    /// decomposition and the walk over the key are shared across the
+    /// whole batch.
     ///
     /// After sample extraction, mask entry `i` of the LWE for index
     /// `idx` is `−c1[idx−i]` (for `i ≤ idx`) or `+c1[N+idx−i]` (wrap),
-    /// so the only values ever decomposed are `−c1[k]` and `c1[k]` for
-    /// the `N` ring positions `k`. This path builds those `2N` digit
-    /// tables once, then runs the key-switch accumulation digit-major
-    /// over the key's rows with [`LweKsk::sub_digit_row`], in place —
-    /// no per-digit ciphertext clones, and `2N` decompositions total
-    /// instead of `batch·N`.
+    /// so the only values ever decomposed are `c1[k]` and `−c1[k]` for
+    /// the `N` ring positions `k`. This path decomposes those `2N`
+    /// values once into one flat table, then runs one
+    /// [`LweKsk::key_switch_batch`] over it — `2N` decompositions
+    /// total instead of `batch·N`, and one pass over the key.
     ///
     /// # Errors
     ///
-    /// [`SwitchError::IndexOutOfRange`] if any index is not below the
-    /// ring dimension.
+    /// Checked before any work:
+    /// [`SwitchError::RingDimensionMismatch`] or
+    /// [`SwitchError::ModulusMismatch`] if `ct` or `ev` belongs to
+    /// another CKKS context than the key (ring dimension or level-0
+    /// modulus), [`SwitchError::IndexOutOfRange`] if any index is not
+    /// below the ring dimension.
     pub fn extract_batch(
         &self,
         ev: &CkksEvaluator,
@@ -149,6 +157,7 @@ impl CkksToLwe {
         indices: &[usize],
         tfhe_ctx: &TfheContext,
     ) -> Result<Vec<LweCiphertext>, SwitchError> {
+        self.check_input(ev, ct, indices)?;
         let _span = ufc_trace::span_full(
             "switch",
             "extract_batch",
@@ -165,55 +174,69 @@ impl CkksToLwe {
         let c0 = ct0.c0.limb(0);
         let c1 = ct0.c1.limb(0);
         let n = c0.len();
-        check_indices(indices, n)?;
         let q0 = self.ksk.modulus();
         let gadget = self.ksk.gadget();
+        let levels = gadget.levels();
 
-        // Shared digit tables: mask entries are neg_mod(c1[k]) when the
-        // ring position precedes the index, c1[k] on the negacyclic
-        // wrap (the double negation cancels exactly in Z_q).
-        let dec_neg: Vec<Vec<i64>> = c1
-            .iter()
-            .map(|&v| gadget.decompose_scalar(neg_mod(v, q0)))
-            .collect();
-        let dec_pos: Vec<Vec<i64>> = c1.iter().map(|&v| gadget.decompose_scalar(v)).collect();
-
-        // Preallocated accumulators, one per requested index.
-        let mut out: Vec<LweCiphertext> = indices
-            .iter()
-            .map(|&idx| LweCiphertext::trivial(c0[idx], self.ksk.output_dim(), q0))
-            .collect();
-
-        // Digit-major accumulation: for a fixed (digit level j, ring
-        // position i) the key row is applied to every batch element
-        // that has a non-zero digit there. Z_q addition is associative
-        // and commutative, so reordering the per-index (i-major) loop
-        // into this j-major loop is bit-identical.
-        for j in 0..gadget.levels() {
-            for i in 0..n {
-                for (acc, &idx) in out.iter_mut().zip(indices) {
-                    let d = if i <= idx {
-                        dec_neg[idx - i][j]
-                    } else {
-                        dec_pos[n + idx - i][j]
-                    };
-                    self.ksk.sub_digit_row(acc, j, i, d);
-                }
-            }
+        // One digit table over t ∈ [0, 2N), `levels` digits per entry:
+        // entry t < N holds c1[t], entry N + k holds −c1[k]. Mask word
+        // i of the LWE for index idx is entry N + idx − i either way:
+        // −c1[idx − i] while i ≤ idx, c1[N + idx − i] on the
+        // negacyclic wrap (the double negation cancels exactly in Z_q).
+        let mut digits = vec![0i64; 2 * n * levels];
+        let (pos, neg) = digits.split_at_mut(n * levels);
+        for ((p, m), &v) in pos
+            .chunks_exact_mut(levels)
+            .zip(neg.chunks_exact_mut(levels))
+            .zip(c1)
+        {
+            gadget.decompose_into(v, p);
+            gadget.decompose_into(neg_mod(v, q0), m);
         }
+        let bodies: Vec<u64> = indices.iter().map(|&idx| c0[idx]).collect();
+        let out = self
+            .ksk
+            .key_switch_batch(&bodies, |b, j, i| digits[(n + indices[b] - i) * levels + j]);
 
         Ok(out
             .into_iter()
             .map(|lwe| lwe.mod_switch(tfhe_ctx.q()))
             .collect())
     }
-}
 
-/// Validates extraction indices against the ring dimension.
-fn check_indices(indices: &[usize], n: usize) -> Result<(), SwitchError> {
-    match indices.iter().find(|&&idx| idx >= n) {
-        Some(&index) => Err(SwitchError::IndexOutOfRange { index, n }),
-        None => Ok(()),
+    /// Validates an extraction request against the key: the
+    /// ciphertext and the evaluator must share the key's CKKS ring
+    /// dimension and level-0 modulus, and every index must name a ring
+    /// coefficient.
+    fn check_input(
+        &self,
+        ev: &CkksEvaluator,
+        ct: &CkksCiphertext,
+        indices: &[usize],
+    ) -> Result<(), SwitchError> {
+        let (n, q0) = (self.ksk.input_dim(), self.ksk.modulus());
+        let ctx = ev.context();
+        for (got_n, got_q0) in [
+            (ct.c0.dim(), ct.c0.modulus(0)),
+            (ctx.n(), ctx.q_moduli()[0]),
+        ] {
+            if got_n != n {
+                return Err(SwitchError::RingDimensionMismatch {
+                    got: got_n,
+                    expected: n,
+                });
+            }
+            if got_q0 != q0 {
+                return Err(SwitchError::ModulusMismatch {
+                    got: got_q0,
+                    expected: q0,
+                });
+            }
+        }
+        match indices.iter().find(|&&idx| idx >= n) {
+            Some(&index) => Err(SwitchError::IndexOutOfRange { index, n }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -324,6 +347,91 @@ mod tests {
         let want = Err(SwitchError::IndexOutOfRange { index: 64, n: 64 });
         assert_eq!(bridge.extract(&ev, &ct, &[0, 64], &tfhe_ctx), want);
         assert_eq!(bridge.extract_batch(&ev, &ct, &[0, 64], &tfhe_ctx), want);
+    }
+
+    /// Ciphertexts (with their evaluators) from CKKS contexts the key
+    /// was not built for: a smaller ring, a larger ring, and the same
+    /// ring at another level-0 modulus, each with the error it must
+    /// give.
+    fn foreign_inputs(
+        bridge: &CkksToLwe,
+        rng: &mut StdRng,
+    ) -> Vec<(CkksEvaluator, CkksCiphertext, SwitchError)> {
+        let (n, q0) = (bridge.ksk.input_dim(), bridge.ksk.modulus());
+        [
+            CkksContext::new(32, 3, 2, 2, 36, 34),
+            CkksContext::new(128, 3, 2, 2, 36, 34),
+            CkksContext::new(64, 3, 2, 2, 37, 34),
+        ]
+        .into_iter()
+        .map(|ctx| {
+            let want = if ctx.n() != n {
+                SwitchError::RingDimensionMismatch {
+                    got: ctx.n(),
+                    expected: n,
+                }
+            } else {
+                SwitchError::ModulusMismatch {
+                    got: ctx.q_moduli()[0],
+                    expected: q0,
+                }
+            };
+            let sk = SecretKey::generate(&ctx, rng);
+            let keys = KeySet::generate(&ctx, &sk, rng);
+            let pt = encode_coefficients(&ctx, &[1, 2], 8);
+            let ev = CkksEvaluator::new(ctx);
+            let ct = ev.encrypt_plaintext(&pt, &keys, ev.context().max_level(), rng);
+            (ev, ct, want)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn extract_rejects_a_foreign_context() {
+        let (ev, _sk, keys, tfhe_ctx, _tk, bridge, mut rng) = setup();
+        let own = encode_coefficients(ev.context(), &[1], 8);
+        let own = ev.encrypt_plaintext(&own, &keys, ev.context().max_level(), &mut rng);
+        for (foreign_ev, ct, want) in foreign_inputs(&bridge, &mut rng) {
+            let got = bridge.extract(&foreign_ev, &ct, &[0, 1], &tfhe_ctx);
+            assert_eq!(got, Err(want.clone()));
+            // A foreign ciphertext is caught under the key's own
+            // evaluator too, and a foreign evaluator with the key's
+            // own ciphertext.
+            assert_eq!(bridge.extract(&ev, &ct, &[0], &tfhe_ctx), Err(want.clone()));
+            assert_eq!(
+                bridge.extract(&foreign_ev, &own, &[0], &tfhe_ctx),
+                Err(want)
+            );
+        }
+    }
+
+    #[test]
+    fn extract_batch_rejects_a_foreign_context() {
+        let (ev, _sk, keys, tfhe_ctx, _tk, bridge, mut rng) = setup();
+        let own = encode_coefficients(ev.context(), &[1], 8);
+        let own = ev.encrypt_plaintext(&own, &keys, ev.context().max_level(), &mut rng);
+        for (foreign_ev, ct, want) in foreign_inputs(&bridge, &mut rng) {
+            let got = bridge.extract_batch(&foreign_ev, &ct, &[0, 1], &tfhe_ctx);
+            assert_eq!(got, Err(want.clone()));
+            assert_eq!(
+                bridge.extract_batch(&ev, &ct, &[0], &tfhe_ctx),
+                Err(want.clone())
+            );
+            assert_eq!(
+                bridge.extract_batch(&foreign_ev, &own, &[0], &tfhe_ctx),
+                Err(want)
+            );
+        }
+    }
+
+    #[test]
+    fn rejected_requests_record_no_trace() {
+        let (ev, _sk, _keys, tfhe_ctx, _tk, bridge, mut rng) = setup();
+        let (_, ct, _) = foreign_inputs(&bridge, &mut rng).remove(0);
+        let _ = ev.take_trace();
+        assert!(bridge.extract(&ev, &ct, &[0], &tfhe_ctx).is_err());
+        assert!(bridge.extract_batch(&ev, &ct, &[0], &tfhe_ctx).is_err());
+        assert!(ev.take_trace().ops.is_empty());
     }
 
     #[test]

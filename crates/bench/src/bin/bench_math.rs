@@ -11,9 +11,10 @@
 //! Emits `BENCH_math.json` (or `--out`) with one table per kernel
 //! family — including `ew_kernels` (scalar loop vs dispatched kernel
 //! per element-wise op at a 59-bit and a 50-bit prime, with the
-//! backend `simd::ew_backend` routes each row to) and `ntt_kernels`
+//! backend `simd::ew_backend` routes each row to), `ntt_kernels`
 //! (radix-4 vs IFMA at a 49-bit and a 60-bit prime, with the kernel
-//! `NttKernel::auto_for` picks per row)
+//! `NttKernel::auto_for` picks per row) and `bconv` (the base-conversion
+//! kernel vs its scalar oracle at the C2 ModUp and ModDown shapes)
 //! — and a `headline` object recording the single-thread
 //! negacyclic-multiply speedup at the largest ring dimension.
 //! `--quick` restricts sizes and repetitions for CI smoke runs.
@@ -363,6 +364,92 @@ fn main() {
         ew_table.push(row);
     }
 
+    // ------------------------------------------------ base conversion
+    // The one BConv kernel (`BaseConverter::convert_rows`: a y-pass on
+    // the dispatched scale lanes, then the lazy `simd::bconv_slice` per
+    // target limb) against the per-coefficient `convert_scalar` oracle,
+    // at the C2 key switch's two shapes: ModUp of one 4-limb digit to
+    // the 12 other moduli, and ModDown's 4 P limbs to the 12 Q limbs,
+    // all 36-bit primes at N = 8192. Both sides run on one thread, so
+    // the speedup is the kernel's, not the fan-out's; the xtask
+    // validator gates it at >= 1.0 on full runs.
+    println!("\n## Base conversion (one thread: dispatched kernel vs scalar oracle)\n");
+    println!("| shape | limbs | kernel (µs) | oracle (µs) | speedup | backend |");
+    println!("|---|---|---|---|---|---|");
+    let bconv_table = json.table(
+        "bconv",
+        &[
+            "shape",
+            "n",
+            "bits",
+            "sources",
+            "targets",
+            "kernel_ns",
+            "oracle_ns",
+            "speedup",
+            "backend",
+        ],
+    );
+    {
+        use ufc_math::rns::{BaseConverter, RnsBasis};
+        use ufc_math::simd::{self, EwOp};
+        let (n, bits) = (1 << 13, 36);
+        let primes = generate_ntt_primes(n, bits, 16);
+        assert_eq!(primes.len(), 16, "not enough 36-bit primes");
+        let (q, p) = primes.split_at(12);
+        let modup_to: Vec<u64> = q[4..].iter().chain(p).copied().collect();
+        let shapes = [("modup", &q[..4], modup_to.as_slice()), ("moddown", p, q)];
+        let prev = par::set_max_threads(1);
+        for (shape, from, to) in shapes {
+            let conv = BaseConverter::new(&RnsBasis::new(from.to_vec()), to);
+            let limbs: Vec<Vec<u64>> = from
+                .iter()
+                .map(|&m| (0..n).map(|_| rng.gen_range(0..m)).collect())
+                .collect();
+            let rows: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+            let mut outs = [Vec::new(), Vec::new()];
+            let t = time_alternating_ns(if opts.quick { 3 } else { 15 }, 2, |i| {
+                outs[i] = if i == 0 {
+                    conv.convert_rows(&rows)
+                } else {
+                    let mut flat = vec![0u64; to.len() * n];
+                    let mut residues = vec![0u64; from.len()];
+                    for c in 0..n {
+                        for (r, l) in residues.iter_mut().zip(&limbs) {
+                            *r = l[c];
+                        }
+                        for (limb, v) in conv.convert_scalar(&residues).into_iter().enumerate() {
+                            flat[limb * n + c] = v;
+                        }
+                    }
+                    flat
+                };
+            });
+            assert_eq!(outs[0], outs[1], "{shape} BConv diverged from the oracle");
+            let speedup = t[1] / t[0];
+            let widest = from.iter().chain(to).copied().max().unwrap_or(0);
+            let backend = simd::ew_backend(EwOp::Bconv, widest).name();
+            let shape_limbs = format!("{} → {}", from.len(), to.len());
+            bconv_table.push(vec![
+                cell(shape),
+                cell(n as u64),
+                cell(u64::from(bits)),
+                cell(from.len() as u64),
+                cell(to.len() as u64),
+                cell(t[0]),
+                cell(t[1]),
+                cell(speedup),
+                cell(backend),
+            ]);
+            println!(
+                "| {shape} | {shape_limbs} | {:.1} | {:.1} | {speedup:.2}x | {backend} |",
+                t[0] / 1e3,
+                t[1] / 1e3
+            );
+        }
+        par::set_max_threads(prev);
+    }
+
     // ------------------------------------------- negacyclic multiply
     println!("\n## Negacyclic multiply (single thread)\n");
     println!("| N | lazy (µs) | seed (µs) | speedup |");
@@ -634,9 +721,12 @@ fn main() {
             simd_note: "Element-wise ops are routed per (op, modulus) by one static rule: \
                         add/sub/scale take AVX2 when the host has it; hadamard/mac take \
                         AVX-512 IFMA (vpmadd52, 52-bit Barrett) when the host has it and \
-                        q < 2^50, else the portable Barrett unroll. Each ew_kernels row \
-                        records its backend; the >= 1.3x hadamard/mac rows come from the \
-                        IFMA window. UFC_SIMD_DISABLE turns backends off for A/B runs."
+                        q < 2^50, else the portable Barrett unroll; bconv (one lazy \
+                        base-conversion target limb) takes IFMA (52-bit Shoup) when the \
+                        host has it and every modulus it touches is below 2^50, else the \
+                        portable lazy loop. Each ew_kernels and bconv row records its \
+                        backend; the >= 1.3x hadamard/mac rows come from the IFMA window. \
+                        UFC_SIMD_DISABLE turns backends off for A/B runs."
                 .to_owned(),
         },
         headline: Headline {

@@ -329,6 +329,14 @@ impl CkksContext {
         &self.digits
     }
 
+    /// The extended basis of a key switch at `level`: the active Q
+    /// moduli followed by every P modulus.
+    pub(crate) fn ext_moduli(&self, level: usize) -> Vec<u64> {
+        let mut ext = self.q_moduli[..=level].to_vec();
+        ext.extend_from_slice(&self.p_moduli);
+        ext
+    }
+
     /// Digits active at `level` (those whose range intersects the
     /// active limbs).
     pub fn active_digits(&self, level: usize) -> usize {

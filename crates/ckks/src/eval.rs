@@ -6,6 +6,13 @@
 //! every step works in place on the flat [`RnsPlane`] buffers, and the
 //! only copies are explicit `clone` / [`RnsPlane::prefix`] calls where
 //! a borrowed input genuinely has to be materialised.
+//!
+//! It also transforms only the limbs that need coefficient form:
+//! ModUp inverse-transforms its input once and forward-transforms only
+//! the limbs the base conversion writes, ModDown inverse-transforms
+//! only the `P` limbs, and rescale only the dropped limb. Everything
+//! else stays in evaluation form, and the outputs are bit-identical to
+//! transforming every limb.
 
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
@@ -15,9 +22,12 @@ use rand::Rng;
 use std::sync::{Mutex, PoisonError};
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::automorph;
+use ufc_math::modops::shoup_precompute;
+use ufc_math::par::par_limbs;
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::Form;
 use ufc_math::sample::{gaussian_poly, ternary_poly};
+use ufc_math::simd;
 
 /// The cached, evaluation-form extended-basis digits of one
 /// ciphertext's `c1` — the reusable front half of a key switch.
@@ -305,6 +315,10 @@ impl Evaluator {
     }
 
     /// Rescale: divide by the last limb's modulus, dropping one level.
+    ///
+    /// Runs in evaluation form ([`RnsPlane::rescale_ntt_assign`]): per
+    /// component one inverse NTT of the dropped limb and one forward
+    /// NTT per remaining limb, `2L + 2` transforms at level `L`.
     pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
         let _span = ufc_trace::span("ckks", "rescale");
         assert!(a.level > 0, "no levels left to rescale");
@@ -314,9 +328,7 @@ impl Evaluator {
         let q_last = self.ctx.q_moduli()[a.level];
         let rescaled = |c: &RnsPlane| {
             let mut c = c.clone();
-            self.ctx.to_coeff(&mut c);
-            c.rescale_assign();
-            self.ctx.to_eval(&mut c);
+            c.rescale_ntt_assign(&self.ctx.ntt_tables(c.moduli()));
             c
         };
         let (c0, c1) = (rescaled(&a.c0), rescaled(&a.c1));
@@ -418,6 +430,13 @@ impl Evaluator {
     /// key, and the ModDown division by `P` (§II-B3). Each extended
     /// digit is assembled directly into a flat limb-major buffer and
     /// MAC-accumulated in place — no per-digit limb vectors.
+    ///
+    /// With `A = level + 1` active limbs, `k` P limbs and `l_j` limbs in
+    /// active digit `j`, it runs `A + 2k` inverse NTTs (the input, then
+    /// each output's P limbs) and `Σ_j (A + k − l_j) + 2A` forward NTTs
+    /// (each digit's converted limbs, then each output's correction):
+    /// 80 limb transforms at the C2 top level, where transforming every
+    /// limb takes 116.
     pub fn key_switch(
         &self,
         d: &RnsPlane,
@@ -433,48 +452,51 @@ impl Evaluator {
     /// basis (active Q limbs ++ all P limbs, evaluation form) — the
     /// expensive front half of [`Evaluator::key_switch`], shared with
     /// [`Evaluator::hoist`].
+    ///
+    /// Transforms: `d` goes to coefficient form once (`level + 1`
+    /// inverse NTTs), so that every digit can be base-converted. A
+    /// digit's own limbs are the evaluation-form input scaled by
+    /// `Qhat_j^{-1}`, with no transform; only the `ext − l_j` limbs the
+    /// BConv writes are forward-transformed.
     fn decompose_mod_up(&self, d: &RnsPlane, level: usize) -> Vec<RnsPlane> {
         let ctx = &self.ctx;
         let active = level + 1;
         let n = ctx.n();
         let mut d_coeff = d.clone();
         ctx.to_coeff(&mut d_coeff);
-
-        // Extended basis: active Q limbs followed by all P limbs.
-        let mut ext_moduli: Vec<u64> = Vec::with_capacity(active + ctx.p_moduli().len());
-        ext_moduli.extend_from_slice(&ctx.q_moduli()[..active]);
-        ext_moduli.extend_from_slice(ctx.p_moduli());
-
-        let mut digits = Vec::with_capacity(ctx.digits().len());
-        for dt in ctx.digits() {
-            let (lo, hi) = dt.limb_range;
-            if lo >= active {
-                break;
-            }
-            let hi_l = hi.min(active);
-            // d~_j = [d * Qhat_j^{-1}]_{Q_j} on the digit limbs.
-            let mut digit = RnsPlane::from_flat_unchecked(
-                d_coeff.flat()[lo * n..hi_l * n].to_vec(),
-                &ctx.q_moduli()[lo..hi_l],
-                Form::Coeff,
-            );
-            digit.scale_limbs_assign(&dt.qhat_inv[level]);
-            // ModUp to the complement moduli: the converter emits a
-            // flat limb-major buffer ordered q[..lo], q[hi_l..active],
-            // p[..] — splice the digit rows back in to get the
-            // extended-basis layout directly.
-            let conv = dt.mod_up[level].as_ref().expect("digit active");
-            let rows: Vec<&[u64]> = (0..hi_l - lo).map(|i| digit.limb(i)).collect();
-            let converted = conv.convert_rows(&rows);
-            let mut flat = Vec::with_capacity(ext_moduli.len() * n);
-            flat.extend_from_slice(&converted[..lo * n]);
-            flat.extend_from_slice(digit.flat());
-            flat.extend_from_slice(&converted[lo * n..]);
-            let mut d_ext = RnsPlane::from_flat_unchecked(flat, &ext_moduli, Form::Coeff);
-            ctx.to_eval(&mut d_ext);
-            digits.push(d_ext);
-        }
-        digits
+        let ext_moduli = ctx.ext_moduli(level);
+        let tables = ctx.ntt_tables(&ext_moduli);
+        ctx.digits()[..ctx.active_digits(level)]
+            .iter()
+            .map(|dt| {
+                let (lo, hi) = dt.limb_range;
+                let own = lo..hi.min(active);
+                // d~_j = [d · Qhat_j^{-1}]_{Q_j}: the scale folds into
+                // the BConv's y-pass on the coefficient rows. One
+                // fan-out then fills the extended basis: the own limbs
+                // from the evaluation-form input, every other limb by
+                // converting and transforming it in place. The
+                // converter's targets are the limbs outside `own`, in
+                // order.
+                let qhat_inv = &dt.qhat_inv[level];
+                let conv = dt.mod_up[level].as_ref().expect("digit active");
+                let rows: Vec<&[u64]> = own.clone().map(|i| d_coeff.limb(i)).collect();
+                let y = conv.scale_rows(&rows, Some(qhat_inv));
+                let mut flat = vec![0u64; ext_moduli.len() * n];
+                par_limbs(n, &mut flat, |i, chunk| {
+                    if own.contains(&i) {
+                        let q = ext_moduli[i];
+                        let s = qhat_inv[i - lo] % q;
+                        chunk.copy_from_slice(d.limb(i));
+                        simd::scale_shoup_slice(chunk, s, shoup_precompute(s, q), q);
+                    } else {
+                        y.write_limb(if i < lo { i } else { i - own.len() }, chunk);
+                        tables[i].forward(chunk);
+                    }
+                });
+                RnsPlane::from_flat_unchecked(flat, &ext_moduli, Form::Eval)
+            })
+            .collect()
     }
 
     /// MAC-accumulates extended-basis digits against a switching key
@@ -486,12 +508,9 @@ impl Evaluator {
         level: usize,
     ) -> (RnsPlane, RnsPlane) {
         let ctx = &self.ctx;
-        let active = level + 1;
         let n = ctx.n();
         let digit_keys = key.at_level(level);
-        let mut ext_moduli: Vec<u64> = Vec::with_capacity(active + ctx.p_moduli().len());
-        ext_moduli.extend_from_slice(&ctx.q_moduli()[..active]);
-        ext_moduli.extend_from_slice(ctx.p_moduli());
+        let ext_moduli = ctx.ext_moduli(level);
         let mut acc0 = RnsPlane::zero(n, &ext_moduli, Form::Eval);
         let mut acc1 = RnsPlane::zero(n, &ext_moduli, Form::Eval);
         for (d_ext, (b_j, a_j)) in digits.iter().zip(digit_keys) {
@@ -563,25 +582,32 @@ impl Evaluator {
     /// ModDown: divides an (active Q ++ P)-limb polynomial by `P` with
     /// rounding, consuming the input and returning active-Q limbs
     /// (evaluation form).
+    ///
+    /// Transforms: only the `k` P limbs go to coefficient form for the
+    /// BConv P → Q; the correction comes back with `level + 1` forward
+    /// NTTs, and `(x − corr)·P^{-1}` is applied in evaluation form.
     fn mod_down(&self, mut x: RnsPlane, level: usize) -> RnsPlane {
         let ctx = &self.ctx;
         let active = level + 1;
-        ctx.to_coeff(&mut x);
-        let p_count = ctx.p_moduli().len();
-        assert_eq!(x.limb_count(), active + p_count, "limb layout");
-        let conv = ctx.p_to_q_converter(level);
-        let p_on_q_flat = {
-            let rows: Vec<&[u64]> = (active..active + p_count).map(|i| x.limb(i)).collect();
-            conv.convert_rows(&rows)
-        };
-        let p_on_q =
-            RnsPlane::from_flat_unchecked(p_on_q_flat, &ctx.q_moduli()[..active], Form::Coeff);
-        x.truncate_limbs(active);
-        x.sub_assign(&p_on_q);
-        let p_inv: Vec<u64> = (0..active).map(|i| ctx.p_inv_mod_q(i)).collect();
-        x.scale_limbs_assign(&p_inv);
-        ctx.to_eval(&mut x);
-        x
+        assert_eq!(x.limb_count(), active + ctx.p_moduli().len(), "limb layout");
+        let mut p_part = x.split_off_limbs(active);
+        ctx.to_coeff(&mut p_part);
+        let rows: Vec<&[u64]> = (0..p_part.limb_count()).map(|i| p_part.limb(i)).collect();
+        let y = ctx.p_to_q_converter(level).scale_rows(&rows, None);
+        let q_moduli = &ctx.q_moduli()[..active];
+        let tables = ctx.ntt_tables(q_moduli);
+        // One fan-out, one chunk per Q limb: convert, transform, then
+        // (corr − x)·(−P^{-1}) = (x − corr)·P^{-1}, canonical either way.
+        let mut out = vec![0u64; active * ctx.n()];
+        par_limbs(ctx.n(), &mut out, |i, chunk| {
+            let q = q_moduli[i];
+            y.write_limb(i, chunk);
+            tables[i].forward(chunk);
+            simd::sub_mod_slice(chunk, x.limb(i), q);
+            let s = q - ctx.p_inv_mod_q(i);
+            simd::scale_shoup_slice(chunk, s, shoup_precompute(s, q), q);
+        });
+        RnsPlane::from_flat_unchecked(out, q_moduli, Form::Eval)
     }
 
     /// Decrypts `ct` and measures the achieved precision against the

@@ -24,9 +24,10 @@ const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/mul_plain", 1),
     ("ckks/rescale", 1),
     ("ckks/rotate", 1),
-    ("math/ntt_forward[radix4]", 6347),
-    ("math/ntt_inverse[radix4]", 1994),
-    ("math/par_limb", 5882),
+    ("math/bconv", 3),
+    ("math/ntt_forward[radix4]", 6345),
+    ("math/ntt_inverse[radix4]", 1986),
+    ("math/par_limb", 5858),
     ("switch/extract_batch[b8]", 1),
     ("tfhe/blind_rotate", 12),
     ("tfhe/external_product", 768),

@@ -213,6 +213,22 @@ impl RnsPlane {
         self.moduli.truncate(count);
     }
 
+    /// Moves limbs `at..` out into a new plane of the same form,
+    /// keeping limbs `..at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < at < limb_count()`.
+    pub fn split_off_limbs(&mut self, at: usize) -> Self {
+        assert!(at > 0 && at < self.limb_count(), "split inside the limbs");
+        Self {
+            data: self.data.split_off(at * self.n),
+            moduli: self.moduli.split_off(at),
+            n: self.n,
+            form: self.form,
+        }
+    }
+
     fn check(&self, rhs: &Self) {
         assert_eq!(self.n, rhs.n, "plane dimension mismatch");
         assert_eq!(self.moduli, rhs.moduli, "plane moduli mismatch");
@@ -439,17 +455,20 @@ impl RnsPlane {
         self.form = Form::Coeff;
     }
 
-    fn apply_tables(&mut self, tables: &[&NttContext], inverse: bool, kernel: Option<NttKernel>) {
+    fn check_tables(&self, tables: &[&NttContext]) {
         assert_eq!(tables.len(), self.limb_count(), "one NTT table per limb");
-        let (n, moduli) = (self.n, &self.moduli);
-        for (t, &q) in tables.iter().zip(moduli) {
-            assert_eq!(t.dim(), n, "NTT table dimension mismatch");
+        for (t, &q) in tables.iter().zip(&self.moduli) {
+            assert_eq!(t.dim(), self.n, "NTT table dimension mismatch");
             assert_eq!(t.modulus(), q, "NTT table modulus mismatch");
         }
+    }
+
+    fn apply_tables(&mut self, tables: &[&NttContext], inverse: bool, kernel: Option<NttKernel>) {
+        self.check_tables(tables);
         // The table's own dispatch goes through `forward`/`inverse`, so
         // plane transforms carry the same kernel-tagged trace span as
         // slice transforms; a forced kernel takes the span-free path.
-        par_limbs(n, &mut self.data, |i, chunk| match (kernel, inverse) {
+        par_limbs(self.n, &mut self.data, |i, chunk| match (kernel, inverse) {
             (None, false) => tables[i].forward(chunk),
             (None, true) => tables[i].inverse(chunk),
             (Some(k), false) => tables[i].forward_with(k, chunk),
@@ -491,6 +510,52 @@ impl RnsPlane {
             }
         });
         self.truncate_limbs(count - 1);
+    }
+
+    /// [`Self::rescale_assign`] in evaluation form, bit for bit: only
+    /// the dropped limb goes to coefficient form. Each remaining limb
+    /// gains the forward transform of `[h − [c_L + h]_{q_L}]_{q_i}` and
+    /// is scaled by `q_L^{-1}` — the same `round(c / q_L)` with `L + 1`
+    /// transforms where the coefficient-form route takes `2L + 1`.
+    /// `tables[i]` is limb `i`'s NTT context.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the plane is in evaluation form with at least two
+    /// limbs and one matching table per limb.
+    pub fn rescale_ntt_assign(&mut self, tables: &[&NttContext]) {
+        assert_eq!(
+            self.form,
+            Form::Eval,
+            "rescale_ntt requires evaluation form"
+        );
+        let count = self.limb_count();
+        assert!(count >= 2, "rescale needs at least two limbs");
+        self.check_tables(tables);
+        let mut last = self.split_off_limbs(count - 1);
+        last.ntt_inverse(&tables[count - 1..]);
+        let q_last = last.moduli[0];
+        let half = q_last / 2;
+        // The last limb shifted by h: [c_L + h]_{q_L}.
+        let shifted: Vec<u64> = last
+            .data
+            .iter()
+            .map(|&c| add_mod(c, half, q_last))
+            .collect();
+        let moduli = &self.moduli;
+        par_limbs(self.n, &mut self.data, |i, chunk| {
+            let qi = moduli[i];
+            let br = Barrett::new(qi);
+            let half_i = half % qi;
+            let mut shift: Vec<u64> = shifted
+                .iter()
+                .map(|&b| sub_mod(half_i, br.reduce_u128(b as u128), qi))
+                .collect();
+            tables[i].forward(&mut shift);
+            simd::add_mod_slice(chunk, &shift, qi);
+            let inv = inv_mod(q_last % qi, qi).expect("coprime moduli");
+            simd::scale_shoup_slice(chunk, inv, shoup_precompute(inv, qi), qi);
+        });
     }
 }
 
@@ -608,6 +673,43 @@ mod tests {
         let mut p = RnsPlane::from_signed(&c, &moduli);
         p.rescale_assign();
         assert_eq!(p, RnsPlane::from_signed(&v, &moduli[..2]));
+    }
+
+    #[test]
+    fn rescale_ntt_matches_coefficient_rescale() {
+        let n = 64;
+        let moduli = crate::prime::generate_ntt_primes(n, 36, 4);
+        let tables: Vec<NttContext> = moduli.iter().map(|&q| NttContext::new(n, q)).collect();
+        let refs: Vec<&NttContext> = tables.iter().collect();
+        let mut s = 0x5ca1eu64;
+        let data: Vec<u64> = moduli
+            .iter()
+            .flat_map(|&q| {
+                (0..n)
+                    .map(|_| {
+                        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (s >> 11) % q
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let coeff = RnsPlane::from_flat_unchecked(data, &moduli, Form::Coeff);
+        let mut oracle = coeff.clone();
+        oracle.rescale_assign();
+        oracle.ntt_forward(&refs[..3]);
+        let mut eval = coeff;
+        eval.ntt_forward(&refs);
+        eval.rescale_ntt_assign(&refs);
+        assert_eq!(eval, oracle);
+    }
+
+    #[test]
+    fn split_off_limbs_keeps_the_head() {
+        let mut a = sample();
+        let tail = a.split_off_limbs(1);
+        assert_eq!(a, sample().prefix(1));
+        assert_eq!(tail.limb(0), sample().limb(1));
+        assert_eq!(tail.moduli(), &[Q2]);
     }
 
     #[test]

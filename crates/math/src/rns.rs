@@ -6,7 +6,9 @@
 //! key-switching and the reason SHARP/CraterLake carry wide MAC
 //! pipelines; UFC runs the same MACs on its general modular lanes.
 
-use crate::modops::{add_mod, inv_mod, mul_mod, mul_shoup, shoup_precompute, sub_mod};
+use crate::modops::{inv_mod, mul_mod, shoup_precompute, sub_mod};
+use crate::par::par_limbs;
+use crate::simd;
 
 /// An RNS basis: a list of pairwise-coprime word-size moduli.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,6 +165,19 @@ impl RnsBasis {
 /// (§II-B3). The result may exceed the true value by a small multiple
 /// of `Q` (at most `from.len()`), which downstream RNS algorithms
 /// tolerate by design.
+///
+/// One kernel does every conversion, in two steps.
+/// [`Self::scale_rows`] is the y-pass: it scales each source row by
+/// `qhat_j^{-1}` (times an optional per-row constant the caller folds
+/// in, such as ModUp's digit scale) on the dispatched
+/// [`simd::scale_shoup_slice`] lanes. [`ScaledRows::write_limb`] then
+/// fills one target limb: [`simd::bconv_slice`] sums its lazy products
+/// branch-free, with one reduction per word, straight into the
+/// caller's buffer. Callers fan the target limbs out over
+/// [`par_limbs`], one chunk each, and may finish each limb in the same
+/// chunk (ModUp and ModDown transform it there).
+/// [`Self::convert_rows`] is that fan-out into a fresh buffer, and
+/// [`Self::convert_scalar`] is the per-coefficient test oracle.
 #[derive(Debug, Clone)]
 pub struct BaseConverter {
     from: RnsBasis,
@@ -207,7 +222,8 @@ impl BaseConverter {
         &self.to
     }
 
-    /// Converts a single RNS-represented coefficient.
+    /// Converts a single RNS-represented coefficient — the
+    /// per-coefficient oracle the kernel is tested against.
     pub fn convert_scalar(&self, residues: &[u64]) -> Vec<u64> {
         assert_eq!(residues.len(), self.from.len(), "residue count mismatch");
         // y_j = [x_j * qhat_j^{-1}]_{q_j}
@@ -232,48 +248,88 @@ impl BaseConverter {
     /// Converts a polynomial given as one residue row per source
     /// modulus (each row a length-`n` slice); returns the flat
     /// limb-major target buffer (`to.len() · n` words), ready for
-    /// [`crate::plane::RnsPlane`] ingestion.
-    ///
-    /// This is the BConv MAC kernel restructured row-wise: the scaled
-    /// residues `y_j = [x_j · qhat_j^{-1}]_{q_j}` are computed once
-    /// per source row with a Shoup multiply, then accumulated into
-    /// each target limb with Shoup multiplies against the precomputed
-    /// `qhat_j mod p_i` — no per-coefficient allocation.
+    /// [`crate::plane::RnsPlane`] ingestion: [`Self::scale_rows`], then
+    /// one [`ScaledRows::write_limb`] per target limb over
+    /// [`par_limbs`].
     ///
     /// # Panics
     ///
     /// Panics if the row count differs from the source basis or row
     /// lengths differ.
     pub fn convert_rows(&self, rows: &[&[u64]]) -> Vec<u64> {
-        assert_eq!(rows.len(), self.from.len(), "limb count mismatch");
+        let y = self.scale_rows(rows, None);
+        let mut out = vec![0u64; self.to.len() * y.n];
+        par_limbs(y.n, &mut out, |i, chunk| y.write_limb(i, chunk));
+        out
+    }
+
+    /// The y-pass of one conversion: `y_j = [x_j · qhat_j^{-1}]_{q_j}`
+    /// for every source row `j` (any 64-bit words in, canonical out).
+    ///
+    /// `prescale`, when given, multiplies row `j` by `prescale[j]` as
+    /// well, folded into the same constant: one multiply, not two. The
+    /// returned rows open the conversion's `math/bconv` span (detail:
+    /// source × target limbs), which closes when they are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row count differs from the source basis, row
+    /// lengths differ, or `prescale` has the wrong length.
+    pub fn scale_rows(&self, rows: &[&[u64]], prescale: Option<&[u64]>) -> ScaledRows<'_> {
+        let moduli = self.from.moduli();
+        assert_eq!(rows.len(), moduli.len(), "limb count mismatch");
         let n = rows[0].len();
         for r in rows {
             assert_eq!(r.len(), n, "limb dimension mismatch");
         }
-        let mut y = vec![0u64; rows.len() * n];
-        for (j, row) in rows.iter().enumerate() {
-            let qj = self.from.moduli[j];
+        if let Some(s) = prescale {
+            assert_eq!(s.len(), moduli.len(), "one prescale constant per row");
+        }
+        let span = ufc_trace::span_n("math", "bconv", (moduli.len() * self.to.len()) as u64);
+        let mut y = Vec::with_capacity(moduli.len() * n);
+        for (j, (row, &q)) in rows.iter().zip(moduli).enumerate() {
             let w = self.from.qhat_inv[j];
-            let ws = shoup_precompute(w, qj);
-            for (dst, &r) in y[j * n..(j + 1) * n].iter_mut().zip(row.iter()) {
-                *dst = mul_shoup(r, w, ws, qj);
-            }
+            let w = prescale.map_or(w, |s| mul_mod(w, s[j] % q, q));
+            let start = y.len();
+            y.extend_from_slice(row);
+            simd::scale_shoup_slice(&mut y[start..], w, shoup_precompute(w, q), q);
         }
-        let mut out = vec![0u64; self.to.len() * n];
-        for (i, &p) in self.to.iter().enumerate() {
-            let chunk = &mut out[i * n..(i + 1) * n];
-            for j in 0..rows.len() {
-                // y_j < q_j may exceed p; the Shoup multiply accepts
-                // any u64 operand, so no pre-reduction is needed.
-                let t = self.qhat_mod_p[i][j];
-                let ts = shoup_precompute(t, p);
-                let yrow = &y[j * n..(j + 1) * n];
-                for (acc, &yj) in chunk.iter_mut().zip(yrow) {
-                    *acc = add_mod(*acc, mul_shoup(yj, t, ts, p), p);
-                }
-            }
+        ScaledRows {
+            conv: self,
+            y,
+            n,
+            _span: span,
         }
-        out
+    }
+}
+
+/// The scaled source rows of one conversion in flight, from
+/// [`BaseConverter::scale_rows`]; each target limb is written from
+/// them by [`Self::write_limb`].
+pub struct ScaledRows<'a> {
+    conv: &'a BaseConverter,
+    /// `y_j` rows, limb-major, `n` words each.
+    y: Vec<u64>,
+    n: usize,
+    _span: ufc_trace::Span,
+}
+
+impl ScaledRows<'_> {
+    /// The BConv kernel: writes target limb `i`,
+    /// `Σ_j y_j · (qhat_j mod p_i) mod p_i`, canonical, into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a target limb or `out` is not `n` words.
+    pub fn write_limb(&self, i: usize, out: &mut [u64]) {
+        let conv = self.conv;
+        simd::bconv_slice(
+            out,
+            &self.y,
+            conv.from.moduli(),
+            &conv.qhat_mod_p[i],
+            conv.to[i],
+        );
     }
 }
 
@@ -370,7 +426,99 @@ mod tests {
         }
     }
 
+    #[test]
+    fn scale_rows_folds_the_prescale() {
+        let from = basis(3);
+        let to = generate_ntt_primes(1 << 10, 41, 2);
+        let conv = BaseConverter::new(&from, &to);
+        let n = 9;
+        let limbs: Vec<Vec<u64>> = from
+            .moduli()
+            .iter()
+            .map(|&q| (0..n as u64).map(|i| (i * 0x9e37_79b9 + 5) % q).collect())
+            .collect();
+        let rows: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+        let prescale = [3u64, 1 << 39, 12345];
+        let y = conv.scale_rows(&rows, Some(&prescale));
+        let mut out = vec![0u64; n];
+        for (i, &p) in to.iter().enumerate() {
+            y.write_limb(i, &mut out);
+            for c in 0..n {
+                let scaled: Vec<u64> = from
+                    .moduli()
+                    .iter()
+                    .zip(&limbs)
+                    .zip(prescale)
+                    .map(|((&q, l), s)| mul_mod(l[c], s % q, q))
+                    .collect();
+                assert_eq!(out[c], conv.convert_scalar(&scaled)[i], "p={p} c={c}");
+            }
+        }
+    }
+
+    /// Distinct primes for a source and a target basis: one prime
+    /// list when the widths match, so the two never share a modulus.
+    fn bconv_bases(
+        sources: usize,
+        targets: usize,
+        src_bits: u32,
+        tgt_bits: u32,
+    ) -> (RnsBasis, Vec<u64>) {
+        if src_bits == tgt_bits {
+            let mut primes = generate_ntt_primes(16, src_bits, sources + targets);
+            let to = primes.split_off(sources);
+            (RnsBasis::new(primes), to)
+        } else {
+            (
+                RnsBasis::new(generate_ntt_primes(16, src_bits, sources)),
+                generate_ntt_primes(16, tgt_bits, targets),
+            )
+        }
+    }
+
     proptest! {
+        /// The lazy kernel against the per-coefficient oracle over
+        /// random 1–6 → 1–16 limb bases of 30–50-bit primes (sources
+        /// wider than targets in some cases), on random residues and on
+        /// the worst case `q_j − 1` everywhere. Lengths leave lane
+        /// tails, and the debug run panics on any accumulator overflow.
+        #[test]
+        fn prop_bconv_rows_match_scalar(
+            sources in 1usize..=6,
+            targets in 1usize..=16,
+            src_bits in 30u32..=50,
+            tgt_bits in 30u32..=50,
+            n in 1usize..=21,
+            seed in any::<u64>(),
+        ) {
+            let (from, to) = bconv_bases(sources, targets, src_bits, tgt_bits);
+            let conv = BaseConverter::new(&from, &to);
+            let mut state = seed | 1;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state
+            };
+            let random: Vec<Vec<u64>> = from
+                .moduli()
+                .iter()
+                .map(|&q| (0..n).map(|_| next() % q).collect())
+                .collect();
+            let worst: Vec<Vec<u64>> = from.moduli().iter().map(|&q| vec![q - 1; n]).collect();
+            for limbs in [random, worst] {
+                let rows: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+                let out = conv.convert_rows(&rows);
+                for c in 0..n {
+                    let residues: Vec<u64> = limbs.iter().map(|l| l[c]).collect();
+                    let expect = conv.convert_scalar(&residues);
+                    for (i, &e) in expect.iter().enumerate() {
+                        prop_assert_eq!(out[i * n + c], e);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_crt_roundtrip(x in any::<u64>()) {
             let b = basis(2);

@@ -36,7 +36,11 @@
 //! * `add`/`sub`/`scale` take AVX2 when the host has it, else the
 //!   portable unroll;
 //! * `mul`/`mac` take IFMA when the host has it and `q < 2^50`, else
-//!   portable Barrett.
+//!   portable Barrett;
+//! * `bconv` (one base-conversion target limb, [`bconv_slice`]) takes
+//!   IFMA when the host has it and every modulus it touches is below
+//!   `2^50`, else the portable lazy loop (`bench_math`'s `bconv` table
+//!   records the backend of each row).
 //!
 //! AVX2 has no 64×64-bit multiply, so wide-modulus `mul`/`mac` stay on
 //! scalar Barrett: a 2×32-bit limb-split vector multiply measured
@@ -59,10 +63,11 @@
 //!   Harvey lazy-reduction bounds are preserved, not just congruence.
 //! * The canonical kernels ([`add_mod_slice`], [`sub_mod_slice`],
 //!   [`mac_mod_slice`]) use the same conditional-subtract formula per
-//!   lane. [`mul_mod_slice`] is the one kernel where the backends use
-//!   different *internal* reductions (full-width Barrett on the
-//!   portable path, a 52-bit Barrett on IFMA); both return the unique
-//!   canonical residue in `[0, q)`, so outputs are still identical.
+//!   lane. [`mul_mod_slice`] and [`bconv_slice`] are the kernels
+//!   where the backends use different *internal* reductions
+//!   (full-width Barrett or 64-bit Shoup on the portable path, 52-bit
+//!   Barrett or Shoup on IFMA); both return the unique canonical
+//!   residue in `[0, q)`, so outputs are still identical.
 //!   `mul`/`mac` accept *lazy multiplicands* in `[0, 2q)` on every
 //!   backend (the `mac` accumulator stays canonical).
 //!
@@ -194,11 +199,21 @@ pub enum EwOp {
     Mac,
     /// [`scale_shoup_slice`].
     Scale,
+    /// [`bconv_slice`] — the broadcast multiply-accumulate of one
+    /// base-conversion target limb.
+    Bconv,
 }
 
 impl EwOp {
     /// Every routed op, in bench-table order.
-    pub const ALL: [EwOp; 5] = [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Mac, EwOp::Scale];
+    pub const ALL: [EwOp; 6] = [
+        EwOp::Add,
+        EwOp::Sub,
+        EwOp::Mul,
+        EwOp::Mac,
+        EwOp::Scale,
+        EwOp::Bconv,
+    ];
 
     /// Stable lowercase name (bench tables, logs).
     pub fn name(self) -> &'static str {
@@ -208,6 +223,7 @@ impl EwOp {
             EwOp::Mul => "mul",
             EwOp::Mac => "mac",
             EwOp::Scale => "scale",
+            EwOp::Bconv => "bconv",
         }
     }
 }
@@ -241,6 +257,8 @@ impl EwBackend {
 ///   multiply involved, so the vector win is structural: 1.6–2.2x);
 /// * `mul`/`mac` take the IFMA 52-bit Barrett lanes when the host has
 ///   them *and* `q < 2^50`;
+/// * `bconv` takes the IFMA 52-bit Shoup lanes on the same condition,
+///   where [`bconv_slice`] asks with its widest modulus;
 /// * everything else runs the portable unroll.
 ///
 /// The answer depends only on the feature probes (each cached for the
@@ -248,7 +266,9 @@ impl EwBackend {
 pub fn ew_backend(op: EwOp, q: u64) -> EwBackend {
     match op {
         EwOp::Add | EwOp::Sub | EwOp::Scale if avx2_available() => EwBackend::Avx2,
-        EwOp::Mul | EwOp::Mac if ifma_available() && ifma_modulus_ok(q) => EwBackend::Ifma,
+        EwOp::Mul | EwOp::Mac | EwOp::Bconv if ifma_available() && ifma_modulus_ok(q) => {
+            EwBackend::Ifma
+        }
         _ => EwBackend::Portable,
     }
 }
@@ -358,6 +378,54 @@ pub fn scale_shoup_slice(a: &mut [u64], s: u64, s_shoup: u64, q: u64) {
         EwBackend::Avx2 => unsafe { avx2::scale_shoup_slice(a, s, s_shoup, q) },
         _ => portable::scale_shoup_slice(a, s, s_shoup, q),
     }
+}
+
+/// One base-conversion target limb: `out[c] ← Σ_j rows[j·n + c]·t[j]
+/// mod p`, `n = out.len()`, fully reduced.
+///
+/// `rows` holds one length-`n` row per source modulus, limb-major, each
+/// word a canonical residue of its `row_moduli[j]`; `t[j]` is the
+/// reduced per-row constant (`q̂_j mod p` in a BConv). Every term is a
+/// lazy Shoup product in `[0, 2p)` summed into a `u64` word without a
+/// branch, and each word is reduced once at the end. A word is folded
+/// back below `2p` early only when the next term could overflow it;
+/// the fold period comes from `p` alone (`⌊2^63/p⌋ − 1` terms on the
+/// portable lanes, `⌊2^51/p⌋ − 1` on the 52-bit IFMA lanes), so at
+/// every CKKS shape in the workspace no fold runs. Source moduli wider
+/// than `p` are exact: the lazy product accepts any 64-bit operand.
+///
+/// Routed by [`ew_backend`] at the widest modulus the op touches (`p`
+/// and every row modulus), since the IFMA lanes need every row word
+/// below `2^52`.
+///
+/// # Panics
+///
+/// Panics if `rows` is not `row_moduli.len()` rows of `out.len()`
+/// words, `t` does not hold one constant per row, or `p ≥ 2^62`.
+pub fn bconv_slice(out: &mut [u64], rows: &[u64], row_moduli: &[u64], t: &[u64], p: u64) {
+    assert_eq!(
+        rows.len(),
+        row_moduli.len() * out.len(),
+        "one row per source modulus"
+    );
+    assert_eq!(t.len(), row_moduli.len(), "one constant per row");
+    assert!(p < 1 << 62, "target modulus must fit 62 bits");
+    let widest = row_moduli.iter().copied().fold(p, u64::max);
+    match ew_backend(EwOp::Bconv, widest) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: ew_backend only routes here after ifma_available(),
+        // and every modulus (so every row word) is below 2^50.
+        EwBackend::Ifma => unsafe { ifma::bconv_slice(out, rows, t, p) },
+        _ => portable::bconv_slice(out, rows, out.len(), t, p),
+    }
+}
+
+/// Lazy terms a [`bconv_slice`] word may take between folds: from a
+/// word below `2p`, `k` more terms below `2p` keep it below
+/// `2p·(k + 1) ≤ 2^bits`.
+fn bconv_fold_period(p: u64, bits: u32) -> usize {
+    let k = (1u128 << (bits - 1)) / u128::from(p) - 1;
+    usize::try_from(k).unwrap_or(usize::MAX)
 }
 
 /// Element-wise lazy 52-bit Shoup twist `a[i] ← a[i]·w[i] mod q` as a
@@ -499,7 +567,8 @@ pub fn harvey_fused_pair52(
 /// every architecture) and always used for tail elements, so the AVX2
 /// backend's conformance target is in the same binary.
 mod portable {
-    use super::{add_mod, mul_shoup_lazy, Barrett, LANES};
+    use super::{add_mod, bconv_fold_period, mul_shoup_lazy, Barrett, LANES};
+    use crate::modops::shoup_precompute;
 
     #[inline(always)]
     fn csub(v: u64, m: u64) -> u64 {
@@ -593,6 +662,36 @@ mod portable {
         }
         for x in ac.into_remainder() {
             *x = mul(*x);
+        }
+    }
+
+    /// The lazy BConv target limb; row `j` of `out[c]` is
+    /// `rows[j·stride + c]`. Each block of `LANES` words accumulates
+    /// in registers over every row, and a Shoup multiply by one folds
+    /// a word below `2p` (any 64-bit word: the lazy Shoup bound).
+    pub(super) fn bconv_slice(out: &mut [u64], rows: &[u64], stride: usize, t: &[u64], p: u64) {
+        let t_shoup: Vec<u64> = t.iter().map(|&w| shoup_precompute(w, p)).collect();
+        let one_shoup = shoup_precompute(1, p);
+        let fold = |x: u64| mul_shoup_lazy(x, 1, one_shoup, p);
+        let period = bconv_fold_period(p, 64);
+        for (b, block) in out.chunks_mut(LANES).enumerate() {
+            let c = b * LANES;
+            let mut acc = [0u64; LANES];
+            let mut room = period;
+            for (j, (&w, &ws)) in t.iter().zip(&t_shoup).enumerate() {
+                if room == 0 {
+                    acc = acc.map(fold);
+                    room = period;
+                }
+                room -= 1;
+                let row = &rows[j * stride + c..][..block.len()];
+                for (a, &y) in acc.iter_mut().zip(row) {
+                    *a += mul_shoup_lazy(y, w, ws, p);
+                }
+            }
+            for (o, a) in block.iter_mut().zip(acc) {
+                *o = csub(fold(a), p);
+            }
         }
     }
 }
@@ -892,8 +991,8 @@ mod avx2 {
 /// lazy representatives are bit-identical across backends.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::{portable, portable52, FusedTwiddles, LANES52};
-    use crate::modops::M52;
+    use super::{bconv_fold_period, portable, portable52, FusedTwiddles, LANES52};
+    use crate::modops::{shoup52_precompute, M52};
     use core::arch::x86_64::*;
 
     /// Broadcasts `v` to all eight lanes.
@@ -1051,6 +1150,35 @@ mod ifma {
             store(acc, i, csub(s, qv));
         }
         portable::mac_mod_slice(&mut acc[n8..], &a[n8..], &b[n8..], q);
+    }
+
+    /// The lazy BConv target limb on 8 lanes: per row one
+    /// [`shoup52_lazy`] against the broadcast constant, summed in the
+    /// 64-bit lanes and folded by a 52-bit Shoup multiply by one.
+    /// Needs `p < 2^50` and every row word below `2^52`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn bconv_slice(out: &mut [u64], rows: &[u64], t: &[u64], p: u64) {
+        let n = out.len();
+        let t52: Vec<u64> = t.iter().map(|&w| shoup52_precompute(w, p)).collect();
+        let (one, one52) = (splat(1), splat(shoup52_precompute(1, p)));
+        let period = bconv_fold_period(p, 52);
+        let qv = splat(p);
+        let n8 = full(n);
+        for i in (0..n8).step_by(LANES52) {
+            let mut acc = _mm512_setzero_si512();
+            let mut room = period;
+            for (j, (&w, &w52)) in t.iter().zip(&t52).enumerate() {
+                if room == 0 {
+                    acc = shoup52_lazy(acc, one, one52, qv);
+                    room = period;
+                }
+                room -= 1;
+                let term = shoup52_lazy(load(rows, j * n + i), splat(w), splat(w52), qv);
+                acc = _mm512_add_epi64(acc, term);
+            }
+            store(out, i, csub(shoup52_lazy(acc, one, one52, qv), qv));
+        }
+        portable::bconv_slice(&mut out[n8..], &rows[n8..], n, t, p);
     }
 
     #[target_feature(enable = "avx512f,avx512ifma")]
@@ -1273,6 +1401,49 @@ mod tests {
         }
     }
 
+    /// The dispatched BConv limb kernel against the portable lanes and
+    /// a `u128` oracle, at target primes inside the IFMA window (where
+    /// a 50-bit prime folds after every term on the 52-bit lanes) and
+    /// wide ones (a 61-bit prime folds every three terms on the
+    /// portable lanes), with 59-bit source rows wider than the target
+    /// in some cases, on random and all-`q_j − 1` rows.
+    #[test]
+    fn bconv_slice_matches_oracle_across_widths() {
+        for (src_bits, tgt_bits) in [(36u32, 36u32), (45, 50), (50, 30), (59, 36), (61, 61)] {
+            let mut primes = crate::prime::generate_ntt_primes(64, src_bits, 6);
+            if src_bits == tgt_bits {
+                primes.extend(crate::prime::generate_ntt_primes(64, tgt_bits, 7).split_off(6));
+            } else {
+                primes.push(generate_ntt_prime(64, tgt_bits).unwrap());
+            }
+            let p = primes.pop().unwrap();
+            for len in [1usize, 7, 8, 9, 67] {
+                let mut s = 0xbc0 ^ (u64::from(tgt_bits) << 8) ^ len as u64;
+                let t: Vec<u64> = primes.iter().map(|_| lcg(&mut s) % p).collect();
+                for worst in [false, true] {
+                    let rows: Vec<u64> = primes
+                        .iter()
+                        .flat_map(|&q| {
+                            let mut s = s ^ q;
+                            (0..len).map(move |_| if worst { q - 1 } else { lcg(&mut s) % q })
+                        })
+                        .collect();
+                    let mut got = vec![0u64; len];
+                    bconv_slice(&mut got, &rows, &primes, &t, p);
+                    let mut mirror = vec![0u64; len];
+                    portable::bconv_slice(&mut mirror, &rows, len, &t, p);
+                    for c in 0..len {
+                        let want = (0..primes.len()).fold(0u128, |acc, j| {
+                            (acc + u128::from(rows[j * len + c]) * u128::from(t[j])) % u128::from(p)
+                        }) as u64;
+                        assert_eq!(got[c], want, "{src_bits}->{tgt_bits} len={len} c={c}");
+                        assert_eq!(mirror[c], want, "portable {src_bits}->{tgt_bits} c={c}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The 52-bit Barrett scalar mirror (the exact per-lane formula of
     /// the IFMA `mul`/`mac` path) against Barrett, over the whole
     /// supported width range including the 50-bit ceiling and tiny
@@ -1453,7 +1624,9 @@ mod tests {
             for op in EwOp::ALL {
                 let want = match op {
                     EwOp::Add | EwOp::Sub | EwOp::Scale if avx2_available() => EwBackend::Avx2,
-                    EwOp::Mul | EwOp::Mac if ifma_available() && ifma_window => EwBackend::Ifma,
+                    EwOp::Mul | EwOp::Mac | EwOp::Bconv if ifma_available() && ifma_window => {
+                        EwBackend::Ifma
+                    }
                     _ => EwBackend::Portable,
                 };
                 for _ in 0..3 {

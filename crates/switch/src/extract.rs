@@ -137,10 +137,11 @@ impl CkksToLwe {
     /// After sample extraction, mask entry `i` of the LWE for index
     /// `idx` is `−c1[idx−i]` (for `i ≤ idx`) or `+c1[N+idx−i]` (wrap),
     /// so the only values ever decomposed are `c1[k]` and `−c1[k]` for
-    /// the `N` ring positions `k`. This path decomposes those `2N`
-    /// values once into one flat table, then runs one
-    /// [`LweKsk::key_switch_batch`] over it — `2N` decompositions
-    /// total instead of `batch·N`, and one pass over the key.
+    /// the `N` ring positions `k`. This path decomposes the ones the
+    /// batch reads once into one flat table — `N + max(idx) − min(idx)`
+    /// values, `N` for a single index, at most `2N − 1` — then runs one
+    /// [`LweKsk::key_switch_batch`] over it, in place of `batch·N`
+    /// decompositions and `batch` passes over the key.
     ///
     /// # Errors
     ///
@@ -178,25 +179,27 @@ impl CkksToLwe {
         let gadget = self.ksk.gadget();
         let levels = gadget.levels();
 
-        // One digit table over t ∈ [0, 2N), `levels` digits per entry:
+        // One digit table over entries t, `levels` digits per entry:
         // entry t < N holds c1[t], entry N + k holds −c1[k]. Mask word
         // i of the LWE for index idx is entry N + idx − i either way:
         // −c1[idx − i] while i ≤ idx, c1[N + idx − i] on the
         // negacyclic wrap (the double negation cancels exactly in Z_q).
-        let mut digits = vec![0i64; 2 * n * levels];
-        let (pos, neg) = digits.split_at_mut(n * levels);
-        for ((p, m), &v) in pos
-            .chunks_exact_mut(levels)
-            .zip(neg.chunks_exact_mut(levels))
-            .zip(c1)
-        {
-            gadget.decompose_into(v, p);
-            gadget.decompose_into(neg_mod(v, q0), m);
+        // The batch reads t ∈ [min(idx) + 1, N + max(idx)], so only
+        // those entries are decomposed; the table starts at `lo`.
+        let lo = indices.iter().min().map_or(n, |&m| m + 1);
+        let hi = indices.iter().max().map_or(n, |&m| n + m + 1);
+        let mut digits = vec![0i64; (hi - lo) * levels];
+        let (pos, neg) = digits.split_at_mut((n - lo) * levels);
+        for (d, &v) in pos.chunks_exact_mut(levels).zip(&c1[lo..]) {
+            gadget.decompose_into(v, d);
+        }
+        for (d, &v) in neg.chunks_exact_mut(levels).zip(&c1[..hi - n]) {
+            gadget.decompose_into(neg_mod(v, q0), d);
         }
         let bodies: Vec<u64> = indices.iter().map(|&idx| c0[idx]).collect();
-        let out = self
-            .ksk
-            .key_switch_batch(&bodies, |b, j, i| digits[(n + indices[b] - i) * levels + j]);
+        let out = self.ksk.key_switch_batch(&bodies, |b, j, i| {
+            digits[(n + indices[b] - i - lo) * levels + j]
+        });
 
         Ok(out
             .into_iter()

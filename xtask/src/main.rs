@@ -23,8 +23,9 @@
 //!   `ew_kernels` row ran on the backend the static element-wise rule
 //!   gives for its kernel, prime width and the report's host features,
 //!   and, on full runs, the dispatch floors: every element-wise row at
-//!   speedup ≥ 1.0 and every `ntt_kernels` row with the auto-selected
-//!   NTT kernel within 1.10x of the fastest one.
+//!   speedup ≥ 1.0, every `ntt_kernels` row with the auto-selected
+//!   NTT kernel within 1.10x of the fastest one, and every `bconv` row
+//!   at least as fast as the scalar base-conversion oracle.
 //! * `bench-switch [--quick]` — build the release `bench_switch`
 //!   harness, run it writing `BENCH_switch.json` at the workspace
 //!   root, and validate the report shape (experiment tag, `extract`
@@ -707,7 +708,8 @@ fn require_table(report: &Value, name: &str, axis: &str, min_rows: usize) -> Res
 /// width and the report's host features, and, on full runs, the
 /// dispatch floors — every element-wise row at speedup ≥ 1.0 and every
 /// `ntt_kernels` row with the auto-selected NTT kernel within 1.10x of
-/// the fastest one.
+/// the fastest one — plus a `bconv` table whose rows route by the same
+/// rule and, on full runs, beat the scalar oracle (speedup ≥ 1.0).
 fn math_gate(report: &Value, quick: bool) -> Result<String, String> {
     let speedup = headline_field(report, "speedup")
         .and_then(Value::as_f64)
@@ -808,7 +810,7 @@ fn math_gate(report: &Value, quick: bool) -> Result<String, String> {
     let ifma_max_bits = u64::from(ufc_math::modops::IFMA_MAX_MODULUS_BITS);
     let rule = |kernel: &str, bits: u64| match kernel {
         "add" | "sub" | "scale" if avx2 => "avx2",
-        "hadamard" | "mac" if ifma && bits <= ifma_max_bits => "ifma",
+        "hadamard" | "mac" | "bconv" if ifma && bits <= ifma_max_bits => "ifma",
         _ => "portable",
     };
     let ew_rows = table_rows(report, "ew_kernels");
@@ -850,13 +852,54 @@ fn math_gate(report: &Value, quick: bool) -> Result<String, String> {
              1.3x vector-multiply gate"
         ));
     }
+    // Base-conversion floor: at both key-switch shapes the one BConv
+    // kernel runs on the backend the rule gives it and, on full runs,
+    // at least as fast as the per-coefficient scalar oracle.
+    let bconv_rows = table_rows(report, "bconv");
+    if bconv_rows.is_empty() {
+        return Err("report has no populated `bconv` table".into());
+    }
+    let (Some(shape_col), Some(sp_col), Some(bits_col), Some(b_col)) = (
+        col_index(report, "bconv", "shape"),
+        col_index(report, "bconv", "speedup"),
+        col_index(report, "bconv", "bits"),
+        col_index(report, "bconv", "backend"),
+    ) else {
+        return Err("`bconv` lacks shape/speedup/bits/backend columns".into());
+    };
+    let mut worst_bconv = f64::INFINITY;
+    for row in bconv_rows {
+        let cells = row.as_array().unwrap_or_default();
+        let shape = cells.get(shape_col).and_then(Value::as_str).unwrap_or("");
+        let sp = cells
+            .get(sp_col)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("`bconv` row `{shape}` has no numeric speedup"))?;
+        let bits = cells.get(bits_col).and_then(Value::as_u64).unwrap_or(0);
+        let backend = cells.get(b_col).and_then(Value::as_str).unwrap_or("");
+        let want = rule("bconv", bits);
+        if backend != want {
+            return Err(format!(
+                "BConv `{shape}` at {bits} bits ran on `{backend}`, but the dispatch rule \
+                 gives `{want}` (host avx2={avx2}, ifma={ifma})"
+            ));
+        }
+        if !quick && sp < 1.0 {
+            return Err(format!(
+                "BConv `{shape}` kernel runs at {sp:.2}x the scalar oracle on a full run \
+                 (gate: 1.0x)"
+            ));
+        }
+        worst_bconv = worst_bconv.min(sp);
+    }
     Ok(format!(
         "{} tables ({} ntt_kernels rows, auto kernel within {worst_auto_ratio:.2}x of the \
-         fastest; {} ew rows, best hadamard {best_hadamard:.2}x / mac {best_mac:.2}x), \
-         headline speedup {speedup:.2}x",
+         fastest; {} ew rows, best hadamard {best_hadamard:.2}x / mac {best_mac:.2}x; {} bconv \
+         rows, worst {worst_bconv:.2}x), headline speedup {speedup:.2}x",
         tables(report).len(),
         kernel_rows.len(),
         ew_rows.len(),
+        bconv_rows.len(),
     ))
 }
 
@@ -1083,6 +1126,27 @@ mod tests {
         row[auto] = Value::Str("ifma".into());
         let err = check_report("bench_math", &report, false, math_gate).unwrap_err();
         assert!(err.contains("auto kernel `ifma`"), "{err}");
+    }
+
+    #[test]
+    fn bench_math_rejects_a_bconv_slower_than_its_oracle() {
+        let mut report = math();
+        let kernel = col_index(&report, "bconv", "kernel_ns").unwrap();
+        let oracle = col_index(&report, "bconv", "oracle_ns").unwrap();
+        let speedup = col_index(&report, "bconv", "speedup").unwrap();
+        let tables = elements_mut(field_mut(&mut report, "tables"));
+        let bconv = tables
+            .iter_mut()
+            .find(|t| t.get("name").and_then(Value::as_str) == Some("bconv"))
+            .unwrap();
+        let row = elements_mut(&mut elements_mut(field_mut(bconv, "rows"))[0]);
+        let oracle_ns = row[oracle].as_f64().unwrap();
+        row[kernel] = Value::F64(2.0 * oracle_ns);
+        row[speedup] = Value::F64(0.5);
+        let err = check_report("bench_math", &report, false, math_gate).unwrap_err();
+        assert!(err.contains("scalar oracle"), "{err}");
+        // A --quick run keeps only the routing check.
+        check_report("bench_math", &report, true, math_gate).unwrap();
     }
 
     #[test]

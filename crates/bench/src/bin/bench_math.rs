@@ -12,8 +12,10 @@
 //! family — including `ew_kernels` (scalar loop vs dispatched kernel
 //! per element-wise op at a 59-bit and a 50-bit prime, with the
 //! backend `simd::ew_backend` routes each row to), `ntt_kernels`
-//! (radix-4 vs IFMA at a 49-bit and a 60-bit prime, with the kernel
-//! `NttKernel::auto_for` picks per row) and `bconv` (the base-conversion
+//! (radix-4 vs IFMA at a 49-bit and a 60-bit prime from N = 2^8 up,
+//! plus TFHE T1's 31-bit prime at N = 2^10 and CKKS C2's 36-bit prime
+//! at N = 2^13, with the kernel `NttKernel::auto_for` picks per row)
+//! and `bconv` (the base-conversion
 //! kernel vs its scalar oracle at the C2 ModUp and ModDown shapes)
 //! — and a `headline` object recording the single-thread
 //! negacyclic-multiply speedup at the largest ring dimension.
@@ -167,8 +169,10 @@ fn main() {
 
     // ------------------------------------------ NTT kernel generations
     // Radix-4 against IFMA at a 49-bit prime (inside the IFMA window)
-    // and a 60-bit prime (radix-4 only), with the kernel the dispatch
-    // rule picks for each row. On hosts without AVX-512 IFMA the
+    // and a 60-bit prime (radix-4 only) from N = 2^8 up, plus the
+    // workloads' own shapes: TFHE T1's 31-bit q at N = 2^10 and CKKS
+    // C2's 36-bit q at N = 2^13. Each row records the kernel the
+    // dispatch rule picks. On hosts without AVX-512 IFMA the
     // portable mirror lanes run — bit-identical, but the timing is
     // then a fallback measurement, flagged by host.ifma in the report.
     let ifma_hw = ufc_math::simd::ifma_available();
@@ -194,52 +198,58 @@ fn main() {
             "auto",
         ],
     );
-    for &n in &sizes {
-        for bits in [49u32, 60] {
-            let q = generate_ntt_prime(n, bits).expect("NTT prime");
-            let ctx = NttContext::new(n, q);
-            let r = reps(n);
-            let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-            // Radix-4 first: it is the bit-identity reference.
-            let kernels: Vec<NttKernel> = [NttKernel::Radix4, NttKernel::Ifma]
-                .into_iter()
-                .filter(|k| k.supports_modulus(q))
-                .collect();
-            let mut bufs = vec![data.clone(); kernels.len()];
-            let fwd = time_alternating_ns(r, kernels.len(), |i| {
-                bufs[i].copy_from_slice(&data);
-                ctx.forward_with(kernels[i], &mut bufs[i]);
-            });
-            let eval = bufs[0].clone();
-            for (k, out) in kernels.iter().zip(&bufs) {
-                assert_eq!(*out, eval, "{k} forward diverged from radix-4");
-            }
-            let inv = time_alternating_ns(r, kernels.len(), |i| {
-                bufs[i].copy_from_slice(&eval);
-                ctx.inverse_with(kernels[i], &mut bufs[i]);
-            });
-            for (k, out) in kernels.iter().zip(&bufs) {
-                assert_eq!(*out, data, "{k} inverse failed to round-trip");
-            }
-            let auto = NttKernel::auto_for(n, q).name();
-            kernel_table.push(vec![
-                cell(n as u64),
-                cell(u64::from(bits)),
-                cell(fwd[0]),
-                cell(fwd.get(1)),
-                cell(inv[0]),
-                cell(inv.get(1)),
-                cell(auto),
-            ]);
-            let us = |t: Option<&f64>| t.map_or("—".to_owned(), |t| format!("{:.1}", t / 1e3));
-            println!(
-                "| {n} | {bits} | {:.1} | {} | {:.1} | {} | {auto} |",
-                fwd[0] / 1e3,
-                us(fwd.get(1)),
-                inv[0] / 1e3,
-                us(inv.get(1))
-            );
+    let mut kernel_shapes: Vec<(usize, u32)> = [1 << 8, 1 << 9]
+        .iter()
+        .chain(&sizes)
+        .flat_map(|&n| [(n, 49u32), (n, 60)])
+        .chain([(1 << 10, 31), (1 << 13, 36)])
+        .filter(|&(n, _)| n <= *sizes.last().expect("sizes"))
+        .collect();
+    kernel_shapes.sort_unstable();
+    for (n, bits) in kernel_shapes {
+        let q = generate_ntt_prime(n, bits).expect("NTT prime");
+        let ctx = NttContext::new(n, q);
+        let r = reps(n);
+        let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
+        // Radix-4 first: it is the bit-identity reference.
+        let kernels: Vec<NttKernel> = [NttKernel::Radix4, NttKernel::Ifma]
+            .into_iter()
+            .filter(|k| k.supports_modulus(q))
+            .collect();
+        let mut bufs = vec![data.clone(); kernels.len()];
+        let fwd = time_alternating_ns(r, kernels.len(), |i| {
+            bufs[i].copy_from_slice(&data);
+            ctx.forward_with(kernels[i], &mut bufs[i]);
+        });
+        let eval = bufs[0].clone();
+        for (k, out) in kernels.iter().zip(&bufs) {
+            assert_eq!(*out, eval, "{k} forward diverged from radix-4");
         }
+        let inv = time_alternating_ns(r, kernels.len(), |i| {
+            bufs[i].copy_from_slice(&eval);
+            ctx.inverse_with(kernels[i], &mut bufs[i]);
+        });
+        for (k, out) in kernels.iter().zip(&bufs) {
+            assert_eq!(*out, data, "{k} inverse failed to round-trip");
+        }
+        let auto = NttKernel::auto_for(n, q).name();
+        kernel_table.push(vec![
+            cell(n as u64),
+            cell(u64::from(bits)),
+            cell(fwd[0]),
+            cell(fwd.get(1)),
+            cell(inv[0]),
+            cell(inv.get(1)),
+            cell(auto),
+        ]);
+        let us = |t: Option<&f64>| t.map_or("—".to_owned(), |t| format!("{:.1}", t / 1e3));
+        println!(
+            "| {n} | {bits} | {:.1} | {} | {:.1} | {} | {auto} |",
+            fwd[0] / 1e3,
+            us(fwd.get(1)),
+            inv[0] / 1e3,
+            us(inv.get(1))
+        );
     }
 
     // ------------------------------------------- element-wise kernels
@@ -726,7 +736,11 @@ fn main() {
                         host has it and every modulus it touches is below 2^50, else the \
                         portable lazy loop. Each ew_kernels and bconv row records its \
                         backend; the >= 1.3x hadamard/mac rows come from the IFMA window. \
-                        UFC_SIMD_DISABLE turns backends off for A/B runs."
+                        NTTs follow one rule too: the IFMA kernel (every pass of the \
+                        transform on 8-wide 52-bit lanes) when the host has it and \
+                        q < 2^50, at every ring size; radix-4 otherwise. Each ntt_kernels \
+                        row records the kernel the rule picks. UFC_SIMD_DISABLE turns \
+                        backends off for A/B runs."
                 .to_owned(),
         },
         headline: Headline {

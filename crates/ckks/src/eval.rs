@@ -23,7 +23,7 @@ use std::sync::{Mutex, PoisonError};
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::automorph;
 use ufc_math::modops::shoup_precompute;
-use ufc_math::par::par_limbs;
+use ufc_math::par::{par_limbs, par_limbs_in, with_scratch};
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::Form;
 use ufc_math::sample::{gaussian_poly, ternary_poly};
@@ -368,10 +368,8 @@ impl Evaluator {
     }
 
     fn apply_galois(&self, a: &Ciphertext, k: usize, key: &SwitchingKey) -> Ciphertext {
-        let mut c0r = a.c0.clone();
-        c0r.automorph_assign(k);
-        let mut c1r = a.c1.clone();
-        c1r.automorph_assign(k);
+        let mut c0r = a.c0.automorph(k);
+        let c1r = a.c1.automorph(k);
         let (k0, k1) = self.key_switch(&c1r, key, a.level);
         c0r.add_assign(&k0);
         Ciphertext::new(c0r, k1, a.level, a.scale)
@@ -445,7 +443,7 @@ impl Evaluator {
     ) -> (RnsPlane, RnsPlane) {
         let _span = ufc_trace::span_n("ckks", "key_switch", level as u64);
         let digits = self.decompose_mod_up(d, level);
-        self.mac_digits(&digits, key, level)
+        self.mac_digits(&digits, None, key, level)
     }
 
     /// Digit-decomposes `d` and ModUps every digit to the extended
@@ -501,9 +499,19 @@ impl Evaluator {
 
     /// MAC-accumulates extended-basis digits against a switching key
     /// and ModDowns — the back half of [`Evaluator::key_switch`].
+    ///
+    /// One fan-out over both outputs: chunk `c` is limb `c mod ext` of
+    /// output `c / ext` and runs every digit's MAC into itself, so
+    /// each accumulator limb is written in one pass. With `galois`
+    /// (an [`automorph::eval_index_map`]), each digit limb is read
+    /// through the map into a per-worker buffer first: the MAC of the
+    /// automorphed digits, without permuted copies of them. The two
+    /// accumulators are separate buffers, so the first is freed before
+    /// the second ModDown runs.
     fn mac_digits(
         &self,
         digits: &[RnsPlane],
+        galois: Option<&[usize]>,
         key: &SwitchingKey,
         level: usize,
     ) -> (RnsPlane, RnsPlane) {
@@ -511,13 +519,28 @@ impl Evaluator {
         let n = ctx.n();
         let digit_keys = key.at_level(level);
         let ext_moduli = ctx.ext_moduli(level);
-        let mut acc0 = RnsPlane::zero(n, &ext_moduli, Form::Eval);
-        let mut acc1 = RnsPlane::zero(n, &ext_moduli, Form::Eval);
-        for (d_ext, (b_j, a_j)) in digits.iter().zip(digit_keys) {
-            acc0.mac_assign(d_ext, b_j);
-            acc1.mac_assign(d_ext, a_j);
-        }
-        (self.mod_down(acc0, level), self.mod_down(acc1, level))
+        let ext = ext_moduli.len();
+        let (mut acc0, mut acc1) = (vec![0u64; ext * n], vec![0u64; ext * n]);
+        par_limbs_in(n, &mut [&mut acc0, &mut acc1], |c, chunk| {
+            let (out, i) = (c / ext, c % ext);
+            let q = ext_moduli[i];
+            for (d, (b_j, a_j)) in digits.iter().zip(digit_keys) {
+                let key_limb = if out == 0 { b_j.limb(i) } else { a_j.limb(i) };
+                match galois {
+                    None => simd::mac_mod_slice(chunk, d.limb(i), key_limb, q),
+                    Some(map) => with_scratch(n, |buf| {
+                        let src = d.limb(i);
+                        for (x, &j) in buf.iter_mut().zip(map) {
+                            *x = src[j];
+                        }
+                        simd::mac_mod_slice(chunk, buf, key_limb, q);
+                    }),
+                }
+            }
+        });
+        let k0 = self.mod_down(&acc0, level);
+        drop(acc0);
+        (k0, self.mod_down(&acc1, level))
     }
 
     /// Precomputes the hoisted decomposition of `ct.c1` for a series
@@ -563,34 +586,27 @@ impl Evaluator {
             level: a.level as u32,
             step: step as i32,
         });
-        let permuted: Vec<RnsPlane> = hoisted
-            .digits
-            .iter()
-            .map(|d| {
-                let mut d = d.clone();
-                d.automorph_assign(k);
-                d
-            })
-            .collect();
-        let (k0, k1) = self.mac_digits(&permuted, key, a.level);
-        let mut c0r = a.c0.clone();
-        c0r.automorph_assign(k);
+        let galois = automorph::eval_index_map(self.ctx.n(), k);
+        let (k0, k1) = self.mac_digits(&hoisted.digits, Some(&galois), key, a.level);
+        let mut c0r = a.c0.automorph(k);
         c0r.add_assign(&k0);
         Ciphertext::new(c0r, k1, a.level, a.scale)
     }
 
     /// ModDown: divides an (active Q ++ P)-limb polynomial by `P` with
-    /// rounding, consuming the input and returning active-Q limbs
-    /// (evaluation form).
+    /// rounding and returns active-Q limbs (evaluation form). `x` is
+    /// the input's flat limb-major buffer, evaluation form.
     ///
     /// Transforms: only the `k` P limbs go to coefficient form for the
     /// BConv P → Q; the correction comes back with `level + 1` forward
     /// NTTs, and `(x − corr)·P^{-1}` is applied in evaluation form.
-    fn mod_down(&self, mut x: RnsPlane, level: usize) -> RnsPlane {
+    fn mod_down(&self, x: &[u64], level: usize) -> RnsPlane {
         let ctx = &self.ctx;
+        let n = ctx.n();
         let active = level + 1;
-        assert_eq!(x.limb_count(), active + ctx.p_moduli().len(), "limb layout");
-        let mut p_part = x.split_off_limbs(active);
+        assert_eq!(x.len(), (active + ctx.p_moduli().len()) * n, "limb layout");
+        let mut p_part =
+            RnsPlane::from_flat_unchecked(x[active * n..].to_vec(), ctx.p_moduli(), Form::Eval);
         ctx.to_coeff(&mut p_part);
         let rows: Vec<&[u64]> = (0..p_part.limb_count()).map(|i| p_part.limb(i)).collect();
         let y = ctx.p_to_q_converter(level).scale_rows(&rows, None);
@@ -598,12 +614,12 @@ impl Evaluator {
         let tables = ctx.ntt_tables(q_moduli);
         // One fan-out, one chunk per Q limb: convert, transform, then
         // (corr − x)·(−P^{-1}) = (x − corr)·P^{-1}, canonical either way.
-        let mut out = vec![0u64; active * ctx.n()];
-        par_limbs(ctx.n(), &mut out, |i, chunk| {
+        let mut out = vec![0u64; active * n];
+        par_limbs(n, &mut out, |i, chunk| {
             let q = q_moduli[i];
             y.write_limb(i, chunk);
             tables[i].forward(chunk);
-            simd::sub_mod_slice(chunk, x.limb(i), q);
+            simd::sub_mod_slice(chunk, &x[i * n..(i + 1) * n], q);
             let s = q - ctx.p_inv_mod_q(i);
             simd::scale_shoup_slice(chunk, s, shoup_precompute(s, q), q);
         });

@@ -4,17 +4,21 @@
 //!
 //! The host pipeline is fully seeded and single-path, so the *shape*
 //! of a recording — which spans fire and how often — is reproducible
-//! bit for bit even though the latencies are not. Its rings (N = 64
-//! and 256) sit below the IFMA crossover, so the dispatch rule picks
-//! `radix4` on every host and the kernel tags don't vary with the
-//! CPU; the test scale sits below the `par_limbs` threading threshold
-//! so no `math/par_worker` spans appear. If you intentionally change
-//! the instrumentation or the workload, update the table below.
+//! bit for bit even though the latencies are not. Every modulus in it
+//! is below 2^50, so the NTT dispatch rule tags all of its transforms
+//! `ifma` on hosts with AVX-512 IFMA and `radix4` elsewhere: the test
+//! takes the tag from the host's feature probe, and the counts are the
+//! same on every host. The test scale sits below the `par_limbs`
+//! threading threshold so no `math/par_worker` spans appear. If you
+//! intentionally change the instrumentation or the workload, update
+//! the table below.
 
 use std::process::Command;
 
+use ufc_math::ntt::NttKernel;
+
 /// `(span key, count)` pinned for the default `HostRunConfig` (seed 7,
-/// six candidates, six gates).
+/// six candidates, six gates). `{ntt}` is the host's NTT kernel tag.
 const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/add", 1),
     ("ckks/decrypt", 1),
@@ -25,8 +29,8 @@ const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/rescale", 1),
     ("ckks/rotate", 1),
     ("math/bconv", 3),
-    ("math/ntt_forward[radix4]", 6345),
-    ("math/ntt_inverse[radix4]", 1986),
+    ("math/ntt_forward[{ntt}]", 6345),
+    ("math/ntt_inverse[{ntt}]", 1986),
     ("math/par_limb", 5858),
     ("switch/extract_batch[b8]", 1),
     ("tfhe/blind_rotate", 12),
@@ -89,9 +93,14 @@ fn host_top_spans_table_matches_golden() {
         .collect();
     got.sort();
 
+    let ntt = if ufc_math::simd::ifma_available() {
+        NttKernel::Ifma
+    } else {
+        NttKernel::Radix4
+    };
     let want: Vec<(String, u64)> = GOLDEN_SPANS
         .iter()
-        .map(|&(n, c)| (n.to_owned(), c))
+        .map(|&(n, c)| (n.replace("{ntt}", ntt.name()), c))
         .collect();
     assert_eq!(
         got, want,

@@ -298,7 +298,12 @@ mod tests {
 
     #[test]
     fn cg_forward_matches_classical_bit_reversed() {
-        for log_n in [2usize, 3, 5, 8] {
+        let log_dims: &[usize] = if cfg!(miri) {
+            &[2, 3, 5]
+        } else {
+            &[2, 3, 5, 8]
+        };
+        for &log_n in log_dims {
             let n = 1 << log_n;
             let e = engine(n);
             let input: Vec<u64> = (0..n as u64).map(|i| i * 31 + 5).collect();
@@ -334,7 +339,7 @@ mod tests {
 
     #[test]
     fn cg_negacyclic_roundtrip() {
-        let n = 128;
+        let n = if cfg!(miri) { 64 } else { 128 };
         let e = engine(n);
         let q = e.context().modulus();
         let p = Poly::from_coeffs((0..n as u64).map(|i| (i * i) % q).collect(), q);

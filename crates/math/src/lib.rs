@@ -14,7 +14,7 @@
 //!   radix-4 (cache-blocked on large rings), and an AVX-512 IFMA
 //!   generation ([`simd`], 52-bit `vpmadd52` lanes for moduli below
 //!   2⁵⁰, with a bit-identical portable mirror) — behind one
-//!   size-and-width dispatch rule ([`ntt`],
+//!   modulus-width dispatch rule ([`ntt`],
 //!   [`ntt::NttKernel::auto_for`]), and the
 //!   **constant-geometry (Pease) NTT**
 //!   that UFC's interconnect co-design is built around ([`cgntt`]),

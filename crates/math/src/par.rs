@@ -71,17 +71,49 @@ pub fn par_limbs<F>(n: usize, data: &mut [u64], f: F)
 where
     F: Fn(usize, &mut [u64]) + Sync,
 {
-    if n == 0 || data.is_empty() {
+    par_limbs_in(n, &mut [data], f);
+}
+
+/// [`par_limbs`] over the limbs of several flat buffers as one fan-out:
+/// limb indices run through `buffers[0]`'s limbs, then `buffers[1]`'s,
+/// and so on. Separate buffers can be freed one at a time afterwards.
+///
+/// # Panics
+///
+/// Panics if a buffer's length is not a multiple of `n` (for `n > 0`).
+pub fn par_limbs_in<F>(n: usize, buffers: &mut [&mut [u64]], f: F)
+where
+    F: Fn(usize, &mut [u64]) + Sync,
+{
+    if n == 0 {
         return;
     }
-    assert_eq!(data.len() % n, 0, "flat buffer must be whole limbs");
-    let limbs = data.len() / n;
-    par_map(data.chunks_mut(n), n, |i, chunk| {
+    for data in buffers.iter() {
+        assert_eq!(data.len() % n, 0, "flat buffer must be whole limbs");
+    }
+    let limbs: Vec<&mut [u64]> = buffers.iter_mut().flat_map(|b| b.chunks_mut(n)).collect();
+    let count = limbs.len();
+    par_map(limbs, n, |i, chunk| {
         // A one-limb plane (a TFHE ring element) has no limb
         // distribution to show: its time stays with the caller's span.
-        let _limb = (limbs > 1).then(|| ufc_trace::span_n("math", "par_limb", i as u64));
+        let _limb = (count > 1).then(|| ufc_trace::span_n("math", "par_limb", i as u64));
         f(i, chunk);
     });
+}
+
+/// Runs `f` on a scratch buffer of `len` words owned by the calling
+/// thread. The buffer is kept between calls, so the items one
+/// [`par_map`] worker runs share one allocation. Its contents on entry
+/// are unspecified; a nested call gets a buffer of its own.
+pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+    let mut buf = SCRATCH.take();
+    buf.resize(len, 0);
+    let out = f(&mut buf);
+    SCRATCH.set(buf);
+    out
 }
 
 /// Maps `f(index, item)` over independent items, fanning them out

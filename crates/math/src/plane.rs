@@ -26,7 +26,7 @@ use crate::modops::{
     add_mod, from_signed, inv_mod, mul_shoup, neg_mod, shoup_precompute, sub_mod, Barrett,
 };
 use crate::ntt::{NttContext, NttKernel};
-use crate::par::par_limbs;
+use crate::par::{par_limbs, with_scratch};
 use crate::poly::{Form, Poly};
 use crate::simd;
 
@@ -365,15 +365,31 @@ impl RnsPlane {
 
     /// In-place Galois automorphism `X ↦ X^k`, dispatching on the
     /// current form (coefficient scatter or evaluation permutation).
+    /// Each limb is permuted into a per-worker scratch buffer
+    /// ([`crate::par::with_scratch`]) and copied back.
     pub fn automorph_assign(&mut self, k: usize) {
         let (n, moduli, form) = (self.n, &self.moduli, self.form);
         par_limbs(n, &mut self.data, |i, chunk| {
-            let src = chunk.to_vec();
-            match form {
-                Form::Coeff => apply_coeff_slice(&src, chunk, k, moduli[i]),
-                Form::Eval => apply_eval_slice(&src, chunk, k),
-            }
+            with_scratch(n, |buf| {
+                automorph_limb(form, chunk, buf, k, moduli[i]);
+                chunk.copy_from_slice(buf);
+            });
         });
+    }
+
+    /// Out-of-place Galois automorphism `X ↦ X^k`: each limb is
+    /// written once, straight into the new plane.
+    pub fn automorph(&self, k: usize) -> Self {
+        let mut data = vec![0; self.data.len()];
+        par_limbs(self.n, &mut data, |i, chunk| {
+            automorph_limb(self.form, self.limb(i), chunk, k, self.moduli[i]);
+        });
+        Self {
+            data,
+            moduli: self.moduli.clone(),
+            n: self.n,
+            form: self.form,
+        }
     }
 
     /// Multiplication by the monomial `X^k` in the negacyclic ring
@@ -559,6 +575,14 @@ impl RnsPlane {
     }
 }
 
+/// One limb of a Galois automorphism, `src` into `dst`, in `form`.
+fn automorph_limb(form: Form, src: &[u64], dst: &mut [u64], k: usize, q: u64) {
+    match form {
+        Form::Coeff => apply_coeff_slice(src, dst, k, q),
+        Form::Eval => apply_eval_slice(src, dst, k),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,6 +734,19 @@ mod tests {
         assert_eq!(a, sample().prefix(1));
         assert_eq!(tail.limb(0), sample().limb(1));
         assert_eq!(tail.moduli(), &[Q2]);
+    }
+
+    #[test]
+    fn automorph_matches_automorph_assign_in_both_forms() {
+        for form in [Form::Coeff, Form::Eval] {
+            let data: Vec<u64> = (0..16).map(|i| i * 7 + 3).collect();
+            let a = RnsPlane::from_flat(data, &[Q1, Q2], form);
+            for k in [1, 3, 5, 15] {
+                let mut want = a.clone();
+                want.automorph_assign(k);
+                assert_eq!(a.automorph(k), want, "{form:?} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -516,33 +516,37 @@ pub fn harvey_stage52(
     portable52::harvey_stage52(lo, hi, tw, tw52, q, reduce);
 }
 
-/// Two fused Harvey radix-2 stages over the four quarter-slices of a
-/// `2·len` chunk on the 52-bit generation: stage A butterflies
-/// `(x0, x1)` and `(x2, x3)` with the `tw.a` twiddles, then stage B
-/// butterflies `(a0, a2)` and `(a1, a3)` with `tw.b_lo`/`tw.b_hi`, all
-/// in registers, with a single load and store per element.
-/// Bit-identical to running [`harvey_stage52`] twice. With `reduce`,
-/// stage B's outputs get the `[0, q)` correction. The `*_shoup` fields
-/// of `tw` carry **52-bit** companions.
+/// Two fused Harvey radix-2 stages (block lengths `len` and `2·len`)
+/// over every `2·len` chunk of `a`, on the 52-bit generation. Each
+/// chunk splits into quarters `x0..x3` of `ha = len / 2` words: stage A
+/// butterflies `(x0, x1)` and `(x2, x3)` with the `tw.a` twiddles,
+/// then stage B butterflies `(a0, a2)` and `(a1, a3)` with
+/// `tw.b_lo`/`tw.b_hi`, all in registers, with a single load and store
+/// per element. Bit-identical to running [`harvey_stage52`] twice.
+/// With `reduce`, stage B's outputs get the `[0, q)` correction. The
+/// `*_shoup` fields of `tw` carry **52-bit** companions, `ha` entries
+/// each.
+///
+/// The whole pass is one call, so the chunk loop runs inside the
+/// lane kernel. Quarters that are not whole 8-lane groups (in the
+/// transform, `len < 16`: only rings under 8 points) run the portable
+/// mirror.
 ///
 /// # Panics
 ///
-/// Panics if any slice length differs from `x0`'s; debug-panics if
-/// `q` exceeds the 50-bit IFMA ceiling.
+/// Panics if `len < 2`, `a.len()` is not a multiple of `2·len`, or a
+/// twiddle slice does not hold `len / 2` entries; debug-panics if `q`
+/// exceeds the 50-bit IFMA ceiling.
 pub fn harvey_fused_pair52(
-    x0: &mut [u64],
-    x1: &mut [u64],
-    x2: &mut [u64],
-    x3: &mut [u64],
+    a: &mut [u64],
+    len: usize,
     tw: &FusedTwiddles<'_>,
     q: u64,
     reduce: bool,
 ) {
-    let ha = x0.len();
-    assert!(
-        x1.len() == ha && x2.len() == ha && x3.len() == ha,
-        "quarter-slice length mismatch"
-    );
+    assert!(len >= 2, "stage block length must be at least 2");
+    assert_eq!(a.len() % (2 * len), 0, "slice must be whole 2·len chunks");
+    let ha = len / 2;
     assert!(
         tw.a.len() == ha
             && tw.a_shoup.len() == ha
@@ -554,13 +558,80 @@ pub fn harvey_fused_pair52(
     );
     debug_assert!(ifma_modulus_ok(q), "modulus must fit 50 bits");
     #[cfg(target_arch = "x86_64")]
-    if ifma_available() {
-        // SAFETY: IFMA support was verified at runtime just above.
-        unsafe { ifma::harvey_fused_pair52(x0, x1, x2, x3, tw, q, reduce) };
+    if ifma_available() && ha >= LANES52 && ha.is_multiple_of(LANES52) {
+        // SAFETY: IFMA support was verified at runtime just above, and
+        // every quarter is a whole number of 8-lane groups.
+        unsafe { ifma::harvey_fused_pair52(a, len, tw, q, reduce) };
         return;
     }
-    portable52::harvey_fused_pair52(x0, x1, x2, x3, tw, q, reduce);
+    portable52::harvey_fused_pair52(a, len, tw, q, reduce);
 }
+
+/// The entry pass of the 52-bit transform: the bit-reversal
+/// permutation of `a`, optionally preceded by the lazy twist
+/// `a[i] ← a[i]·w[i]` at each element's *natural* index `i` (the
+/// forward ψ pre-twist), followed by the first three Cooley–Tukey
+/// stages (spans 1, 2 and 4) — one trip over the array.
+///
+/// `tw`/`tw52` are the first seven stage-major twiddles and their
+/// 52-bit companions: entry 0 is stage 1's unit twiddle (its multiply
+/// is elided), entries 1–2 stage 2's, entries 3–6 stage 3's. Entries
+/// must be below `4q` (any value below `2^52` with a twist); outputs
+/// are lazy (`< 4q`), or `[0, q)` with `reduce`.
+///
+/// The IFMA lanes work on 8×8 tiles. Write an index as `(a, b, c)`
+/// with `a` its top three bits and `c` its low three: the tile of one
+/// middle value `b` is eight row vectors (one per `a`, lanes `c`), and
+/// its bit-reversed image is the tile of `rev(b)`, transposed, with
+/// rows and lanes each relabelled by a 3-bit reversal. Loaded in
+/// reversed row order, the rows are exactly the eight positions of
+/// every output 8-group, so all three stages are butterflies between
+/// whole registers with broadcast twiddles; one transpose then writes
+/// eight finished groups. Rings under 64 points run the portable
+/// mirror, which evaluates the same per-element formulas.
+///
+/// # Panics
+///
+/// Panics unless `a.len()` is a power of two of at least 8, `tw` and
+/// `tw52` hold 7 entries and the twist tables (if any) match `a` in
+/// length; debug-panics if `q` exceeds the 50-bit IFMA ceiling.
+pub fn ntt_entry52(
+    a: &mut [u64],
+    twist: Option<(&[u64], &[u64])>,
+    tw: &[u64],
+    tw52: &[u64],
+    q: u64,
+    reduce: bool,
+) {
+    let n = a.len();
+    assert!(
+        n >= 8 && n.is_power_of_two(),
+        "entry pass needs 2^k ≥ 8 words"
+    );
+    assert!(
+        tw.len() == 7 && tw52.len() == 7,
+        "entry pass takes 7 twiddles"
+    );
+    if let Some((w, w52)) = twist {
+        assert!(
+            w.len() == n && w52.len() == n,
+            "twist table length mismatch"
+        );
+    }
+    debug_assert!(ifma_modulus_ok(q), "modulus must fit 50 bits");
+    #[cfg(target_arch = "x86_64")]
+    if ifma_available() && n >= 64 {
+        // SAFETY: IFMA support was verified at runtime just above; the
+        // length and table checks above are the kernel's contract.
+        unsafe { ifma::ntt_entry52(a, twist, tw, tw52, q, reduce) };
+        return;
+    }
+    portable52::ntt_entry52(a, twist, tw, tw52, q, reduce);
+}
+
+/// `rev3[s]`: the 3-bit reversal of `s`, the row and lane relabelling
+/// of the entry pass's 8×8 tiles.
+const REV3: [usize; 8] = [0, 4, 2, 6, 1, 5, 3, 7];
 
 /// The portable backend: 4-lane scalar-unrolled loops over the same
 /// scalar primitives the pre-SIMD code paths used. Always compiled (on
@@ -786,31 +857,77 @@ mod portable52 {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn harvey_fused_pair52(
-        x0: &mut [u64],
-        x1: &mut [u64],
-        x2: &mut [u64],
-        x3: &mut [u64],
+        a: &mut [u64],
+        len: usize,
         tw: &FusedTwiddles<'_>,
         q: u64,
         reduce: bool,
     ) {
-        for j in 0..x0.len() {
-            let (a0, a1) = butterfly52(x0[j], x1[j], tw.a[j], tw.a_shoup[j], q);
-            let (a2, a3) = butterfly52(x2[j], x3[j], tw.a[j], tw.a_shoup[j], q);
-            let (y0, y2) = butterfly52(a0, a2, tw.b_lo[j], tw.b_lo_shoup[j], q);
-            let (y1, y3) = butterfly52(a1, a3, tw.b_hi[j], tw.b_hi_shoup[j], q);
+        let ha = len / 2;
+        for chunk in a.chunks_exact_mut(2 * len) {
+            let (left, right) = chunk.split_at_mut(len);
+            let (x0, x1) = left.split_at_mut(ha);
+            let (x2, x3) = right.split_at_mut(ha);
+            for j in 0..ha {
+                let (a0, a1) = butterfly52(x0[j], x1[j], tw.a[j], tw.a_shoup[j], q);
+                let (a2, a3) = butterfly52(x2[j], x3[j], tw.a[j], tw.a_shoup[j], q);
+                let (y0, y2) = butterfly52(a0, a2, tw.b_lo[j], tw.b_lo_shoup[j], q);
+                let (y1, y3) = butterfly52(a1, a3, tw.b_hi[j], tw.b_hi_shoup[j], q);
+                if reduce {
+                    x0[j] = reduce_4q(y0, q);
+                    x1[j] = reduce_4q(y1, q);
+                    x2[j] = reduce_4q(y2, q);
+                    x3[j] = reduce_4q(y3, q);
+                } else {
+                    x0[j] = y0;
+                    x1[j] = y1;
+                    x2[j] = y2;
+                    x3[j] = y3;
+                }
+            }
+        }
+    }
+
+    /// Stage 1 of the entry pass: a unit-twiddle butterfly, both legs
+    /// corrected to `< 2q` and no multiply.
+    #[inline(always)]
+    fn unit_butterfly52(x: u64, y: u64, q: u64) -> (u64, u64) {
+        let two_q = 2 * q;
+        let u = csub(x, two_q);
+        let t = csub(y, two_q);
+        (u + t, u + two_q - t)
+    }
+
+    /// The entry pass as three scalar steps: twist at natural indices,
+    /// bit-reverse, then stages 1–3 inside each 8-group.
+    pub(super) fn ntt_entry52(
+        a: &mut [u64],
+        twist: Option<(&[u64], &[u64])>,
+        tw: &[u64],
+        tw52: &[u64],
+        q: u64,
+        reduce: bool,
+    ) {
+        if let Some((w, w52)) = twist {
+            twist_lazy52_slice(a, w, w52, q);
+        }
+        crate::ntt::bit_reverse_permute(a);
+        for g in a.chunks_exact_mut(8) {
+            for s in (0..8).step_by(2) {
+                (g[s], g[s + 1]) = unit_butterfly52(g[s], g[s + 1], q);
+            }
+            for s in [0, 1, 4, 5] {
+                let j = 1 + (s & 1);
+                (g[s], g[s + 2]) = butterfly52(g[s], g[s + 2], tw[j], tw52[j], q);
+            }
+            for s in 0..4 {
+                (g[s], g[s + 4]) = butterfly52(g[s], g[s + 4], tw[3 + s], tw52[3 + s], q);
+            }
             if reduce {
-                x0[j] = reduce_4q(y0, q);
-                x1[j] = reduce_4q(y1, q);
-                x2[j] = reduce_4q(y2, q);
-                x3[j] = reduce_4q(y3, q);
-            } else {
-                x0[j] = y0;
-                x1[j] = y1;
-                x2[j] = y2;
-                x3[j] = y3;
+                for x in g.iter_mut() {
+                    *x = reduce_4q(*x, q);
+                }
             }
         }
     }
@@ -991,7 +1108,7 @@ mod avx2 {
 /// lazy representatives are bit-identical across backends.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::{bconv_fold_period, portable, portable52, FusedTwiddles, LANES52};
+    use super::{bconv_fold_period, portable, portable52, FusedTwiddles, LANES52, REV3};
     use crate::modops::{shoup52_precompute, M52};
     use core::arch::x86_64::*;
 
@@ -1262,57 +1379,173 @@ mod ifma {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The pass-level fused pair.
+    ///
+    /// SAFETY (callers): `len / 2` is a nonzero multiple of 8, so the
+    /// quarters are whole lane groups, and every `tw` slice holds
+    /// `len / 2` entries; every load and store is then in bounds.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) unsafe fn harvey_fused_pair52(
-        x0: &mut [u64],
-        x1: &mut [u64],
-        x2: &mut [u64],
-        x3: &mut [u64],
+        a: &mut [u64],
+        len: usize,
         tw: &FusedTwiddles<'_>,
         q: u64,
         reduce: bool,
     ) {
+        let ha = len / 2;
+        debug_assert!(ha.is_multiple_of(LANES52));
         let qv = splat(q);
         let two_qv = splat(2 * q);
-        let n8 = full(x0.len());
-        for i in (0..n8).step_by(LANES52) {
-            let wa = load(tw.a, i);
-            let wa52 = load(tw.a_shoup, i);
-            let (a0, a1) = butterfly52(load(x0, i), load(x1, i), wa, wa52, qv, two_qv);
-            let (a2, a3) = butterfly52(load(x2, i), load(x3, i), wa, wa52, qv, two_qv);
-            let (mut y0, mut y2) =
-                butterfly52(a0, a2, load(tw.b_lo, i), load(tw.b_lo_shoup, i), qv, two_qv);
-            let (mut y1, mut y3) =
-                butterfly52(a1, a3, load(tw.b_hi, i), load(tw.b_hi_shoup, i), qv, two_qv);
-            if reduce {
-                y0 = reduce_4q_vec(y0, qv, two_qv);
-                y1 = reduce_4q_vec(y1, qv, two_qv);
-                y2 = reduce_4q_vec(y2, qv, two_qv);
-                y3 = reduce_4q_vec(y3, qv, two_qv);
+        for chunk in a.chunks_exact_mut(2 * len) {
+            let (left, right) = chunk.split_at_mut(len);
+            let (x0, x1) = left.split_at_mut(ha);
+            let (x2, x3) = right.split_at_mut(ha);
+            for i in (0..ha).step_by(LANES52) {
+                let wa = load(tw.a, i);
+                let wa52 = load(tw.a_shoup, i);
+                let (a0, a1) = butterfly52(load(x0, i), load(x1, i), wa, wa52, qv, two_qv);
+                let (a2, a3) = butterfly52(load(x2, i), load(x3, i), wa, wa52, qv, two_qv);
+                let (mut y0, mut y2) =
+                    butterfly52(a0, a2, load(tw.b_lo, i), load(tw.b_lo_shoup, i), qv, two_qv);
+                let (mut y1, mut y3) =
+                    butterfly52(a1, a3, load(tw.b_hi, i), load(tw.b_hi_shoup, i), qv, two_qv);
+                if reduce {
+                    y0 = reduce_4q_vec(y0, qv, two_qv);
+                    y1 = reduce_4q_vec(y1, qv, two_qv);
+                    y2 = reduce_4q_vec(y2, qv, two_qv);
+                    y3 = reduce_4q_vec(y3, qv, two_qv);
+                }
+                store(x0, i, y0);
+                store(x1, i, y1);
+                store(x2, i, y2);
+                store(x3, i, y3);
             }
-            store(x0, i, y0);
-            store(x1, i, y1);
-            store(x2, i, y2);
-            store(x3, i, y3);
         }
-        let rest = FusedTwiddles {
-            a: &tw.a[n8..],
-            a_shoup: &tw.a_shoup[n8..],
-            b_lo: &tw.b_lo[n8..],
-            b_lo_shoup: &tw.b_lo_shoup[n8..],
-            b_hi: &tw.b_hi[n8..],
-            b_hi_shoup: &tw.b_hi_shoup[n8..],
+    }
+
+    /// Transposes an 8×8 tile of 64-bit words held as eight row
+    /// vectors: element-pair, 128-bit-pair and 256-bit-half swaps, 24
+    /// shuffles in all.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn transpose8(r: [__m512i; 8]) -> [__m512i; 8] {
+        let t = [
+            _mm512_unpacklo_epi64(r[0], r[1]),
+            _mm512_unpackhi_epi64(r[0], r[1]),
+            _mm512_unpacklo_epi64(r[2], r[3]),
+            _mm512_unpackhi_epi64(r[2], r[3]),
+            _mm512_unpacklo_epi64(r[4], r[5]),
+            _mm512_unpackhi_epi64(r[4], r[5]),
+            _mm512_unpacklo_epi64(r[6], r[7]),
+            _mm512_unpackhi_epi64(r[6], r[7]),
+        ];
+        let lo = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+        let hi = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+        let s = [
+            _mm512_permutex2var_epi64(t[0], lo, t[2]),
+            _mm512_permutex2var_epi64(t[1], lo, t[3]),
+            _mm512_permutex2var_epi64(t[0], hi, t[2]),
+            _mm512_permutex2var_epi64(t[1], hi, t[3]),
+            _mm512_permutex2var_epi64(t[4], lo, t[6]),
+            _mm512_permutex2var_epi64(t[5], lo, t[7]),
+            _mm512_permutex2var_epi64(t[4], hi, t[6]),
+            _mm512_permutex2var_epi64(t[5], hi, t[7]),
+        ];
+        [
+            _mm512_shuffle_i64x2::<0x44>(s[0], s[4]),
+            _mm512_shuffle_i64x2::<0x44>(s[1], s[5]),
+            _mm512_shuffle_i64x2::<0x44>(s[2], s[6]),
+            _mm512_shuffle_i64x2::<0x44>(s[3], s[7]),
+            _mm512_shuffle_i64x2::<0xEE>(s[0], s[4]),
+            _mm512_shuffle_i64x2::<0xEE>(s[1], s[5]),
+            _mm512_shuffle_i64x2::<0xEE>(s[2], s[6]),
+            _mm512_shuffle_i64x2::<0xEE>(s[3], s[7]),
+        ]
+    }
+
+    /// The entry pass on 8×8 tiles (see [`super::ntt_entry52`]).
+    ///
+    /// SAFETY (callers): `a.len()` is a power of two of at least 64,
+    /// `tw`/`tw52` hold 7 entries and the twist tables (if any) match
+    /// `a` in length. A tile row starts at `rev3(s)·n/8 + 8b` with
+    /// `b < n/64`, so its 8 words end at most at `n`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn ntt_entry52(
+        a: &mut [u64],
+        twist: Option<(&[u64], &[u64])>,
+        tw: &[u64],
+        tw52: &[u64],
+        q: u64,
+        reduce: bool,
+    ) {
+        let n = a.len();
+        // Row stride (one row per value of the top three index bits)
+        // and the bit count of the middle index `b`.
+        let m = n / 8;
+        let mid_bits = n.trailing_zeros() - 6;
+        let qv = splat(q);
+        let two_qv = splat(2 * q);
+        let w: [(__m512i, __m512i); 7] = core::array::from_fn(|j| (splat(tw[j]), splat(tw52[j])));
+        // Tile `b`, rows in reversed order so vector `s` holds output
+        // position `s` of eight 8-groups, twisted at natural indices.
+        let load_tile = |a: &[u64], b: usize| -> [__m512i; 8] {
+            core::array::from_fn(|s| {
+                let off = REV3[s] * m + 8 * b;
+                let v = load(a, off);
+                match twist {
+                    Some((pw, pw52)) => shoup52_lazy(v, load(pw, off), load(pw52, off), qv),
+                    None => v,
+                }
+            })
         };
-        portable52::harvey_fused_pair52(
-            &mut x0[n8..],
-            &mut x1[n8..],
-            &mut x2[n8..],
-            &mut x3[n8..],
-            &rest,
-            q,
-            reduce,
-        );
+        // Stages 1–3 between whole registers, then the transpose:
+        // output vector `c` is the finished group of lane `c`.
+        let stages = |mut p: [__m512i; 8]| -> [__m512i; 8] {
+            for s in (0..8).step_by(2) {
+                let u = csub(p[s], two_qv);
+                let t = csub(p[s + 1], two_qv);
+                p[s] = _mm512_add_epi64(u, t);
+                p[s + 1] = _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), t);
+            }
+            for s in [0, 1, 4, 5] {
+                let (wj, wj52) = w[1 + (s & 1)];
+                (p[s], p[s + 2]) = butterfly52(p[s], p[s + 2], wj, wj52, qv, two_qv);
+            }
+            for s in 0..4 {
+                let (wj, wj52) = w[3 + s];
+                (p[s], p[s + 4]) = butterfly52(p[s], p[s + 4], wj, wj52, qv, two_qv);
+            }
+            if reduce {
+                for v in &mut p {
+                    *v = reduce_4q_vec(*v, qv, two_qv);
+                }
+            }
+            transpose8(p)
+        };
+        let store_tile = |a: &mut [u64], b: usize, o: [__m512i; 8]| {
+            for (c, v) in o.into_iter().enumerate() {
+                store(a, REV3[c] * m + 8 * b, v);
+            }
+        };
+        for b in 0..n / 64 {
+            let br = if mid_bits == 0 {
+                0
+            } else {
+                b.reverse_bits() >> (usize::BITS - mid_bits)
+            };
+            if br < b {
+                continue;
+            }
+            let x = stages(load_tile(a, b));
+            if br == b {
+                store_tile(a, b, x);
+            } else {
+                // Both tiles are read before either is written.
+                let y = stages(load_tile(a, br));
+                store_tile(a, br, x);
+                store_tile(a, b, y);
+            }
+        }
     }
 }
 
@@ -1585,20 +1818,61 @@ mod tests {
                 b_hi: &wb[len..],
                 b_hi_shoup: &wb52[len..],
             };
+            // One pass over three chunks of quarters `len` wide, so
+            // the chunk loop runs inside the kernel.
+            let chunk: Vec<u64> = [x0, x1, x2, x3].concat();
+            let data: Vec<u64> = chunk.iter().chain(&chunk).chain(&chunk).copied().collect();
             for reduce in [false, true] {
-                let (mut f0, mut f1, mut f2, mut f3) =
-                    (x0.clone(), x1.clone(), x2.clone(), x3.clone());
-                harvey_fused_pair52(&mut f0, &mut f1, &mut f2, &mut f3, &tw, q, reduce);
-                let (mut g0, mut g1, mut g2, mut g3) =
-                    (x0.clone(), x1.clone(), x2.clone(), x3.clone());
-                harvey_stage52(&mut g0, &mut g1, &w, &w52, q, false);
-                harvey_stage52(&mut g2, &mut g3, &w, &w52, q, false);
-                harvey_stage52(&mut g0, &mut g2, &wb[..len], &wb52[..len], q, reduce);
-                harvey_stage52(&mut g1, &mut g3, &wb[len..], &wb52[len..], q, reduce);
-                assert_eq!(f0, g0, "fused52 len={len} reduce={reduce}");
-                assert_eq!(f1, g1, "fused52 len={len} reduce={reduce}");
-                assert_eq!(f2, g2, "fused52 len={len} reduce={reduce}");
-                assert_eq!(f3, g3, "fused52 len={len} reduce={reduce}");
+                let mut f = data.clone();
+                harvey_fused_pair52(&mut f, 2 * len, &tw, q, reduce);
+                let mut g = chunk.clone();
+                let (left, right) = g.split_at_mut(2 * len);
+                let (g0, g1) = left.split_at_mut(len);
+                let (g2, g3) = right.split_at_mut(len);
+                harvey_stage52(g0, g1, &w, &w52, q, false);
+                harvey_stage52(g2, g3, &w, &w52, q, false);
+                harvey_stage52(g0, g2, &wb[..len], &wb52[..len], q, reduce);
+                harvey_stage52(g1, g3, &wb[len..], &wb52[len..], q, reduce);
+                for (c, got) in f.chunks_exact(4 * len).enumerate() {
+                    assert_eq!(got, &g[..], "fused52 len={len} chunk={c} reduce={reduce}");
+                }
+            }
+        }
+    }
+
+    /// The entry pass's dispatched lanes against the always-compiled
+    /// portable mirror, word for word on the lazy outputs, with and
+    /// without the twist and the folded reduction, on entries up to
+    /// `4q − 1` (`2^52 − 1` under a twist). On IFMA hosts rings from 64
+    /// points run the 8×8 tile kernel; elsewhere (and under Miri) both
+    /// sides are the mirror.
+    #[test]
+    fn ntt_entry52_lanes_match_portable_mirror() {
+        use crate::modops::{shoup52_precompute, M52};
+        let log_dims: &[u32] = if cfg!(miri) {
+            &[3, 6]
+        } else {
+            &[3, 5, 6, 7, 9, 13]
+        };
+        for &log_n in log_dims {
+            let n = 1usize << log_n;
+            let q = generate_ntt_prime(n, 50).unwrap();
+            let mut s = 0xe17 ^ n as u64;
+            let w: Vec<u64> = (0..n).map(|_| lcg(&mut s) % q).collect();
+            let w52: Vec<u64> = w.iter().map(|&x| shoup52_precompute(x, q)).collect();
+            let tw: Vec<u64> = (0..7).map(|_| lcg(&mut s) % q).collect();
+            let tw52: Vec<u64> = tw.iter().map(|&x| shoup52_precompute(x, q)).collect();
+            for twisted in [false, true] {
+                let bound = if twisted { M52 + 1 } else { 4 * q };
+                let data: Vec<u64> = (0..n).map(|_| lcg(&mut s) % bound).collect();
+                let twist = twisted.then_some((&w[..], &w52[..]));
+                for reduce in [false, true] {
+                    let mut lanes = data.clone();
+                    ntt_entry52(&mut lanes, twist, &tw, &tw52, q, reduce);
+                    let mut mirror = data.clone();
+                    portable52::ntt_entry52(&mut mirror, twist, &tw, &tw52, q, reduce);
+                    assert_eq!(lanes, mirror, "n={n} twisted={twisted} reduce={reduce}");
+                }
             }
         }
     }

@@ -28,7 +28,10 @@ use ufc_math::simd::mul_mod_barrett52;
 /// Ring dimensions covered by the differential sweeps. 2^13 and 2^14
 /// exercise the genuinely blocked radix-4 schedule (dimension above
 /// `RADIX4_BLOCK`); the smaller sizes exercise its radix-2 fallback.
-const LOG_DIMS: [usize; 5] = [10, 11, 12, 13, 14];
+/// 2^3–2^5 are the IFMA entry pass's portable rings (under 64
+/// points) and 2^6–2^9 its smallest tiled ones, the sizes of the
+/// N = 32–256 test rings.
+const LOG_DIMS: [usize; 12] = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
 
 /// Prime widths sampled per dimension. 59 bits stresses the lazy
 /// (< 4q < 2^61) headroom of the Harvey butterflies; 50 bits sits at
@@ -159,6 +162,36 @@ fn negacyclic_mul_bit_identical_across_kernels() {
                     products[0].coeffs(),
                     "negacyclic mul under {k} diverged at n=2^{log_n}, q={q}"
                 );
+            }
+        }
+    }
+}
+
+/// Worst-case entries — every coefficient `q − 1`, or every one 0 —
+/// through every kernel, forward and inverse, at 30-, 45- and 50-bit
+/// primes (the top of the IFMA window, where lazy values come closest
+/// to the 52-bit lanes' ceiling), at every sweep dimension.
+#[test]
+fn worst_case_entries_bit_identical_across_kernels() {
+    for log_n in LOG_DIMS {
+        let n = 1 << log_n;
+        for bits in [30u32, 45, 50] {
+            let q = generate_ntt_prime(n, bits).unwrap();
+            let ctx = NttContext::new(n, q).with_kernel(NttKernel::Reference);
+            for fill in [q - 1, 0] {
+                let data = vec![fill; n];
+                let mut want_fwd = data.clone();
+                ctx.forward_with(NttKernel::Reference, &mut want_fwd);
+                let mut want_inv = data.clone();
+                ctx.inverse_with(NttKernel::Reference, &mut want_inv);
+                for k in kernels_for(q) {
+                    let mut fwd = data.clone();
+                    ctx.forward_with(k, &mut fwd);
+                    assert_eq!(fwd, want_fwd, "forward {k}, all {fill}, n=2^{log_n}, q={q}");
+                    let mut inv = data.clone();
+                    ctx.inverse_with(k, &mut inv);
+                    assert_eq!(inv, want_inv, "inverse {k}, all {fill}, n=2^{log_n}, q={q}");
+                }
             }
         }
     }
@@ -330,10 +363,9 @@ proptest! {
 }
 
 /// The kernel the dispatch rule picks must be bit-identical to the
-/// reference oracle on both sides of the IFMA crossover
-/// (`RADIX4_MIN_DIM` = 2^13) and at every prime-width class the
-/// schemes use: 31-bit TFHE, 36-bit CKKS, 49-bit inside the IFMA
-/// window, 59-bit outside it.
+/// reference oracle at N = 2^12 and 2^13 and at every prime-width
+/// class the schemes use: 31-bit TFHE, 36-bit CKKS, 49-bit inside the
+/// IFMA window, 59-bit outside it.
 #[test]
 fn auto_kernel_bit_identical_to_reference() {
     for log_n in [12usize, 13] {

@@ -320,7 +320,9 @@ impl InstrStream {
         for mut ins in other.instrs {
             let old_id = ins.id;
             ins.id += base;
-            ins.deps = ins.deps.iter().map(|d| d + base).collect();
+            for d in &mut ins.deps {
+                *d += base;
+            }
             if ins.deps.is_empty() {
                 ins.deps.extend_from_slice(extra_deps);
             }

@@ -219,7 +219,7 @@ impl RnsPlane {
     /// # Panics
     ///
     /// Panics unless `0 < at < limb_count()`.
-    pub fn split_off_limbs(&mut self, at: usize) -> Self {
+    pub(crate) fn split_off_limbs(&mut self, at: usize) -> Self {
         assert!(at > 0 && at < self.limb_count(), "split inside the limbs");
         Self {
             data: self.data.split_off(at * self.n),

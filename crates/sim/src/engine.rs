@@ -6,12 +6,19 @@
 //! dependencies and by the FIFO availability of every resource it
 //! demands — the classic resource-constrained list schedule. The
 //! result is the makespan plus per-resource busy totals (utilization).
+//!
+//! The per-instruction work is a handful of array reads and writes:
+//! resource state (when each unit frees up, its last occupant, its
+//! busy total) lives in fixed arrays indexed by [`ResKind`]'s
+//! discriminant, phase totals in an array indexed by
+//! [`Phase`]'s, and a machine's [`InstrCost`] holds its demands
+//! inline. Resource and phase names are looked up only when the
+//! [`SimReport`] is built.
 
 use crate::machines::Machine;
 use crate::observe::{Binding, InstrSchedule, NullObserver, SimObserver};
 use crate::report::SimReport;
-use std::collections::HashMap;
-use ufc_isa::instr::InstrStream;
+use ufc_isa::instr::{InstrStream, Phase};
 
 /// The shared hardware resources a machine can expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,7 +47,9 @@ pub enum ResKind {
     Hbm2,
 }
 
-/// All resource kinds, for utilization reporting.
+/// All resource kinds, in discriminant order: `ALL_RESOURCES[r as
+/// usize] == r`, so the engine and the telemetry observers index
+/// per-resource arrays by `r as usize`.
 pub const ALL_RESOURCES: [ResKind; 10] = [
     ResKind::Ntt,
     ResKind::Elew,
@@ -55,8 +64,9 @@ pub const ALL_RESOURCES: [ResKind; 10] = [
 ];
 
 impl ResKind {
-    /// Stable display/serialization name (matches the `Debug` form
-    /// used in [`SimReport::utilization`]).
+    /// Stable display/serialization name, the one
+    /// [`SimReport::utilization`] lists the resource under (equal to
+    /// the `Debug` form).
     pub fn name(&self) -> &'static str {
         match self {
             ResKind::Ntt => "Ntt",
@@ -73,13 +83,61 @@ impl ResKind {
     }
 }
 
-/// Busy-cycle demands of one instruction.
+/// The largest number of demands one instruction may carry: UFC's
+/// transforms and rotations name three resources (lanes, NoC or LWE
+/// unit, and HBM when they stream key material); no machine names
+/// more.
+pub const MAX_DEMANDS: usize = 3;
+
+/// An instruction's `(resource, busy cycles)` demands, held inline
+/// (at most [`MAX_DEMANDS`]) so a machine's [`Machine::cost`] makes
+/// no heap allocation. Dereferences to `&[(ResKind, u64)]`; every
+/// entry has a nonzero cycle count (see [`InstrCost::with`]).
+#[derive(Clone, Copy)]
+pub struct Demands {
+    len: usize,
+    items: [(ResKind, u64); MAX_DEMANDS],
+}
+
+impl Default for Demands {
+    fn default() -> Self {
+        Self {
+            len: 0,
+            items: [(ResKind::Ntt, 0); MAX_DEMANDS],
+        }
+    }
+}
+
+impl std::ops::Deref for Demands {
+    type Target = [(ResKind, u64)];
+
+    fn deref(&self) -> &[(ResKind, u64)] {
+        &self.items[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Demands {
+    type Item = &'a (ResKind, u64);
+    type IntoIter = std::slice::Iter<'a, (ResKind, u64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Demands {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Busy-cycle demands and dynamic energy of one instruction.
 #[derive(Debug, Clone, Default)]
 pub struct InstrCost {
     /// `(resource, busy cycles)` pairs; resources operate in parallel
     /// within the instruction (pipelined), and each serializes across
-    /// instructions.
-    pub demands: Vec<(ResKind, u64)>,
+    /// instructions. Built with [`InstrCost::with`].
+    pub demands: Demands,
     /// Dynamic energy in picojoules.
     pub energy_pj: f64,
 }
@@ -90,10 +148,15 @@ impl InstrCost {
         Self::default()
     }
 
-    /// Builder: adds a demand.
+    /// Builder: adds a demand; a zero-cycle demand is dropped. At
+    /// most [`MAX_DEMANDS`] demands fit (a debug assertion; one more
+    /// panics on the bounds check in release builds too).
     pub fn with(mut self, r: ResKind, cycles: u64) -> Self {
         if cycles > 0 {
-            self.demands.push((r, cycles));
+            let d = &mut self.demands;
+            debug_assert!(d.len < MAX_DEMANDS, "more than {MAX_DEMANDS} demands");
+            d.items[d.len] = (r, cycles);
+            d.len += 1;
         }
         self
     }
@@ -129,13 +192,18 @@ pub fn simulate_with<O: SimObserver + ?Sized>(
     observer: &mut O,
 ) -> SimReport {
     observer.on_begin(machine, stream);
+    const NRES: usize = ALL_RESOURCES.len();
     let mut finish = vec![0u64; stream.len()];
-    let mut res_free: HashMap<ResKind, u64> = HashMap::new();
-    // Last instruction to occupy each resource — the `pred` of a
-    // resource-bound schedule decision.
-    let mut res_writer: HashMap<ResKind, usize> = HashMap::new();
-    let mut busy: HashMap<ResKind, u64> = HashMap::new();
-    let mut phase_cycles: HashMap<String, u64> = HashMap::new();
+    // Cycle each resource frees up, and its last occupant — the
+    // `pred` of a resource-bound schedule decision.
+    let mut res_free = [0u64; NRES];
+    let mut res_writer: [Option<usize>; NRES] = [None; NRES];
+    // Every demand is nonzero, so a resource some demand named is
+    // exactly one with a nonzero busy total.
+    let mut busy = [0u64; NRES];
+    // `None` until an instruction of that phase is seen: a phase is
+    // listed even when all its instructions took 0 cycles.
+    let mut phase_cycles: [Option<u64>; Phase::ALL.len()] = [None; Phase::ALL.len()];
     let mut energy_pj = 0.0f64;
     let mut makespan = 0u64;
 
@@ -150,29 +218,26 @@ pub fn simulate_with<O: SimObserver + ?Sized>(
         let (res_ready, res_pred) = cost
             .demands
             .iter()
-            .map(|(r, _)| (*res_free.get(r).unwrap_or(&0), *r))
+            .map(|&(r, _)| (res_free[r as usize], r))
             .max_by(|a, b| a.0.cmp(&b.0))
             .map_or((0, None), |(f, r)| (f, Some(r)));
         // The binding resource's previous occupant — resolved *before*
         // this instruction claims its resources below.
-        let res_pred_instr = res_pred.and_then(|r| res_writer.get(&r).copied());
+        let res_pred_instr = res_pred.and_then(|r| res_writer[r as usize]);
         let start = dep_ready.max(res_ready);
         let mut end = start;
         for &(r, c) in &cost.demands {
             let r_end = start.saturating_add(c);
-            res_free.insert(r, r_end);
-            res_writer.insert(r, instr.id);
-            let b = busy.entry(r).or_insert(0);
-            *b = b.saturating_add(c);
+            res_free[r as usize] = r_end;
+            res_writer[r as usize] = Some(instr.id);
+            busy[r as usize] = busy[r as usize].saturating_add(c);
             end = end.max(r_end);
         }
         finish[instr.id] = end;
         makespan = makespan.max(end);
         energy_pj += cost.energy_pj;
-        let p = phase_cycles
-            .entry(format!("{:?}", instr.phase))
-            .or_insert(0);
-        *p = p.saturating_add(end - start);
+        let p = &mut phase_cycles[instr.phase as usize];
+        *p = Some(p.unwrap_or(0).saturating_add(end - start));
 
         // Stall attribution (module docs of `observe`): the start is
         // charged to whichever constraint class was binding. A
@@ -221,17 +286,14 @@ pub fn simulate_with<O: SimObserver + ?Sized>(
         utilization: {
             let mut v: Vec<(String, f64)> = ALL_RESOURCES
                 .iter()
-                .filter_map(|r| {
-                    busy.get(r).map(|&b| {
-                        (
-                            format!("{r:?}"),
-                            if makespan == 0 {
-                                0.0
-                            } else {
-                                b as f64 / makespan as f64
-                            },
-                        )
-                    })
+                .filter(|&&r| busy[r as usize] > 0)
+                .map(|&r| {
+                    let share = if makespan == 0 {
+                        0.0
+                    } else {
+                        busy[r as usize] as f64 / makespan as f64
+                    };
+                    (r.name().to_owned(), share)
                 })
                 .collect();
             // Busiest first; name breaks ties so reports and golden
@@ -241,7 +303,10 @@ pub fn simulate_with<O: SimObserver + ?Sized>(
         },
         hbm_bytes: stream.total_hbm_bytes(),
         phase_cycles: {
-            let mut v: Vec<(String, u64)> = phase_cycles.into_iter().collect();
+            let mut v: Vec<(String, u64)> = Phase::ALL
+                .iter()
+                .filter_map(|&p| phase_cycles[p as usize].map(|c| (p.name().to_owned(), c)))
+                .collect();
             v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             v
         },
@@ -276,6 +341,7 @@ mod tests {
         fn cost(&self, i: &ufc_isa::instr::MacroInstr) -> InstrCost {
             match i.kernel {
                 Kernel::Ntt => InstrCost::free().with(ResKind::Ntt, 10).with_energy(1.0),
+                Kernel::Load => InstrCost::free(),
                 _ => InstrCost::free().with(ResKind::Elew, 5).with_energy(1.0),
             }
         }
@@ -328,6 +394,65 @@ mod tests {
         }
         let r = simulate(&Toy, &s);
         assert!((r.dynamic_j - 5e-12).abs() < 1e-18);
+    }
+
+    #[test]
+    fn all_resources_are_in_discriminant_order() {
+        for (i, r) in ALL_RESOURCES.iter().enumerate() {
+            assert_eq!(*r as usize, i, "{r:?}");
+        }
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn names_equal_debug_forms() {
+        for r in ALL_RESOURCES {
+            assert_eq!(r.name(), format!("{r:?}"));
+        }
+        for p in Phase::ALL {
+            assert_eq!(p.name(), format!("{p:?}"));
+        }
+    }
+
+    #[test]
+    fn zero_cycle_phase_is_still_listed() {
+        let mut s = InstrStream::new();
+        s.push(Kernel::Ntt, shape(), 32, vec![], 0, Phase::CkksEval);
+        s.push(Kernel::Load, shape(), 32, vec![], 0, Phase::TfheKeySwitch);
+        let r = simulate(&Toy, &s);
+        assert_eq!(
+            r.phase_cycles,
+            vec![("CkksEval".to_owned(), 10), ("TfheKeySwitch".to_owned(), 0)]
+        );
+        // The free Load names no resource, so only Ntt is listed.
+        assert_eq!(r.utilization, vec![("Ntt".to_owned(), 1.0)]);
+    }
+
+    #[test]
+    fn demands_hold_up_to_the_capacity_inline() {
+        let c = InstrCost::free()
+            .with(ResKind::Ntt, 3)
+            .with(ResKind::Elew, 0)
+            .with(ResKind::Noc, 7)
+            .with(ResKind::Hbm, 5);
+        assert_eq!(
+            *c.demands,
+            [(ResKind::Ntt, 3), (ResKind::Noc, 7), (ResKind::Hbm, 5)]
+        );
+        assert_eq!(c.latency(), 7);
+        assert_eq!(format!("{:?}", c.demands), "[(Ntt, 3), (Noc, 7), (Hbm, 5)]");
+    }
+
+    #[test]
+    #[should_panic]
+    fn demands_beyond_the_capacity_panic() {
+        let _ = InstrCost::free()
+            .with(ResKind::Ntt, 1)
+            .with(ResKind::Noc, 1)
+            .with(ResKind::Hbm, 1)
+            .with(ResKind::Elew, 1);
     }
 
     #[test]

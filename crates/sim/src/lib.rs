@@ -52,7 +52,7 @@ pub mod machines;
 pub mod observe;
 pub mod report;
 
-pub use engine::{simulate, simulate_with, InstrCost, ResKind};
+pub use engine::{simulate, simulate_with, Demands, InstrCost, ResKind};
 pub use machines::{ComposedMachine, Machine, SharpMachine, StrixMachine, UfcConfig, UfcMachine};
 pub use observe::{Binding, InstrSchedule, NullObserver, ScheduleLog, SimObserver};
 pub use report::SimReport;

@@ -21,7 +21,6 @@
 
 use crate::timeline::Timeline;
 use serde::Value;
-use ufc_sim::engine::ALL_RESOURCES;
 use ufc_trace::HostTrace;
 
 /// Process id used for the simulator timeline.
@@ -187,14 +186,11 @@ fn push_host_events(events: &mut Vec<Value>, host: &HostTrace) {
     }
 }
 
-/// Stable track id for a resource: its index in [`ALL_RESOURCES`],
+/// Stable track id for a resource: its index in
+/// [`ALL_RESOURCES`](ufc_sim::engine::ALL_RESOURCES),
 /// offset by 1 so tid 0 stays free for metadata.
 fn tid_of(res: ufc_sim::ResKind) -> u64 {
-    ALL_RESOURCES
-        .iter()
-        .position(|&r| r == res)
-        .map(|i| i as u64 + 1)
-        .unwrap_or(0)
+    res as u64 + 1
 }
 
 fn meta(name: &str, pid: u64, tid: u64, args: Vec<(String, Value)>) -> Value {

@@ -10,10 +10,11 @@
 //! as it streams past and stores nothing per instruction.
 
 use ufc_isa::instr::MacroInstr;
+use ufc_sim::engine::ALL_RESOURCES;
 use ufc_sim::observe::{Binding, InstrSchedule, SimObserver};
 use ufc_sim::{InstrCost, Machine, SimReport};
 
-use crate::timeline::StallSummary;
+use crate::timeline::{breakdown, StallSummary};
 
 /// Constant-memory aggregate of one simulation run. Attach with
 /// `ufc_sim::simulate_with(&machine, &stream, &mut stats)`.
@@ -24,8 +25,8 @@ pub struct StreamingStats {
     makespan: u64,
     dep_stall: u64,
     res_stall_total: u64,
-    res_stall: Vec<(String, u64)>,
-    busy: Vec<(String, u64)>,
+    res_stall: [u64; ALL_RESOURCES.len()],
+    busy: [u64; ALL_RESOURCES.len()],
     packed_instrs: u64,
     pack_sum: u64,
     report: Option<SimReport>,
@@ -46,11 +47,11 @@ impl SimObserver for StreamingStats {
         self.res_stall_total += sched.res_stall;
         if sched.res_stall > 0 {
             if let Binding::Resource { res, .. } = sched.binding {
-                bump(&mut self.res_stall, res.name(), sched.res_stall);
+                self.res_stall[res as usize] += sched.res_stall;
             }
         }
         for &(r, c) in &cost.demands {
-            bump(&mut self.busy, r.name(), c);
+            self.busy[r as usize] += c;
         }
         if instr.pack != u32::MAX {
             self.packed_instrs += 1;
@@ -93,15 +94,11 @@ impl StreamingStats {
     /// [`crate::Timeline::stall_summary`] (asserted by this crate's
     /// tests) at constant memory.
     pub fn stall_summary(&self) -> StallSummary {
-        let mut res_stall = self.res_stall.clone();
-        let mut busy = self.busy.clone();
-        crate::timeline::sort_breakdown(&mut res_stall);
-        crate::timeline::sort_breakdown(&mut busy);
         StallSummary {
             dep_stall: self.dep_stall,
             res_stall_total: self.res_stall_total,
-            res_stall,
-            busy,
+            res_stall: breakdown(&self.res_stall),
+            busy: breakdown(&self.busy),
         }
     }
 
@@ -111,13 +108,6 @@ impl StreamingStats {
     /// reports per adder variant.
     pub fn mean_pack(&self) -> Option<f64> {
         (self.packed_instrs > 0).then(|| self.pack_sum as f64 / self.packed_instrs as f64)
-    }
-}
-
-fn bump(v: &mut Vec<(String, u64)>, name: &str, by: u64) {
-    match v.iter_mut().find(|(k, _)| k == name) {
-        Some((_, c)) => *c += by,
-        None => v.push((name.to_owned(), by)),
     }
 }
 

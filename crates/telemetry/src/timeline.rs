@@ -3,8 +3,9 @@
 //! critical-path views the paper's utilization arguments rest on.
 
 use ufc_isa::instr::MacroInstr;
+use ufc_sim::engine::ALL_RESOURCES;
 use ufc_sim::observe::{Binding, InstrSchedule, SimObserver};
-use ufc_sim::{InstrCost, Machine, ResKind, SimReport};
+use ufc_sim::{Demands, InstrCost, Machine, ResKind, SimReport};
 
 /// One recorded instruction: schedule decision plus enough of the
 /// instruction's identity for downstream labeling (no borrow into the
@@ -26,7 +27,7 @@ pub struct InstrRecord {
     /// Off-chip bytes streamed by the instruction.
     pub hbm_bytes: u64,
     /// Busy slices: `(resource, cycles)`, each `[start, start+cycles)`.
-    pub demands: Vec<(ResKind, u64)>,
+    pub demands: Demands,
     /// Dynamic energy of the instruction in pJ.
     pub energy_pj: f64,
 }
@@ -71,7 +72,7 @@ impl SimObserver for Timeline {
             count: instr.shape.count,
             pack: instr.pack,
             hbm_bytes: instr.hbm_bytes,
-            demands: cost.demands.clone(),
+            demands: cost.demands,
             energy_pj: cost.energy_pj,
         });
     }
@@ -129,14 +130,15 @@ impl Timeline {
 
     /// Every resource that appears in the run, in `ResKind` order.
     pub fn resources(&self) -> Vec<ResKind> {
-        ufc_sim::engine::ALL_RESOURCES
-            .iter()
-            .copied()
-            .filter(|r| {
-                self.records
-                    .iter()
-                    .any(|rec| rec.demands.iter().any(|&(x, c)| x == *r && c > 0))
-            })
+        let mut seen = [false; ALL_RESOURCES.len()];
+        for rec in &self.records {
+            for &(r, c) in &rec.demands {
+                seen[r as usize] |= c > 0;
+            }
+        }
+        ALL_RESOURCES
+            .into_iter()
+            .filter(|&r| seen[r as usize])
             .collect()
     }
 
@@ -229,27 +231,26 @@ impl Timeline {
     pub fn stall_summary(&self) -> StallSummary {
         let mut dep_stall = 0u64;
         let mut res_stall_total = 0u64;
-        let mut res_stall: Vec<(String, u64)> = Vec::new();
-        let mut busy: Vec<(String, u64)> = Vec::new();
+        let mut res_stall = [0u64; ALL_RESOURCES.len()];
+        let mut busy = [0u64; ALL_RESOURCES.len()];
         for rec in &self.records {
             dep_stall = dep_stall.saturating_add(rec.sched.dep_stall);
             res_stall_total = res_stall_total.saturating_add(rec.sched.res_stall);
             if rec.sched.res_stall > 0 {
                 if let Binding::Resource { res, .. } = rec.sched.binding {
-                    bump(&mut res_stall, res.name(), rec.sched.res_stall);
+                    let t = &mut res_stall[res as usize];
+                    *t = t.saturating_add(rec.sched.res_stall);
                 }
             }
             for &(r, c) in &rec.demands {
-                bump(&mut busy, r.name(), c);
+                busy[r as usize] = busy[r as usize].saturating_add(c);
             }
         }
-        sort_breakdown(&mut res_stall);
-        sort_breakdown(&mut busy);
         StallSummary {
             dep_stall,
             res_stall_total,
-            res_stall,
-            busy,
+            res_stall: breakdown(&res_stall),
+            busy: breakdown(&busy),
         }
     }
 
@@ -327,8 +328,22 @@ fn accumulate(items: impl Iterator<Item = (String, u64)>) -> Vec<(String, u64)> 
     out
 }
 
+/// The named, sorted breakdown of per-resource totals indexed by
+/// `ResKind as usize`. A resource is listed iff its total is nonzero:
+/// every demand and every charged stall is nonzero, so that is
+/// exactly the resources some instruction named.
+pub(crate) fn breakdown(totals: &[u64; ALL_RESOURCES.len()]) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = ALL_RESOURCES
+        .into_iter()
+        .filter(|&r| totals[r as usize] > 0)
+        .map(|r| (r.name().to_owned(), totals[r as usize]))
+        .collect();
+    sort_breakdown(&mut v);
+    v
+}
+
 /// Largest first, name as tie-break (deterministic goldens).
-pub(crate) fn sort_breakdown(v: &mut [(String, u64)]) {
+fn sort_breakdown(v: &mut [(String, u64)]) {
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 }
 

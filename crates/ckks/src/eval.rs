@@ -26,7 +26,7 @@ use ufc_math::modops::shoup_precompute;
 use ufc_math::par::{par_limbs, par_limbs_in, with_scratch};
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::Form;
-use ufc_math::sample::{gaussian_poly, ternary_poly};
+use ufc_math::sample::{gaussian_vec, ternary_vec};
 use ufc_math::simd;
 
 /// The cached, evaluation-form extended-basis digits of one
@@ -146,14 +146,7 @@ impl Evaluator {
     ) -> Ciphertext {
         let _span = ufc_trace::span("ckks", "encrypt");
         let n = self.ctx.n();
-        let v_signed: Vec<i64> = {
-            let t = ternary_poly(rng, n, 3);
-            t.coeffs()
-                .iter()
-                .map(|&c| if c == 2 { -1 } else { c as i64 })
-                .collect()
-        };
-        let v = self.ctx.eval_from_signed(&v_signed, level + 1);
+        let v = self.ctx.eval_from_signed(&ternary_vec(rng, n), level + 1);
         let e0 = self.noise(level, rng);
         let e1 = self.noise(level, rng);
         // Slice the public key to the active limbs, then build the
@@ -169,13 +162,7 @@ impl Evaluator {
     }
 
     fn noise<R: Rng + ?Sized>(&self, level: usize, rng: &mut R) -> RnsPlane {
-        let signed: Vec<i64> = {
-            let p = gaussian_poly(rng, self.ctx.n(), 1 << 30, NOISE_SIGMA);
-            p.coeffs()
-                .iter()
-                .map(|&c| ufc_math::modops::to_signed(c, 1 << 30))
-                .collect()
-        };
+        let signed = gaussian_vec(rng, self.ctx.n(), NOISE_SIGMA);
         self.ctx.eval_from_signed(&signed, level + 1)
     }
 

@@ -11,13 +11,7 @@ use rand::Rng;
 use ufc_math::automorph;
 use ufc_math::modops::mul_mod;
 use ufc_math::plane::RnsPlane;
-use ufc_math::poly::Form;
-use ufc_math::sample::{gaussian, ternary_poly, uniform_poly};
-
-/// Samples a centered discrete-Gaussian coefficient vector.
-fn gaussian_signed<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
-    (0..n).map(|_| gaussian(rng, NOISE_SIGMA)).collect()
-}
+use ufc_math::sample::{gaussian_vec, ternary_vec, uniform_plane};
 
 /// Noise standard deviation (the ubiquitous σ = 3.2), shared with the
 /// static noise model in `ufc_isa::noise`.
@@ -33,13 +27,9 @@ pub struct SecretKey {
 impl SecretKey {
     /// Samples a fresh ternary secret for the given context.
     pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, rng: &mut R) -> Self {
-        let p = ternary_poly(rng, ctx.n(), 3);
-        let signed: Vec<i64> = p
-            .coeffs()
-            .iter()
-            .map(|&c| if c == 2 { -1 } else { c as i64 })
-            .collect();
-        Self { signed }
+        Self {
+            signed: ternary_vec(rng, ctx.n()),
+        }
     }
 
     /// The centered coefficient view.
@@ -213,13 +203,8 @@ fn rlwe_sample<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (RnsPlane, RnsPlane) {
     let n = ctx.n();
-    let e_signed = gaussian_signed(rng, n);
-    // Sized up front: keys keep this buffer, so no growth slack.
-    let mut a_flat = Vec::with_capacity(moduli.len() * n);
-    for &q in moduli {
-        a_flat.extend_from_slice(uniform_poly(rng, n, q).coeffs());
-    }
-    let mut a = RnsPlane::from_flat_unchecked(a_flat, moduli, Form::Coeff);
+    let e_signed = gaussian_vec(rng, n, NOISE_SIGMA);
+    let mut a = uniform_plane(rng, n, moduli);
     ctx.to_eval(&mut a);
     // b starts as -s, so the product below is already -a·s.
     let neg_s: Vec<i64> = sk.signed.iter().map(|&v| -v).collect();

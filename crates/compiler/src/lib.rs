@@ -13,12 +13,15 @@
 //!   paper's priority order — test-vector level (TvLP), then
 //!   polynomial level (PLP), then column level (CoLP);
 //! * **memory allocation** (§V-C): key material is streamed from HBM
-//!   with reuse factors determined by the packing strategy, and a
-//!   working-set model charges spill traffic when the scratchpad
-//!   overflows.
+//!   with reuse factors determined by the packing strategy. The
+//!   stream's scratchpad working set is one liveness sweep,
+//!   `ufc_isa::InstrStream::scratchpad_high_water`; the analytic
+//!   [`memory::SpillModel`] survives only to set the machine's spill
+//!   fraction, a cycle model.
 //!
 //! [`Compiler::try_compile`] is the one driver from trace to stream:
-//! it inserts a dependency barrier at every scheme switch, and the
+//! it inserts one zero-cost `Barrier` instruction at every scheme
+//! switch, and the
 //! same instruction stream drives the UFC machine model *and* the
 //! SHARP/Strix baselines, mirroring the paper's fair-comparison
 //! methodology (§VI-C). Verifying the stream is a separate step
@@ -48,4 +51,4 @@ pub mod stats;
 pub use error::CompileError;
 pub use lower::Compiler;
 pub use options::{CompileOptions, Packing};
-pub use stats::{CompileStats, OpKindStat, OpLowering, SpillEvent};
+pub use stats::{CompileStats, OpKindStat, OpLowering};

@@ -7,16 +7,16 @@
 //! → iNTT → rotate.
 //!
 //! [`Compiler::try_compile`] is the one driver from trace to stream:
-//! it lowers every op in order and inserts a dependency barrier at
-//! each scheme switch. Every entry point is fallible and returns
+//! it lowers every op in order and inserts one `Barrier` instruction
+//! at each scheme switch. Every entry point is fallible and returns
 //! [`CompileError`]. Verifying the lowered stream is a separate step
 //! (`ufc_verify::verify_stream`), taken by `ufc-lint`,
 //! `Ufc::run_verified` and the workspace's stream tests.
 
 use crate::error::CompileError;
-use crate::memory::{key_reuse_factor, SpillModel};
+use crate::memory::key_reuse_factor;
 use crate::options::{CompileOptions, Packing};
-use crate::stats::{CompileStats, OpLowering, SpillEvent};
+use crate::stats::{CompileStats, OpLowering};
 use ufc_isa::instr::{InstrStream, Kernel, Phase, PolyShape};
 use ufc_isa::params::{CkksParams, TfheParams, LIMB_BITS};
 use ufc_isa::trace::{Trace, TraceOp};
@@ -68,21 +68,23 @@ impl Compiler {
     /// (program-level parallelism is abundant in the evaluated
     /// workloads; the simulator's resource model bounds the overlap).
     /// Whenever the program switches schemes, or crosses a
-    /// chip-to-chip transfer, the next block depends on every exit
-    /// since the previous crossing: hybrid phases are data-dependent,
-    /// so neither UFC nor the composed baseline may overlap them.
+    /// chip-to-chip transfer, one [`Kernel::Barrier`] depends on every
+    /// exit since the previous crossing and the next block's entries
+    /// depend on the barrier: hybrid phases are data-dependent, so
+    /// neither UFC nor the composed baseline may overlap them. The
+    /// barrier costs nothing and holds no data, so it orders the
+    /// phases without keeping the exits live.
     ///
     /// Alongside the stream it reports what the lowering did: one
-    /// [`OpLowering`] per trace op, one [`SpillEvent`] per op whose
-    /// modeled working set overflows the scratchpad
-    /// ([`CompileOptions::scratchpad_bytes`]), and the static noise
-    /// schedule. The stream is not verified here: `ufc-lint` and
-    /// `Ufc::run_verified` run `ufc_verify::verify_stream` on it.
+    /// [`OpLowering`] per trace op and the static noise schedule. The
+    /// stream is not verified here: `ufc-lint` and `Ufc::run_verified`
+    /// run `ufc_verify::verify_stream` on it, and
+    /// [`InstrStream::scratchpad_high_water`] measures its working
+    /// set.
     pub fn try_compile(&self, trace: &Trace) -> Result<(InstrStream, CompileStats), CompileError> {
         let _span = ufc_trace::span_n("compiler", "compile", trace.len() as u64);
         let mut out = InstrStream::new();
         let mut ops = Vec::with_capacity(trace.len());
-        let mut spills = Vec::new();
         {
             let _lower = ufc_trace::span("compiler", "lower");
             let mut prev_exits: Vec<usize> = Vec::new();
@@ -100,15 +102,24 @@ impl Compiler {
                 let block = self.try_lower_op(op)?;
                 ops.push(OpLowering {
                     index,
-                    op: op.name().to_owned(),
+                    op: op.name(),
                     instrs: block.len(),
                     hbm_bytes: block.total_hbm_bytes(),
                 });
-                if let Some(ev) = self.spill_event(index, op) {
-                    spills.push(ev);
-                }
-                let deps: &[usize] = if crosses { &prev_exits } else { &[] };
-                let exits = out.append(block, deps);
+                // The barrier takes the word size and phase of the
+                // block it precedes, so no new phase shows up.
+                let barrier = match block.instrs().first() {
+                    Some(entry) if crosses && !prev_exits.is_empty() => Some(out.push(
+                        Kernel::Barrier,
+                        PolyShape::new(0, 1),
+                        entry.word_bits,
+                        std::mem::take(&mut prev_exits),
+                        0,
+                        entry.phase,
+                    )),
+                    _ => None,
+                };
+                let exits = out.append(block, barrier.as_slice());
                 if crosses {
                     prev_exits = exits;
                 } else {
@@ -124,48 +135,10 @@ impl Compiler {
         let stats = CompileStats {
             total_instrs: out.len(),
             total_hbm_bytes: out.total_hbm_bytes(),
-            scratchpad_bytes: self.opts.scratchpad_bytes,
             ops,
-            spills,
             noise,
         };
         Ok((out, stats))
-    }
-
-    /// Checks one op's modeled working set (§V-C) against the
-    /// scratchpad, returning the overflow event if it does not fit.
-    /// Linear/transfer ops have no resident working set.
-    fn spill_event(&self, index: usize, op: &TraceOp) -> Option<SpillEvent> {
-        let working_set = match *op {
-            TraceOp::CkksAdd { level }
-            | TraceOp::CkksMulPlain { level }
-            | TraceOp::CkksMulCt { level }
-            | TraceOp::CkksRescale { level }
-            | TraceOp::CkksRotate { level, .. }
-            | TraceOp::CkksConjugate { level }
-            | TraceOp::Repack { level, .. } => {
-                SpillModel::ckks_working_set(self.ckks.as_ref()?, level, 4)
-            }
-            // Mod raise lands on the full limb budget.
-            TraceOp::CkksModRaise { .. } => {
-                let p = self.ckks.as_ref()?;
-                SpillModel::ckks_working_set(p, p.max_level(), 4)
-            }
-            TraceOp::TfhePbs { batch } | TraceOp::TfheKeySwitch { batch } => {
-                SpillModel::tfhe_working_set(self.tfhe.as_ref()?, batch)
-            }
-            TraceOp::TfheLinear { .. }
-            | TraceOp::Extract { .. }
-            | TraceOp::SchemeTransfer { .. } => return None,
-        };
-        let capacity = self.opts.scratchpad_bytes;
-        (working_set > capacity).then(|| SpillEvent {
-            index,
-            op: op.name().to_owned(),
-            working_set,
-            capacity,
-            overflow: working_set - capacity,
-        })
     }
 
     /// Lowers a single trace op into its instruction block.

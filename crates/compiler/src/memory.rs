@@ -1,5 +1,5 @@
 //! Memory-side compiler models: key-reuse factors for the packing
-//! strategies and the scratchpad working-set / spill model (§V-C).
+//! strategies and the analytic working-set / spill model (§V-C).
 
 use crate::options::Packing;
 use ufc_isa::params::{CkksParams, TfheParams};
@@ -19,10 +19,13 @@ pub fn key_reuse_factor(packing: Packing, batch: u32) -> u32 {
     }
 }
 
-/// Analytic scratchpad working-set model. If the working set of a
-/// workload phase exceeds the scratchpad capacity, the overflow
-/// fraction of ciphertext traffic is charged to HBM (§V-C; also the
-/// mechanism behind the scratchpad-capacity DSE of Figs. 13–14).
+/// Analytic scratchpad working-set model, kept only as the machine's
+/// cycle model: if the working set of a workload exceeds the
+/// scratchpad capacity, the overflow fraction of ciphertext traffic
+/// is charged to HBM (§V-C; also the mechanism behind the
+/// scratchpad-capacity DSE of Figs. 13–14). Whether a compiled
+/// stream fits is a separate question, answered by its liveness
+/// sweep (`ufc_isa::InstrStream::scratchpad_high_water`).
 #[derive(Debug, Clone, Copy)]
 pub struct SpillModel {
     /// Scratchpad capacity in bytes.
@@ -59,12 +62,6 @@ impl SpillModel {
             (working_set - self.capacity) as f64 / working_set as f64
         }
     }
-
-    /// Extra HBM bytes charged for one pass over `bytes` of ciphertext
-    /// data given the working set.
-    pub fn spill_bytes(&self, working_set: u64, bytes: u64) -> u64 {
-        (self.spill_fraction(working_set) * bytes as f64) as u64
-    }
 }
 
 #[cfg(test)]
@@ -86,15 +83,14 @@ mod tests {
         let ws = SpillModel::ckks_working_set(&ckks_params("C1").unwrap(), 10, 4);
         assert!(ws < 256 << 20);
         assert_eq!(m.spill_fraction(ws), 0.0);
-        assert_eq!(m.spill_bytes(ws, 1 << 30), 0);
     }
 
     #[test]
     fn spill_grows_as_capacity_shrinks() {
         let p = ckks_params("C1").unwrap();
         let ws = SpillModel::ckks_working_set(&p, p.max_level(), 8);
-        let big = SpillModel::new(256 << 20).spill_bytes(ws, 1 << 30);
-        let small = SpillModel::new(64 << 20).spill_bytes(ws, 1 << 30);
+        let big = SpillModel::new(256 << 20).spill_fraction(ws);
+        let small = SpillModel::new(64 << 20).spill_fraction(ws);
         assert!(small >= big);
     }
 

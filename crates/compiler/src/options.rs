@@ -43,9 +43,6 @@ pub struct CompileOptions {
     pub total_lanes: u32,
     /// TvLP batch width cap (how many test vectors are interleaved).
     pub max_batch: u32,
-    /// Scratchpad capacity the spill model checks working sets
-    /// against (Table II: 256 MB on-chip SRAM).
-    pub scratchpad_bytes: u64,
     /// Blind-rotation iteration coarsening for very deep logic
     /// traces: each `TfhePbs` lowers its `lwe_dim` iterations in
     /// chunks of this many per Decomp→NTT→EWMM→EWMA→iNTT quintet
@@ -64,7 +61,6 @@ impl Default for CompileOptions {
             packing: Packing::TvlpPlp,
             total_lanes: 16_384,
             max_batch: 64,
-            scratchpad_bytes: 256 << 20,
             pbs_iter_chunk: 1,
         }
     }

@@ -3,10 +3,12 @@
 //! [`Compiler::try_compile`](crate::Compiler::try_compile)
 //! produces a [`CompileStats`] alongside the instruction stream: one
 //! [`OpLowering`] per trace op (how many macro-instructions it
-//! expanded into and how much HBM traffic they carry) plus one
-//! [`SpillEvent`] per op whose modeled working set overflows the
-//! scratchpad (§V-C). All types serialize, so the numbers flow
-//! straight into `--json` bench output and `ufc-profile` reports.
+//! expanded into and how much HBM traffic they carry) plus the static
+//! noise schedule. All types serialize, so the numbers flow straight
+//! into `--json` bench output and `ufc-profile` reports. The stream's
+//! scratchpad working set is not a lowering statistic: it is
+//! measured on the stream itself
+//! (`ufc_isa::InstrStream::scratchpad_high_water`).
 
 /// How one trace op lowered.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -14,33 +16,18 @@ pub struct OpLowering {
     /// Position of the op in the trace.
     pub index: usize,
     /// Stable op variant name (`TraceOp::name`).
-    pub op: String,
+    pub op: &'static str,
     /// Macro-instructions the op expanded into.
     pub instrs: usize,
     /// HBM bytes carried by those instructions.
     pub hbm_bytes: u64,
 }
 
-/// A scratchpad-overflow event observed while lowering one op.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
-pub struct SpillEvent {
-    /// Position of the op in the trace.
-    pub index: usize,
-    /// Stable op variant name.
-    pub op: String,
-    /// Modeled working set of the op in bytes.
-    pub working_set: u64,
-    /// Scratchpad capacity the working set was checked against.
-    pub capacity: u64,
-    /// Overflow in bytes (`working_set - capacity`).
-    pub overflow: u64,
-}
-
 /// Aggregate view of one op kind across the whole trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct OpKindStat {
     /// Stable op variant name.
-    pub op: String,
+    pub op: &'static str,
     /// How many times the op kind appears.
     pub count: u64,
     /// Total macro-instructions emitted for it.
@@ -57,14 +44,10 @@ pub struct OpKindStat {
 pub struct CompileStats {
     /// Per-op lowering records, in trace order.
     pub ops: Vec<OpLowering>,
-    /// Scratchpad-overflow events, in trace order.
-    pub spills: Vec<SpillEvent>,
     /// Total macro-instructions emitted.
     pub total_instrs: usize,
     /// Total HBM bytes across the stream.
     pub total_hbm_bytes: u64,
-    /// Scratchpad capacity used for the spill checks, in bytes.
-    pub scratchpad_bytes: u64,
     /// Static noise schedule of the source trace: per-op CKKS
     /// precision and TFHE margin estimates from the `ufc-verify`
     /// abstract interpreter.
@@ -81,7 +64,7 @@ impl CompileStats {
                 Some(s) => s,
                 None => {
                     out.push(OpKindStat {
-                        op: rec.op.clone(),
+                        op: rec.op,
                         ..OpKindStat::default()
                     });
                     out.last_mut().expect("just pushed")
@@ -91,13 +74,8 @@ impl CompileStats {
             slot.instrs += rec.instrs as u64;
             slot.hbm_bytes += rec.hbm_bytes;
         }
-        out.sort_by(|a, b| b.instrs.cmp(&a.instrs).then_with(|| a.op.cmp(&b.op)));
+        out.sort_by(|a, b| b.instrs.cmp(&a.instrs).then_with(|| a.op.cmp(b.op)));
         out
-    }
-
-    /// Total bytes by which working sets overflowed the scratchpad.
-    pub fn total_spill_overflow(&self) -> u64 {
-        self.spills.iter().map(|s| s.overflow).sum()
     }
 }
 
@@ -105,10 +83,10 @@ impl CompileStats {
 mod tests {
     use super::*;
 
-    fn rec(index: usize, op: &str, instrs: usize, hbm: u64) -> OpLowering {
+    fn rec(index: usize, op: &'static str, instrs: usize, hbm: u64) -> OpLowering {
         OpLowering {
             index,
-            op: op.to_owned(),
+            op,
             instrs,
             hbm_bytes: hbm,
         }
@@ -122,10 +100,8 @@ mod tests {
                 rec(1, "TfhePbs", 500, 4096),
                 rec(2, "CkksAdd", 1, 0),
             ],
-            spills: vec![],
             total_instrs: 502,
             total_hbm_bytes: 4096,
-            scratchpad_bytes: 256 << 20,
             noise: ufc_verify::NoiseSchedule::default(),
         };
         let kinds = stats.by_op_kind();
@@ -140,21 +116,12 @@ mod tests {
     fn stats_serialize() {
         let stats = CompileStats {
             ops: vec![rec(0, "CkksAdd", 1, 0)],
-            spills: vec![SpillEvent {
-                index: 0,
-                op: "CkksAdd".into(),
-                working_set: 10,
-                capacity: 4,
-                overflow: 6,
-            }],
             total_instrs: 1,
             total_hbm_bytes: 0,
-            scratchpad_bytes: 4,
             noise: ufc_verify::NoiseSchedule::default(),
         };
         let v = serde::Serialize::to_value(&stats);
-        assert!(v.get("spills").is_some());
+        assert!(v.get("ops").is_some());
         assert!(v.get("noise").is_some());
-        assert_eq!(stats.total_spill_overflow(), 6);
     }
 }

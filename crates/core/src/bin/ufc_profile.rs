@@ -11,8 +11,9 @@
 //! first; a `# ufc stream v1` file is simulated as-is, once its
 //! dependency edges are known to be backward and in range (the
 //! parser accepts any edge so that `ufc-lint` can report it; run
-//! `ufc-lint` for the full diagnosis). The run prints
-//! a summary table, stall attribution and the critical-path report;
+//! `ufc-lint` for the full diagnosis). The run prints a summary
+//! table with the stream's scratchpad high-water mark, stall
+//! attribution and the critical-path report;
 //! `--perfetto` additionally writes a Chrome-trace JSON file openable
 //! in `ui.perfetto.dev`, and `--json` writes the full serializable
 //! summary.
@@ -178,6 +179,12 @@ fn print_report(run: &ProfiledRun, top: usize) {
         s.instrs,
         r.hbm_bytes >> 20
     );
+    println!(
+        "scratchpad high-water mark {} MiB ({} bytes) at instr {}",
+        run.high_water.bytes >> 20,
+        run.high_water.bytes,
+        run.high_water.at
+    );
     println!();
     println!("## kernels (by active cycles)");
     println!("| kernel | instrs | active | dep stall | res stall | hbm bytes |");
@@ -223,15 +230,6 @@ fn print_report(run: &ProfiledRun, top: usize) {
             println!(
                 "| {} | {} | {} | {} |",
                 kind.op, kind.count, kind.instrs, kind.hbm_bytes
-            );
-        }
-        if stats.spills.is_empty() {
-            println!("no scratchpad spills");
-        } else {
-            println!(
-                "{} spill events, {} bytes overflow",
-                stats.spills.len(),
-                stats.total_spill_overflow()
             );
         }
         print_noise_schedule(&stats.noise, top);
@@ -403,6 +401,12 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &args.json {
         let mut value = serde::Serialize::to_value(&run.summary());
+        if let serde::Value::Object(fields) = &mut value {
+            fields.push((
+                "scratchpad_high_water_bytes".into(),
+                serde::Value::U64(run.high_water.bytes),
+            ));
+        }
         if let (serde::Value::Object(fields), Some(stats)) = (&mut value, &run.compile_stats) {
             fields.push(("compile".into(), serde::Serialize::to_value(stats)));
         }

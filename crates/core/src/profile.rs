@@ -3,13 +3,14 @@
 //! [`Ufc::try_run_profiled`] compiles with the same barrier-aware
 //! [`ufc_compiler::Compiler::try_compile`] as [`Ufc::run`], but records everything along the way: a
 //! full [`Timeline`] of the schedule, the compiler's per-op
-//! [`CompileStats`], and a [`MetricsRegistry`] of counters. The
+//! [`CompileStats`], the stream's scratchpad [`HighWater`] mark, and
+//! a [`MetricsRegistry`] of counters. The
 //! simulated report is byte-identical to the uninstrumented path (the
 //! observer hook is passive — property-tested in `ufc-sim`).
 
 use crate::runner::{RunError, Ufc};
 use ufc_compiler::CompileStats;
-use ufc_isa::instr::InstrStream;
+use ufc_isa::instr::{HighWater, InstrStream};
 use ufc_isa::trace::Trace;
 use ufc_sim::machines::Machine;
 use ufc_sim::{simulate_with, SimReport};
@@ -25,6 +26,9 @@ pub struct ProfiledRun {
     /// What the compiler did, per trace op (`None` for pre-compiled
     /// stream inputs, where no trace-level structure exists).
     pub compile_stats: Option<CompileStats>,
+    /// The stream's scratchpad working set
+    /// ([`InstrStream::scratchpad_high_water`]).
+    pub high_water: HighWater,
 }
 
 impl ProfiledRun {
@@ -34,8 +38,10 @@ impl ProfiledRun {
     }
 
     /// The run's counters: `kernel/<k>/instrs`, `phase/<p>/hbm_bytes`
-    /// and `stall/...` from the schedule, plus `compile/op/<name>/...`
-    /// from the lowering stats when available.
+    /// and `stall/...` from the schedule,
+    /// `scratchpad/high_water_bytes` from the stream, plus
+    /// `compile/op/<name>/...` from the lowering stats when
+    /// available.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         for rec in self.timeline.records() {
@@ -44,13 +50,12 @@ impl ProfiledRun {
             m.add("stall/dep_cycles", rec.sched.dep_stall);
             m.add("stall/res_cycles", rec.sched.res_stall);
         }
+        m.add("scratchpad/high_water_bytes", self.high_water.bytes);
         if let Some(stats) = &self.compile_stats {
             for kind in stats.by_op_kind() {
                 m.add(&format!("compile/op/{}/count", kind.op), kind.count);
                 m.add(&format!("compile/op/{}/instrs", kind.op), kind.instrs);
             }
-            m.add("compile/spill_events", stats.spills.len() as u64);
-            m.add("compile/spill_overflow_bytes", stats.total_spill_overflow());
         }
         m
     }
@@ -98,6 +103,7 @@ pub fn profile_stream(
         report,
         timeline,
         compile_stats,
+        high_water: stream.scratchpad_high_water(),
     }
 }
 
@@ -149,6 +155,10 @@ mod tests {
             tr.op_histogram()["TfhePbs"] as u64
         );
         assert!(m.get("kernel/Ntt/instrs") > 0);
+        let (stream, _) = ufc.try_compile(&tr).expect("kNN compiles");
+        assert_eq!(run.high_water, stream.scratchpad_high_water());
+        assert_eq!(m.get("scratchpad/high_water_bytes"), run.high_water.bytes);
+        assert!(run.high_water.bytes > 0);
     }
 
     #[test]

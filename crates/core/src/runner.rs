@@ -73,16 +73,22 @@ impl Ufc {
         Self::new(UfcConfig::default(), CompileOptions::default())
     }
 
-    /// A custom design point. The compiler's packing width and
-    /// scratchpad capacity follow the architecture, so lowering
-    /// statistics and the machine model agree on both.
+    /// A custom design point. The compiler's packing width follows
+    /// the architecture, so lowering and the machine model agree on
+    /// it.
     pub fn new(config: UfcConfig, opts: CompileOptions) -> Self {
         let opts = CompileOptions {
             total_lanes: (config.pes * config.alu_per_pe).max(1),
-            scratchpad_bytes: u64::from(config.scratchpad_mib) << 20,
             ..opts
         };
         Self { config, opts }
+    }
+
+    /// Scratchpad capacity in bytes: the bound [`Ufc::run_verified`]
+    /// holds a stream's high-water mark to, and the capacity of the
+    /// spill model.
+    fn scratchpad_bytes(&self) -> u64 {
+        u64::from(self.config.scratchpad_mib) << 20
     }
 
     /// The architecture configuration.
@@ -115,7 +121,7 @@ impl Ufc {
     const SPILL_REUSE: f64 = 0.25;
 
     fn try_spill_fraction(&self, trace: &Trace) -> Result<f64, ParamsError> {
-        let spill = SpillModel::new(self.opts.scratchpad_bytes);
+        let spill = SpillModel::new(self.scratchpad_bytes());
         let mut frac: f64 = 0.0;
         if let Some(id) = trace.ckks_params {
             let p = try_ckks_params(id)?;
@@ -163,12 +169,14 @@ impl Ufc {
     /// same trace drives the composed baseline, and the UFC machine
     /// model costs them as on-chip no-ops.
     ///
-    /// The scratchpad liveness sweep uses *this instance's* capacity,
-    /// so a stream that cannot be scheduled spill-free is refused;
-    /// use [`Ufc::run`] for the spill-modelled estimate instead.
+    /// The stream's scratchpad high-water mark
+    /// ([`InstrStream::scratchpad_high_water`]) is held to *this
+    /// instance's* capacity, so a stream that cannot be scheduled
+    /// spill-free is refused; use [`Ufc::run`] for the spill-modelled
+    /// estimate instead.
     pub fn run_verified(&self, trace: &Trace) -> Result<SimReport, RunError> {
         let vopts = VerifyOptions {
-            scratchpad_bytes: Some(self.opts.scratchpad_bytes),
+            scratchpad_bytes: Some(self.scratchpad_bytes()),
             // A verified run also refuses workloads whose static noise
             // schedule predicts decryption failure.
             noise: Some(ufc_verify::NoiseOptions::default()),
@@ -299,12 +307,16 @@ mod tests {
         assert!(small.try_spill_fraction(&tr).unwrap() > 0.0);
         let big = Ufc::paper_default();
         assert_eq!(big.try_spill_fraction(&tr).unwrap(), 0.0);
-        // The compiler's spill events are measured against the same
-        // 32 MiB the machine spills against.
-        let (_, stats) = small.try_compile(&tr).expect("bootstrap compiles");
-        assert_eq!(stats.scratchpad_bytes, 32 << 20);
-        assert!(!stats.spills.is_empty());
-        assert!(stats.spills.iter().all(|ev| ev.capacity == 32 << 20));
+        // The compiled stream does not fit 32 MiB either, so a
+        // verified run on the small design point refuses it.
+        let (stream, _) = small.try_compile(&tr).expect("bootstrap compiles");
+        assert!(stream.scratchpad_high_water().bytes > small.scratchpad_bytes());
+        match small.run_verified(&tr) {
+            Err(RunError::Verify(report)) => {
+                assert!(report.has_code("stream/scratchpad-overflow"), "{report}");
+            }
+            other => panic!("expected a scratchpad overflow, got {other:?}"),
+        }
     }
 
     #[test]

@@ -106,6 +106,13 @@ fn profile_cli_emits_valid_perfetto_and_consistent_summary() {
             .sum();
         assert_eq!(total, length, "{breakdown} must tile the makespan");
     }
+    // So did the stream's scratchpad working set.
+    assert!(
+        v.get("scratchpad_high_water_bytes")
+            .and_then(serde::Value::as_u64)
+            .unwrap()
+            > 0
+    );
     // Lowering stats rode along for the trace input.
     let compile = v.get("compile").expect("compile stats present");
     assert!(
@@ -186,4 +193,9 @@ fn profile_cli_profiles_well_formed_streams_that_overflow_the_scratchpad() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("## critical path"), "{stdout}");
+    // Both 5000 MiB results are live when the second is produced.
+    assert!(
+        stdout.contains("scratchpad high-water mark 10000 MiB (10485760000 bytes) at instr 1"),
+        "{stdout}"
+    );
 }

@@ -39,11 +39,16 @@ pub enum Kernel {
     Store,
     /// Chip-to-chip PCIe transfer (composed baseline only).
     Transfer,
+    /// Ordering point: completes once every dependency has, holds no
+    /// data and costs nothing on every machine. The compiler puts one
+    /// at each scheme crossing, so the next block waits for every
+    /// earlier exit without those edges counting as data uses.
+    Barrier,
 }
 
 impl Kernel {
     /// Every kernel, for exhaustive iteration.
-    pub const ALL: [Kernel; 13] = [
+    pub const ALL: [Kernel; 14] = [
         Kernel::Ntt,
         Kernel::Intt,
         Kernel::Ewmm,
@@ -57,6 +62,7 @@ impl Kernel {
         Kernel::Load,
         Kernel::Store,
         Kernel::Transfer,
+        Kernel::Barrier,
     ];
 
     /// Stable display/serialization name.
@@ -75,6 +81,7 @@ impl Kernel {
             Kernel::Load => "Load",
             Kernel::Store => "Store",
             Kernel::Transfer => "Transfer",
+            Kernel::Barrier => "Barrier",
         }
     }
 
@@ -205,7 +212,32 @@ impl MacroInstr {
             Kernel::Rotate => 0,
             Kernel::Extract | Kernel::Redc => 0,
             Kernel::Decomp => 0,
-            Kernel::Load | Kernel::Store | Kernel::Transfer => 0,
+            Kernel::Load | Kernel::Store | Kernel::Transfer | Kernel::Barrier => 0,
+        }
+    }
+
+    /// Scratchpad bytes this instruction's result occupies while
+    /// live: `elems` words of the instruction's word size (36-bit
+    /// limbs in 8-byte words, matching `CkksParams::ciphertext_bytes`;
+    /// 32-bit torus words in 4; opaque 8-bit payloads byte for byte;
+    /// any other size conservatively in 8). Saturates at `u64::MAX`.
+    pub fn output_bytes(&self) -> u64 {
+        match self.kernel {
+            // Store drains to HBM, Transfer is a chip-to-chip hop and
+            // a barrier holds no data: nothing stays resident.
+            Kernel::Store | Kernel::Transfer | Kernel::Barrier => 0,
+            // A BConv shape counts MAC passes (input limbs × output
+            // limbs), not resident polynomials; its result is bounded
+            // by — and charged to — the consumer that reads it.
+            Kernel::BconvMac => 0,
+            _ => {
+                let word_bytes = match self.word_bits {
+                    32 => 4,
+                    8 => 1,
+                    _ => 8,
+                };
+                self.shape.elems().saturating_mul(word_bytes)
+            }
         }
     }
 
@@ -214,6 +246,15 @@ impl MacroInstr {
     pub fn elems(&self) -> u64 {
         self.shape.elems()
     }
+}
+
+/// The peak of [`InstrStream::scratchpad_high_water`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HighWater {
+    /// Most live result bytes at any position (saturating).
+    pub bytes: u64,
+    /// The first position where the live bytes reached `bytes`.
+    pub at: usize,
 }
 
 /// An ordered instruction stream forming a DAG via `deps`.
@@ -348,6 +389,51 @@ impl InstrStream {
             .fold(0, |acc, i| acc.saturating_add(i.modmul_ops()))
     }
 
+    /// The scratchpad working set of the stream: a liveness sweep in
+    /// issue order. Each result ([`MacroInstr::output_bytes`]) is live
+    /// from its own position to its last data use, the last
+    /// instruction naming it in `deps`. A [`Kernel::Barrier`] orders
+    /// but reads nothing, so its deps do not extend a result's life.
+    /// The peak is a bound any allocator must meet: above the
+    /// scratchpad capacity, no spill-free schedule of this stream
+    /// exists.
+    ///
+    /// One pass over the edges and one over the instructions. Edges
+    /// that are not backward and in range are skipped, so a malformed
+    /// stream still sweeps.
+    pub fn scratchpad_high_water(&self) -> HighWater {
+        let n = self.instrs.len();
+        let mut last_use: Vec<usize> = (0..n).collect();
+        for (pos, ins) in self.instrs.iter().enumerate() {
+            if ins.kernel == Kernel::Barrier {
+                continue;
+            }
+            for &d in ins.deps.iter().filter(|&&d| d < pos) {
+                last_use[d] = last_use[d].max(pos);
+            }
+        }
+        // Bytes that die after each position executes.
+        let mut dying = vec![0u64; n];
+        let mut live = 0u64;
+        let mut peak = HighWater::default();
+        for (pos, ins) in self.instrs.iter().enumerate() {
+            let bytes = ins.output_bytes();
+            let death = &mut dying[last_use[pos]];
+            *death = death.saturating_add(bytes);
+            live = live.saturating_add(bytes);
+            if live > peak.bytes {
+                peak = HighWater {
+                    bytes: live,
+                    at: pos,
+                };
+            }
+            // Once the sum has saturated it undercounts, so the deaths
+            // may take more than is left.
+            live = live.saturating_sub(dying[pos]);
+        }
+        peak
+    }
+
     /// Counts instructions per kernel.
     pub fn kernel_histogram(&self) -> std::collections::HashMap<Kernel, usize> {
         let mut h = std::collections::HashMap::new();
@@ -425,5 +511,80 @@ mod tests {
         assert_eq!(s.total_hbm_bytes(), 128);
         assert_eq!(s.kernel_histogram()[&Kernel::Ntt], 2);
         assert!(s.total_modmul_ops() > 0);
+    }
+
+    #[test]
+    fn high_water_frees_results_after_their_last_use() {
+        // Two 32 KiB results; the second is read only by the third
+        // instruction, so the first dies before the third runs.
+        let mut s = InstrStream::new();
+        let a = s.push(Kernel::Ntt, shape(), 36, vec![], 0, Phase::CkksEval);
+        let b = s.push(Kernel::Ntt, shape(), 36, vec![a], 0, Phase::CkksEval);
+        s.push(Kernel::Ewmm, shape(), 36, vec![b], 0, Phase::CkksEval);
+        let one = shape().elems() * 8;
+        assert_eq!(
+            s.scratchpad_high_water(),
+            HighWater {
+                bytes: 2 * one,
+                at: 1
+            }
+        );
+        assert_eq!(
+            InstrStream::new().scratchpad_high_water(),
+            HighWater::default()
+        );
+    }
+
+    #[test]
+    fn barrier_deps_do_not_extend_a_result_life() {
+        let big = PolyShape::new(16, 64);
+        let one = big.elems() * 8;
+        let mut s = InstrStream::new();
+        let exit = s.push(Kernel::Ntt, big, 36, vec![], 0, Phase::CkksEval);
+        let bar = s.push(
+            Kernel::Barrier,
+            PolyShape::new(0, 1),
+            36,
+            vec![exit],
+            0,
+            Phase::CkksBootstrap,
+        );
+        s.push(Kernel::Intt, big, 36, vec![bar], 0, Phase::CkksBootstrap);
+        // The exit dies at its own position: only one buffer is ever live.
+        let ordered = s.scratchpad_high_water();
+        assert_eq!(ordered.bytes, one);
+        assert_eq!(s.instrs()[bar].output_bytes(), 0);
+
+        // A data edge across the barrier keeps the exit live.
+        let mut t = s.clone();
+        let drain = PolyShape::new(16, 128);
+        t.push(Kernel::Store, drain, 36, vec![exit, 2], 1, Phase::Other);
+        assert_eq!(
+            t.scratchpad_high_water(),
+            HighWater {
+                bytes: 2 * one,
+                at: 2
+            }
+        );
+    }
+
+    #[test]
+    fn high_water_skips_malformed_edges() {
+        let mut forward = MacroInstr {
+            id: 0,
+            kernel: Kernel::Ntt,
+            shape: shape(),
+            word_bits: 36,
+            deps: vec![1, 99],
+            hbm_bytes: 0,
+            phase: Phase::Other,
+            pack: u32::MAX,
+        };
+        let s = InstrStream::from_raw(vec![forward.clone(), {
+            forward.id = 1;
+            forward.deps = vec![];
+            forward
+        }]);
+        assert_eq!(s.scratchpad_high_water().bytes, shape().elems() * 8);
     }
 }

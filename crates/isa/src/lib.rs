@@ -9,8 +9,10 @@
 //!   what `ufc-ckks`/`ufc-tfhe`/`ufc-workloads` emit here);
 //! * [`instr`] — hardware [`instr::MacroInstr`]s over polynomial
 //!   limbs: the primitive kernels of Table I ((i)NTT, EWMM/A, AUTO,
-//!   Rotate, Extract, Decomp, REDC) plus BConv MACs and memory
-//!   movement;
+//!   Rotate, Extract, Decomp, REDC) plus BConv MACs, memory
+//!   movement and the ordering `Barrier`, and the one scratchpad
+//!   liveness sweep over a stream
+//!   ([`instr::InstrStream::scratchpad_high_water`]);
 //! * [`params`] — the FHE parameter registry of Table III (CKKS
 //!   C1–C3, TFHE T1–T4) with all derived quantities (RNS limb counts,
 //!   key-switching digit counts, ciphertext sizes) that both the
@@ -24,6 +26,6 @@ pub mod params;
 pub mod serial;
 pub mod trace;
 
-pub use instr::{InstrStream, Kernel, MacroInstr};
+pub use instr::{HighWater, InstrStream, Kernel, MacroInstr};
 pub use params::{CkksParams, TfheParams};
 pub use trace::{Trace, TraceOp};

@@ -480,16 +480,25 @@ mod tests {
             0,
             Phase::CkksEval,
         );
+        let bar = s.push(
+            Kernel::Barrier,
+            PolyShape::new(0, 1),
+            32,
+            vec![a, b],
+            0,
+            Phase::TfheBlindRotate,
+        );
         s.push_packed(
             Kernel::Ewmm,
             PolyShape::new(10, 8),
             32,
-            vec![a, b],
+            vec![a, bar],
             4096,
             Phase::TfheBlindRotate,
             4,
         );
         let text = stream_to_text(&s);
+        assert!(text.contains("kernel=Barrier log_n=0 count=1"), "{text}");
         let back = stream_from_text(&text).unwrap();
         assert_eq!(s, back);
     }

@@ -4,9 +4,8 @@
 //! polynomial-ring arithmetic that the FHE schemes accelerated by UFC
 //! (MICRO 2024) are built on:
 //!
-//! * 64-bit modular arithmetic: plain, [Barrett][modops::Barrett],
-//!   [Shoup][modops::ShoupMul] and [Montgomery][mont::Montgomery]
-//!   reductions,
+//! * 64-bit modular arithmetic: plain, [Barrett][modops::Barrett]
+//!   and [Shoup][modops::ShoupMul] reductions,
 //! * NTT-friendly prime generation and primitive-root search
 //!   ([`prime`]),
 //! * the classical iterative number-theoretic transform with three
@@ -59,7 +58,6 @@ pub mod cgntt;
 pub mod fft;
 pub mod gadget;
 pub mod modops;
-pub mod mont;
 pub mod ntt;
 pub mod par;
 pub mod plane;

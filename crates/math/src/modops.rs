@@ -89,9 +89,9 @@ pub fn inv_mod(a: u64, q: u64) -> Option<u64> {
 /// Barrett reducer for a fixed modulus.
 ///
 /// Precomputes `floor(2^128 / q)` so that reduction of a 128-bit product
-/// costs two multiplications — the structure UFC's modular multiplier
-/// lanes implement in hardware (the paper uses Montgomery; both are
-/// provided, see [`crate::mont`]).
+/// costs two multiplications. The paper's multiplier lanes use
+/// Montgomery reduction; the simulator charges modular multiplies by
+/// count, so the host keeps only Barrett and Shoup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Barrett {
     q: u64,

@@ -1,18 +1,28 @@
 //! Randomness for FHE: uniform ring elements, ternary/binary secrets,
 //! and rounded-Gaussian noise.
+//!
+//! Small values (secrets, noise) come back as centered `i64`
+//! coefficients, which each caller reduces into the limbs it needs
+//! (`RnsPlane::from_signed`); uniform ring elements come back as a
+//! coefficient-form [`RnsPlane`].
 
-use crate::poly::Poly;
+use crate::plane::RnsPlane;
+use crate::poly::Form;
 use rand::Rng;
 
-/// Samples a uniformly random polynomial over `Z_q`.
-pub fn uniform_poly<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64) -> Poly {
-    Poly::from_coeffs((0..n).map(|_| rng.gen_range(0..q)).collect(), q)
+/// Samples a uniformly random coefficient-form plane over `moduli`:
+/// `n` draws per limb, limb by limb.
+pub fn uniform_plane<R: Rng + ?Sized>(rng: &mut R, n: usize, moduli: &[u64]) -> RnsPlane {
+    let mut data = Vec::with_capacity(n * moduli.len());
+    for &q in moduli {
+        data.extend((0..n).map(|_| rng.gen_range(0..q)));
+    }
+    RnsPlane::from_flat_unchecked(data, moduli, Form::Coeff)
 }
 
-/// Samples a ternary secret polynomial with coefficients in `{-1,0,1}`.
-pub fn ternary_poly<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64) -> Poly {
-    let signed: Vec<i64> = (0..n).map(|_| rng.gen_range(-1..=1)).collect();
-    Poly::from_signed(&signed, q)
+/// Samples a ternary secret: `n` centered coefficients in `{-1, 0, 1}`.
+pub fn ternary_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
+    (0..n).map(|_| rng.gen_range(-1i64..=1)).collect()
 }
 
 /// Samples a binary secret vector (for LWE keys).
@@ -29,10 +39,9 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> i64 {
     (z * sigma).round() as i64
 }
 
-/// Samples a noise polynomial with rounded-Gaussian coefficients.
-pub fn gaussian_poly<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64, sigma: f64) -> Poly {
-    let signed: Vec<i64> = (0..n).map(|_| gaussian(rng, sigma)).collect();
-    Poly::from_signed(&signed, q)
+/// Samples `n` centered rounded-Gaussian noise coefficients.
+pub fn gaussian_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, sigma: f64) -> Vec<i64> {
+    (0..n).map(|_| gaussian(rng, sigma)).collect()
 }
 
 #[cfg(test)]
@@ -44,23 +53,28 @@ mod tests {
     #[test]
     fn uniform_stays_reduced() {
         let mut rng = StdRng::seed_from_u64(7);
-        let p = uniform_poly(&mut rng, 256, 97);
-        assert!(p.coeffs().iter().all(|&c| c < 97));
+        let p = uniform_plane(&mut rng, 256, &[97, 12289]);
+        assert_eq!(p.form(), Form::Coeff);
+        assert!(p.limb(0).iter().all(|&c| c < 97));
+        assert!(p.limb(1).iter().all(|&c| c < 12289));
+        assert!(p.limb(1).iter().any(|&c| c >= 97));
     }
 
     #[test]
     fn ternary_values_are_ternary() {
         let mut rng = StdRng::seed_from_u64(8);
-        let q = 1_000_003;
-        let p = ternary_poly(&mut rng, 512, q);
-        assert!(p.coeffs().iter().all(|&c| c == 0 || c == 1 || c == q - 1));
+        let s = ternary_vec(&mut rng, 512);
+        assert!(s.iter().all(|c| (-1..=1).contains(c)));
+        for v in [-1, 0, 1] {
+            assert!(s.contains(&v), "{v} never drawn");
+        }
     }
 
     #[test]
     fn gaussian_moments_are_plausible() {
         let mut rng = StdRng::seed_from_u64(9);
         let sigma = 3.2;
-        let samples: Vec<i64> = (0..20_000).map(|_| gaussian(&mut rng, sigma)).collect();
+        let samples = gaussian_vec(&mut rng, 20_000, sigma);
         let mean = samples.iter().sum::<i64>() as f64 / samples.len() as f64;
         let var = samples
             .iter()
@@ -83,8 +97,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = uniform_poly(&mut StdRng::seed_from_u64(42), 64, 12289);
-        let b = uniform_poly(&mut StdRng::seed_from_u64(42), 64, 12289);
+        let a = uniform_plane(&mut StdRng::seed_from_u64(42), 64, &[12289]);
+        let b = uniform_plane(&mut StdRng::seed_from_u64(42), 64, &[12289]);
         assert_eq!(a, b);
     }
 }

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use ufc_math::cgntt::{perfect_shuffle_dest, CgNtt, ShuffleDecomposition};
 use ufc_math::fft::negacyclic_mul_fft;
 use ufc_math::modops::{add_mod, inv_mod, mul_mod, neg_mod, pow_mod, sub_mod, Barrett, ShoupMul};
-use ufc_math::mont::Montgomery;
 use ufc_math::ntt::NttContext;
 use ufc_math::poly::Poly;
 use ufc_math::prime::generate_ntt_prime;
@@ -92,12 +91,6 @@ fn any_modulus(raw: u64) -> u64 {
     2 + raw % ((1u64 << 62) - 2)
 }
 
-/// Arbitrary *odd* modulus shared by every reducer under test
-/// (Montgomery needs odd, Barrett needs `< 2^62`).
-fn odd_modulus(raw: u64) -> u64 {
-    (3 + raw % ((1u64 << 62) - 3)) | 1
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -141,25 +134,6 @@ proptest! {
         // Barrett reduction is defined for x < q^2.
         let x = ((hi as u128) << 64 | lo as u128) % (q as u128 * q as u128);
         prop_assert_eq!(Barrett::new(q).reduce_u128(x), (x % q as u128) as u64);
-    }
-
-    #[test]
-    fn prop_montgomery_and_barrett_agree(
-        a in any::<u64>(), b in any::<u64>(), q_raw in any::<u64>()
-    ) {
-        let q = odd_modulus(q_raw);
-        let (a, b) = (a % q, b % q);
-        let mont = Montgomery::new(q);
-        let br = Barrett::new(q);
-        prop_assert_eq!(mont.mul_plain(a, b), br.mul(a, b));
-    }
-
-    #[test]
-    fn prop_montgomery_roundtrip(a in any::<u64>(), q_raw in any::<u64>()) {
-        let q = odd_modulus(q_raw);
-        let mont = Montgomery::new(q);
-        let a = a % q;
-        prop_assert_eq!(mont.from_mont(mont.to_mont(a)), a);
     }
 
     #[test]

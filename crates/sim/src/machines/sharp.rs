@@ -71,6 +71,11 @@ impl Machine for SharpMachine {
     }
 
     fn cost(&self, i: &MacroInstr) -> InstrCost {
+        // An ordering point holds no data: it must not reach the HBM
+        // charge below, which bills at least one cycle to anything.
+        if i.kernel == Kernel::Barrier {
+            return InstrCost::free();
+        }
         let elems = i.elems();
         let hbm = cdiv(i.hbm_bytes, SHARP_HBM_BPC);
         let e_hbm = i.hbm_bytes as f64 * E_HBM_PJ_PER_BYTE;
@@ -114,7 +119,7 @@ impl Machine for SharpMachine {
             Kernel::Decomp | Kernel::Rotate | Kernel::Extract | Kernel::Redc => InstrCost::free()
                 .with(ResKind::Elew, elems)
                 .with_energy(elems as f64 * E_WORD_PJ),
-            Kernel::Load | Kernel::Store | Kernel::Transfer => InstrCost::free(),
+            Kernel::Load | Kernel::Store | Kernel::Transfer | Kernel::Barrier => InstrCost::free(),
         };
         if hbm > 0 {
             cost.with(ResKind::Hbm, hbm).with_energy(e_hbm)

@@ -62,6 +62,11 @@ impl Machine for StrixMachine {
     }
 
     fn cost(&self, i: &MacroInstr) -> InstrCost {
+        // An ordering point holds no data: it must not reach the HBM
+        // charge below, which bills at least one cycle to anything.
+        if i.kernel == Kernel::Barrier {
+            return InstrCost::free();
+        }
         let elems = i.elems();
         let hbm = cdiv(i.hbm_bytes, STRIX_HBM_BPC);
         let e_hbm = i.hbm_bytes as f64 * E_HBM_PJ_PER_BYTE;
@@ -95,7 +100,7 @@ impl Machine for StrixMachine {
             Kernel::Extract | Kernel::Redc => InstrCost::free()
                 .with(ResKind::Mac, cdiv(elems, 64))
                 .with_energy(elems as f64 * E_WORD_PJ),
-            Kernel::Load | Kernel::Store | Kernel::Transfer => InstrCost::free(),
+            Kernel::Load | Kernel::Store | Kernel::Transfer | Kernel::Barrier => InstrCost::free(),
         };
         if hbm > 0 {
             cost.with(ResKind::Hbm2, hbm).with_energy(e_hbm)

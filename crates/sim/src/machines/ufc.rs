@@ -212,6 +212,10 @@ impl Machine for UfcMachine {
     }
 
     fn cost(&self, i: &MacroInstr) -> InstrCost {
+        // An ordering point holds no data and streams nothing.
+        if i.kernel == Kernel::Barrier {
+            return InstrCost::free();
+        }
         let elems = i.elems();
         let elew_tput = (i.pack as u64)
             .saturating_mul(i.shape.n())
@@ -282,7 +286,7 @@ impl Machine for UfcMachine {
             Kernel::Load | Kernel::Store => InstrCost::free(),
             // Scheme switching stays on-chip: UFC's unified memory
             // makes the transfer free.
-            Kernel::Transfer => InstrCost::free(),
+            Kernel::Transfer | Kernel::Barrier => InstrCost::free(),
         };
 
         if hbm > 0 {

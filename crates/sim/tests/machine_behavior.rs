@@ -2,8 +2,11 @@
 //! phase accounting, memory-bound regimes and energy bookkeeping.
 
 use ufc_compiler::{CompileOptions, Compiler};
+use ufc_isa::instr::{Kernel, MacroInstr, Phase, PolyShape};
 use ufc_isa::trace::{Trace, TraceOp};
-use ufc_sim::machines::{Machine, StrixMachine, UfcConfig, UfcMachine};
+use ufc_sim::machines::{
+    ComposedMachine, Machine, SharpMachine, StrixMachine, UfcConfig, UfcMachine,
+};
 use ufc_sim::simulate;
 
 fn compile(tr: &Trace) -> ufc_isa::InstrStream {
@@ -112,4 +115,40 @@ fn dedicated_network_is_faster_but_larger() {
     let b = simulate(&dedicated, &s);
     assert!(b.cycles <= a.cycles, "dedicated network must not be slower");
     assert!(b.area_mm2 > a.area_mm2 + 30.0, "but it must pay area");
+}
+
+#[test]
+fn every_machine_costs_a_barrier_as_free() {
+    // Even a malformed barrier that names HBM bytes, on either side
+    // of the composed machine's word-size dispatch, costs nothing:
+    // no demand (the baselines bill at least one HBM cycle to every
+    // other instruction) and no energy.
+    let spilling = UfcMachine::new(UfcConfig {
+        spill_fraction: 1.0,
+        ..UfcConfig::default()
+    });
+    let machines: [&dyn Machine; 5] = [
+        &UfcMachine::paper_default(),
+        &spilling,
+        &SharpMachine::new(),
+        &StrixMachine::new(),
+        &ComposedMachine::new(),
+    ];
+    for m in machines {
+        for (word_bits, hbm_bytes) in [(36, 0), (32, 0), (8, 0), (36, 1 << 20), (32, 1 << 20)] {
+            let barrier = MacroInstr {
+                id: 0,
+                kernel: Kernel::Barrier,
+                shape: PolyShape::new(0, 1),
+                word_bits,
+                deps: vec![],
+                hbm_bytes,
+                phase: Phase::CkksEval,
+                pack: u32::MAX,
+            };
+            let cost = m.cost(&barrier);
+            assert!(cost.demands.is_empty(), "{}: {:?}", m.name(), cost.demands);
+            assert_eq!(cost.energy_pj, 0.0, "{}", m.name());
+        }
+    }
 }

@@ -7,7 +7,7 @@ use rand::Rng;
 use ufc_math::modops::{from_signed, neg_mod};
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::{Form, Poly};
-use ufc_math::sample::{gaussian_poly, uniform_poly};
+use ufc_math::sample::{gaussian_vec, uniform_plane};
 
 /// An RLWE encryption `(a, b)` with `b = a·s + m + e` over
 /// `Z_q[X]/(X^N+1)`: two single-limb planes over the TFHE modulus, in
@@ -67,8 +67,8 @@ impl RlweCiphertext {
     ) -> Self {
         let q = ctx.q();
         let n = ctx.ring_dim();
-        let a = plane_of(&uniform_poly(rng, n, q));
-        let e = plane_of(&gaussian_poly(rng, n, q, ctx.sigma()));
+        let a = uniform_plane(rng, n, &[q]);
+        let e = RnsPlane::from_signed(&gaussian_vec(rng, n, ctx.sigma()), &[q]);
         let mut b = mul_by_key(ctx, &a, s_signed);
         b.add_assign(&e);
         b.add_assign(m);

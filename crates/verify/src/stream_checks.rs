@@ -4,8 +4,9 @@
 //! instruction reads. The checks here prove, without simulating,
 //! that the DAG is well-formed (defined-before-use, no forward or
 //! dangling edges), that shapes/word sizes/packing are consistent
-//! with the kernel and phase that carry them, and that a liveness
-//! sweep of producer→last-consumer buffers never exceeds the
+//! with the kernel and phase that carry them, and that the stream's
+//! liveness high-water mark
+//! ([`InstrStream::scratchpad_high_water`]) never exceeds the
 //! scratchpad capacity.
 
 use crate::diag::{Location, Report, Severity};
@@ -218,77 +219,23 @@ fn check_scheme_crossings(stream: &InstrStream, report: &mut Report) {
     }
 }
 
-/// Bytes one element occupies on the scratchpad for a given word size
-/// (36-bit limbs are stored in 8-byte words, matching
-/// `CkksParams::ciphertext_bytes`; 32-bit torus words in 4; opaque
-/// transfer payloads byte-for-byte).
-fn word_bytes(word_bits: u32) -> u64 {
-    match word_bits {
-        36 => 8,
-        32 => 4,
-        8 => 1,
-        // Invalid word sizes are flagged by `stream/word-bits-invalid`;
-        // account conservatively so the sweep still runs.
-        _ => 8,
-    }
-}
-
-/// Scratchpad bytes the result of `ins` occupies while live.
-fn output_bytes(ins: &MacroInstr) -> u64 {
-    match ins.kernel {
-        // Store drains to HBM: nothing stays resident.
-        Kernel::Store => 0,
-        // Transfer is a chip-to-chip hop, not a scratchpad resident.
-        Kernel::Transfer => 0,
-        // A BConv shape counts MAC passes (input limbs × output
-        // limbs), not resident polynomials; its result is bounded by
-        // — and charged to — the consumer that reads it.
-        Kernel::BconvMac => 0,
-        _ => ins.shape.elems().saturating_mul(word_bytes(ins.word_bits)),
-    }
-}
-
-/// `stream/scratchpad-overflow`: a liveness sweep. Each instruction's
-/// output buffer is live from its position to its last consumer
-/// (instructions naming it in `deps`); the running sum of live bytes
-/// must stay within the scratchpad capacity. This is an upper bound a
-/// real allocator must also satisfy — exceeding it statically means
-/// no schedule without spills exists for this stream.
+/// `stream/scratchpad-overflow`: the stream's liveness high-water
+/// mark ([`InstrStream::scratchpad_high_water`], the one scratchpad
+/// model) must stay within the scratchpad capacity. Exceeding it
+/// statically means no schedule without spills exists for this
+/// stream.
 fn check_scratchpad(stream: &InstrStream, opts: &VerifyOptions, report: &mut Report) {
     let capacity = opts.scratchpad_capacity();
-    let instrs = stream.instrs();
-    let mut last_use: Vec<usize> = (0..instrs.len()).collect();
-    for (pos, ins) in instrs.iter().enumerate() {
-        for &d in &ins.deps {
-            last_use[d] = last_use[d].max(pos);
-        }
-    }
-    let mut live: u64 = 0;
-    let mut high_water: u64 = 0;
-    let mut high_pos = 0;
-    // Buffers that die at position p (after p executes).
-    let mut dying: Vec<Vec<u64>> = vec![Vec::new(); instrs.len()];
-    for (pos, ins) in instrs.iter().enumerate() {
-        dying[last_use[pos]].push(output_bytes(ins));
-        live = live.saturating_add(output_bytes(ins));
-        if live > high_water {
-            high_water = live;
-            high_pos = pos;
-        }
-        for bytes in dying[pos].drain(..) {
-            // Once the sum has saturated it undercounts, so a
-            // buffer's death may take more than is left.
-            live = live.saturating_sub(bytes);
-        }
-    }
-    if high_water > capacity {
+    let peak = stream.scratchpad_high_water();
+    if peak.bytes > capacity {
         report.push(
             Severity::Error,
             "stream/scratchpad-overflow",
-            Location::Instr(high_pos),
+            Location::Instr(peak.at),
             format!(
-                "live-buffer high-water mark {high_water} bytes exceeds the \
-                 {capacity}-byte scratchpad; no spill-free schedule exists"
+                "live-buffer high-water mark {} bytes exceeds the \
+                 {capacity}-byte scratchpad; no spill-free schedule exists",
+                peak.bytes
             ),
         );
     }

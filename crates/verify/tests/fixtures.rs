@@ -283,6 +283,7 @@ fn clean_fixtures_stay_clean_under_the_noise_pass() {
     for file in [
         "clean.trace",
         "clean.stream",
+        "clean_barrier.stream",
         "clean_composed.trace",
         "clean_noise_pipeline.trace",
     ] {
@@ -327,6 +328,10 @@ fn clean_fixtures_are_clean_under_their_targets() {
             "clean.stream",
             &[Target::Any, Target::Ufc, Target::Composed][..],
         ),
+        (
+            "clean_barrier.stream",
+            &[Target::Any, Target::Ufc, Target::Composed][..],
+        ),
         ("clean_composed.trace", &[Target::Any, Target::Composed][..]),
         (
             "transfer_on_unified.stream",
@@ -364,6 +369,33 @@ fn seeded_violations_stay_localized() {
             }
         }
     }
+}
+
+#[test]
+fn only_a_data_edge_across_a_barrier_keeps_a_buffer_live() {
+    // `clean_barrier.stream` (in the clean tables above) orders a
+    // 150 MiB exit before a 150 MiB buffer through a barrier alone.
+    // Its seeded twin adds one data edge from the far side of the
+    // barrier to the exit, which keeps both live: 300 MiB. The
+    // `SEEDED` table holds one fixture per code, so the twin of the
+    // scratchpad-overflow fixture is checked here.
+    let (_, report) = verify_text(
+        &fixture("scratchpad_overflow_across_barrier.stream"),
+        &VerifyOptions::default(),
+    )
+    .unwrap();
+    let errors: Vec<String> = report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(errors.len(), 1, "{report}");
+    assert!(report.has_code("stream/scratchpad-overflow"), "{report}");
+    assert!(
+        errors[0].contains("instr 2") && errors[0].contains("314572800 bytes"),
+        "{report}"
+    );
 }
 
 // ------------------------------------------------- ufc-lint end-to-end
